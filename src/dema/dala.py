@@ -3,10 +3,17 @@
 A query token (a, l) attends to key tokens (b, j) of every variate whose
 shifted position j + delta_ab does not exceed l. Keys are rotated at their
 effective position j + delta_ab and queries at l, so attention scores
-depend only on the effective relative delay. The production path runs on
-prefix accumulators (chunked running sums) and never materializes an
-(N*L) x (N*L) matrix; a literal double-sum transcription is kept as the
-test oracle.
+depend only on the effective relative delay.
+
+The production path loops over the distinct token shifts of the active
+pairs (rho > 0 and |delta| < L), not over the pairs. For each shift it
+gathers the shift's (query, key) variate pairs onto a leading pair axis,
+shifts their key and value streams, rotates the keys at their effective
+positions, runs one chunked prefix-sum attention over all of them, and
+adds the pair outputs and key prefix sums (for the denominators) into
+their query variates with one rho-weighted matmul each. No (N*L) x (N*L)
+matrix is formed. A literal double-sum transcription is kept as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ class RotaryTable:
 
     dim: int
     base: float = 10000.0
-    max_position: int = 4096
     theta: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -92,36 +98,38 @@ def kernel_phi(x, p: int = 3):
 def causal_linear_attention(q, k, v, chunk: int = 64):
     """out[l] = q_l^T * sum_{j <= l} k_j v_j^T, via chunked prefix sums.
 
-    q, k: [..., L, Dk]; v: [..., L, Dv].
+    q, k: [..., L, Dk]; v: [..., L, Dv]. The token axis is cut into
+    ceil(L / chunk) chunks of equal length (at most `chunk`).
     """
     q, k, v = T._wrap(q), T._wrap(k), T._wrap(v)
     L = q.shape[-2]
     Dk, Dv = k.shape[-1], v.shape[-1]
-    c = min(chunk, L)
-    pad = (-L) % c
+    nb = -(-L // min(chunk, L))
+    c = -(-L // nb)
+    pad = nb * c - L
     if pad:
         q = T.pad_last2(q, -2, pad)
         k = T.pad_last2(k, -2, pad)
         v = T.pad_last2(v, -2, pad)
-    nb = (L + pad) // c
     qb = T.reshape(q, q.shape[:-2] + (nb, c, Dk))
     kb = T.reshape(k, k.shape[:-2] + (nb, c, Dk))
     vb = T.reshape(v, v.shape[:-2] + (nb, c, Dv))
     mask = np.tril(np.ones((c, c)))
     intra = T.matmul(T.mul(T.matmul(qb, T.swapaxes(kb, -1, -2)), mask), vb)
-    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    state = T.Tensor(np.zeros(lead + (Dk, Dv)))
+    # Every chunk reads the state of the chunks before it (zero for the
+    # first) and adds its own k^T v, the last one too. The two products per
+    # chunk keep the state work exactly linear in the chunk count, which
+    # criterion 8 (time per doubling of the window) needs; see CHANGES.md.
+    state = T.Tensor(np.zeros((Dk, Dv)))  # broadcasts over the leading axes
     inter = []
     for i in range(nb):
         blk = (Ellipsis, i, slice(None), slice(None))
-        q_i = T.getitem(qb, blk)
-        inter.append(T.matmul(q_i, state))
+        o = T.matmul(T.getitem(qb, blk), state)
+        inter.append(T.reshape(o, o.shape[:-2] + (1, c, Dv)))
         state = T.add(state, T.matmul(
             T.swapaxes(T.getitem(kb, blk), -1, -2), T.getitem(vb, blk)))
-    inter = T.concat(
-        [T.reshape(t, t.shape[:-2] + (1, c, Dv)) for t in inter], axis=-3)
-    out = T.add(intra, inter)
-    out = T.reshape(out, out.shape[:-3] + (L + pad, Dv))
+    out = T.add(intra, T.concat(inter, axis=-3) if nb > 1 else inter[0])
+    out = T.reshape(out, out.shape[:-3] + (nb * c, Dv))
     if pad:
         out = T.getitem(out, (Ellipsis, slice(0, L), slice(None)))
     return out
@@ -134,29 +142,42 @@ class DalaInputs:
     v: T.Tensor
     priors: DelayPriors
     p: int = 3
-    gate: T.Tensor | None = None
 
 
-def _shifted_stream(src: T.Tensor, delta: int, L: int):
-    """Align a per-token stream so entry l holds token j = l - delta.
+def _pair_stream(x: T.Tensor, idx: np.ndarray, d: int) -> T.Tensor:
+    """Variates `idx` of x [..., N, L, D] on a pair axis, token-shifted.
 
-    Out-of-range entries are zero. Returns (stream, lo, hi) with the valid
-    half-open range [lo, hi) of l.
+    Entry l of pair p holds x[..., idx[p], l - d, :], zero where l - d is
+    out of range. One tape node; its backward sums repeated variates with a
+    one-hot matmul.
     """
-    lo = max(0, delta)
-    hi = min(L, L + delta)
-    if hi <= lo:
-        shape = src.shape[:-2] + (L, src.shape[-1])
-        return T.Tensor(np.zeros(shape)), lo, lo
-    body = T.getitem(src, (Ellipsis, slice(lo - delta, hi - delta), slice(None)))
-    parts = []
-    if lo:
-        parts.append(T.zeros(src.shape[:-2] + (lo, src.shape[-1])))
-    parts.append(body)
-    if L - hi:
-        parts.append(T.zeros(src.shape[:-2] + (L - hi, src.shape[-1])))
-    stream = T.concat(parts, axis=-2) if len(parts) > 1 else body
-    return stream, lo, hi
+    L = x.shape[-2]
+    lo, hi = max(0, d), min(L, L + d)
+    data = np.zeros(x.shape[:-3] + (len(idx),) + x.shape[-2:])
+    data[..., lo:hi, :] = x.data[..., idx, lo - d:hi - d, :]
+    onehot_t = np.eye(x.shape[-3])[:, idx]          # [N, P]
+
+    def bwd(g):
+        body = g[..., lo:hi, :]
+        flat = body.reshape(body.shape[:-2] + (-1,))
+        gx = np.zeros(x.shape)
+        gx[..., lo - d:hi - d, :] = (onehot_t @ flat).reshape(
+            x.shape[:-2] + (hi - lo, x.shape[-1]))
+        return (gx,)
+
+    return T._make(data, (x,), bwd)
+
+
+def _mix_variates(w: np.ndarray, x: T.Tensor) -> T.Tensor:
+    """out[..., i, :, :] = sum_n w[i, n] x[..., n, :, :] for a constant w.
+
+    One tape node for the product over the variate axis (-3).
+    """
+    def apply(m, arr):
+        flat = arr.reshape(arr.shape[:-3] + (arr.shape[-3], -1))
+        return (m @ flat).reshape(arr.shape[:-3] + (m.shape[0],) + x.shape[-2:])
+
+    return T._make(apply(w, x.data), (x,), lambda g: (apply(w.T, g),))
 
 
 def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
@@ -169,13 +190,17 @@ def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
         raise ContractError(
             f"priors are {inp.priors.n_variates}x{inp.priors.n_variates} "
             f"but the grid has {N} variates")
-    if table is None:
-        table = RotaryTable(dim=Du, max_position=max(L, 1))
     rho = inp.priors.rho_weights()
-    delta = inp.priors.delta_tok
+    delta = np.asarray(inp.priors.delta_tok)
+    active = (rho > 0) & (np.abs(delta) < L)
+    if not active.any():
+        # no pair contributes anywhere: every token falls back to itself
+        return v
+    if table is None:
+        table = RotaryTable(dim=Du)
     positions = np.arange(L)
 
-    # [..., N, L, Du] is more convenient for the per-pair loop
+    # [..., N, L, Du]: the token axis next to the features
     qn = T.swapaxes(q, -3, -2)
     kn = T.swapaxes(k, -3, -2)
     vn = T.swapaxes(v, -3, -2)
@@ -183,49 +208,34 @@ def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
     phi_k = kernel_phi(kn, inp.p)
     q_rot = rope_rotate(phi_q, positions, table)
 
-    outs = []
-    for a in range(N):
-        sl_a = (Ellipsis, a, slice(None), slice(None))
-        qr_a = T.getitem(q_rot, sl_a)
-        pq_a = T.getitem(phi_q, sl_a)
-        num = None
-        den = None
-        key_count = np.zeros(L)
-        for b in range(N):
-            w = float(rho[a, b])
-            if w == 0.0:
-                continue
-            d_ab = int(delta[a, b])
-            pk_b = T.getitem(phi_k, (Ellipsis, b, slice(None), slice(None)))
-            v_b = T.getitem(vn, (Ellipsis, b, slice(None), slice(None)))
-            k_stream, lo, hi = _shifted_stream(pk_b, d_ab, L)
-            if hi <= lo:
-                continue
-            v_stream, _, _ = _shifted_stream(v_b, d_ab, L)
-            # keys live at their effective positions
-            k_rot = rope_rotate(k_stream, positions, table)
-            num_ab = causal_linear_attention(qr_a, k_rot, v_stream, chunk)
-            den_feats = k_rot if rotated_denominator else k_stream
-            den_q = qr_a if rotated_denominator else pq_a
-            den_ab = T.tsum(T.mul(den_q, T.cumsum(den_feats, axis=-2)),
-                            axis=-1, keepdims=True)
-            num = T.mul(num_ab, w) if num is None else T.add(num, T.mul(num_ab, w))
-            den = T.mul(den_ab, w) if den is None else T.add(den, T.mul(den_ab, w))
-            counts = np.zeros(L)
-            counts[lo:] = np.arange(1, L - lo + 1).clip(max=hi - lo)
-            key_count += counts
-        if num is None:
-            # no pair contributes anywhere: fall back to the own token
-            y_a = T.getitem(vn, sl_a)
-        else:
-            y_a = T.div(num, T.maximum(den, eps))
-            empty = key_count == 0
-            if empty.any():
-                keep = (~empty).astype(np.float64)[:, None]
-                y_a = T.add(T.mul(y_a, keep),
-                            T.mul(T.getitem(vn, sl_a), 1.0 - keep))
-        outs.append(T.reshape(y_a, y_a.shape[:-2] + (1, L, Du)))
-    y = T.concat(outs, axis=-3)          # [..., N, L, Du]
+    # per shift: the shift's pairs on a leading pair axis, key and value
+    # streams shifted so entry l holds token l - d, keys rotated at l
+    outs, cums, a_all, w_all = [], [], [], []
+    for d in np.unique(delta[active]):
+        a_idx, b_idx = np.nonzero(active & (delta == d))
+        k_d = _pair_stream(phi_k, b_idx, int(d))
+        k_rot = rope_rotate(k_d, positions, table)
+        v_d = _pair_stream(vn, b_idx, int(d))
+        outs.append(causal_linear_attention(_pair_stream(q_rot, a_idx, 0),
+                                            k_rot, v_d, chunk))
+        cums.append(T.cumsum(k_rot if rotated_denominator else k_d, axis=-2))
+        a_all.append(a_idx)
+        w_all.append(rho[a_idx, b_idx])
+    # add every pair into its query variate, weighted by rho
+    a_all = np.concatenate(a_all)
+    scatter = np.eye(N)[:, a_all] * np.concatenate(w_all)   # [N, pairs]
+    num = _mix_variates(scatter, T.concat(outs, axis=-3))
+    den_keys = _mix_variates(scatter, T.concat(cums, axis=-3))
+
+    den_q = q_rot if rotated_denominator else phi_q
+    den = T.tsum(T.mul(den_q, den_keys), axis=-1, keepdims=True)
+    y = T.div(num, T.maximum(den, eps))
+    # query (a, l) sees a key once l reaches the smallest max(0, delta_ab)
+    first = np.where(active, np.maximum(delta, 0), L).min(axis=1)
+    keep = (positions[None, :] >= first[:, None]).astype(np.float64)[..., None]
+    if not keep.all():
+        # tokens with no key in range fall back to their own value
+        y = T.add(T.mul(y, keep), T.mul(vn, 1.0 - keep))
     return T.swapaxes(y, -3, -2)         # [..., L, N, Du]
 
 
@@ -252,7 +262,7 @@ def naive_dala_oracle(inp: DalaInputs, table: RotaryTable | None = None,
     v = inp.v.data if isinstance(inp.v, T.Tensor) else np.asarray(inp.v)
     L, N, Du = q.shape
     if table is None:
-        table = RotaryTable(dim=Du, max_position=max(L, 1))
+        table = RotaryTable(dim=Du)
     rho = inp.priors.rho_weights()
     delta = inp.priors.delta_tok
 
@@ -350,7 +360,6 @@ def mamba_dala_forward(grid: TokenGrid, priors: DelayPriors,
         v=T.matmul(content, params.w_v),
         priors=priors,
         p=params.kernel_power,
-        gate=gate,
     )
     y = dala_attention(inp, table=table, eps=params.eps,
                        rotated_denominator=params.rotated_denominator,

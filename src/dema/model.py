@@ -286,7 +286,7 @@ def backbone_forward(window: np.ndarray, state: ModelState,
     if priors is None:
         priors = delay_matrix(window, cfg.lag_bound(), cfg.patch_len)
     g_time, g_var, stats = _tokenize(window, state)
-    table = RotaryTable(dim=cfg.d_inner, max_position=max(cfg.n_tokens, 1))
+    table = RotaryTable(dim=cfg.d_inner)
     z_sum = None
     per_block = [] if trace else None
     for blk in state.blocks:

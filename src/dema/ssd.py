@@ -28,8 +28,11 @@ class SelectiveParams:
 
 @dataclass
 class DiscreteSSM:
-    A_bar: T.Tensor  # [..., L, Dh] in (0, 1)
+    A_bar: T.Tensor  # [..., L, Dh] in [0, 1)
     B_bar: T.Tensor  # [..., L, Dh]
+    # log(A_bar) = delta * A, finite where A_bar underflows to 0; taken
+    # as log(A_bar) when not given
+    log_A_bar: T.Tensor | None = None
 
 
 @dataclass
@@ -97,9 +100,10 @@ def selective_params(u, params: SsdParams) -> SelectiveParams:
 def discretize(params: SelectiveParams) -> DiscreteSSM:
     """A_bar = exp(delta * A) with A = -exp(A_log); B_bar = (1 - A_bar) * B."""
     A = T.neg(T.texp(params.A_log))
-    A_bar = T.texp(T.mul(params.delta, A))
+    log_A_bar = T.mul(params.delta, A)
+    A_bar = T.texp(log_A_bar)
     B_bar = T.mul(T.sub(1.0, A_bar), params.B)
-    return DiscreteSSM(A_bar=A_bar, B_bar=B_bar)
+    return DiscreteSSM(A_bar=A_bar, B_bar=B_bar, log_A_bar=log_A_bar)
 
 
 def ssm_scan_reference(d: DiscreteSSM, C, x) -> np.ndarray:
@@ -137,23 +141,25 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     """
     if chunk <= 0:
         raise ConfigError("chunk size must be positive")
-    A_bar, B_bar = T._wrap(d.A_bar), T._wrap(d.B_bar)
+    # log-space decays (Mamba-2's segsum): an underflowed A_bar would
+    # give log 0 = -inf and -inf - -inf = NaN in `seg`
+    log_a = T.tlog(d.A_bar) if d.log_A_bar is None else T._wrap(d.log_A_bar)
+    B_bar = T._wrap(d.B_bar)
     C, x = T._wrap(C), T._wrap(x)
     L = x.shape[-2]
-    Dh = A_bar.shape[-1]
+    Dh = log_a.shape[-1]
     Du = x.shape[-1]
     c = min(chunk, L)
     pad = (-L) % c
     if pad:
-        ones = T.Tensor(np.ones(A_bar.shape[:-2] + (pad, Dh)))
-        A_bar = T.concat([A_bar, ones], axis=-2)
+        log_a = T.pad_last2(log_a, -2, pad)  # A_bar = 1 on padding
         B_bar = T.pad_last2(B_bar, -2, pad)
         C = T.pad_last2(C, -2, pad)
         x = T.pad_last2(x, -2, pad)
     Lp = L + pad
     nb = Lp // c
 
-    la = T.cumsum(T.tlog(_blocks(A_bar, nb, c)), axis=-2)  # [..., nb, c, Dh]
+    la = T.cumsum(_blocks(log_a, nb, c), axis=-2)  # [..., nb, c, Dh]
     la_j = T.reshape(la, la.shape[:-2] + (c, 1, Dh))
     la_i = T.reshape(la, la.shape[:-2] + (1, c, Dh))
     seg = T.sub(la_j, la_i)                       # la[j] - la[i]
@@ -168,7 +174,7 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     M = T.tsum(T.mul(T.mul(Cj, Bi), decay), axis=-1)  # [..., nb, c, c]
     y_intra = T.matmul(M, xb)
 
-    lead = np.broadcast_shapes(A_bar.shape[:-2], x.shape[:-2])
+    lead = np.broadcast_shapes(log_a.shape[:-2], x.shape[:-2])
     h = T.Tensor(np.zeros(lead + (Dh, Du)))
     inter = []
     for i in range(nb):

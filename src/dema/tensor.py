@@ -173,7 +173,9 @@ def mul(a, b):
     data = a.data * b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(data, (a, b), bwd)
 
@@ -190,13 +192,29 @@ def div(a, b):
     return _make(data, (a, b), bwd)
 
 
+def _int_power(x, n):
+    """x ** n for an integer n >= 1 by repeated multiplication."""
+    out = x
+    for _ in range(n - 1):
+        out = out * x
+    return out
+
+
 def power(a, p):
     a = _wrap(a)
     p = float(p)
-    data = a.data ** p
+    if p in (2.0, 3.0, 4.0):
+        # float pow is far slower than a few multiplies
+        n = int(p)
+        data = _int_power(a.data, n)
 
-    def bwd(g):
-        return (g * p * a.data ** (p - 1.0),)
+        def bwd(g):
+            return (g * p * _int_power(a.data, n - 1),)
+    else:
+        data = a.data ** p
+
+        def bwd(g):
+            return (g * p * a.data ** (p - 1.0),)
 
     return _make(data, (a,), bwd)
 
@@ -213,8 +231,11 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _make(data, (a, b), bwd)
@@ -289,12 +310,12 @@ def gelu(a):
     """tanh-approximate GELU with its exact derivative."""
     a = _wrap(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def bwd(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return (g * d,)
 
@@ -356,12 +377,22 @@ def swapaxes(a, ax1, ax2):
     )
 
 
+def _has_array_index(key):
+    parts = key if isinstance(key, tuple) else (key,)
+    return any(isinstance(k, (list, np.ndarray)) for k in parts)
+
+
 def getitem(a, key):
     a = _wrap(a)
+    # `buf[key] += g` keeps only one write per repeated array index
+    scatter = _has_array_index(key)
 
     def bwd(g):
         buf = np.zeros(a.shape)
-        buf[key] += g
+        if scatter:
+            np.add.at(buf, key, g)
+        else:
+            buf[key] += g
         return (buf,)
 
     return _make(a.data[key], (a,), bwd)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dema import tensor as T
 from dema.dala import (DalaInputs, DalaParams, RotaryTable,
@@ -248,6 +250,92 @@ def test_oracle_zero_rho_offdiagonal_fallback(rng):
     assert np.max(np.abs(out - ref)) <= 1e-9
     # all keys out of range: the oracle falls back to the own-token value
     np.testing.assert_allclose(out, inp.v.data, atol=1e-12)
+
+
+@st.composite
+def dala_cases(draw):
+    """Shapes, priors and flags for the batched path against the oracle.
+
+    Shifts reach beyond the token count, weights can be zero or negative,
+    chunks need not divide L, and inputs may carry leading batch axes.
+    """
+    L = draw(st.integers(1, 7))
+    N = draw(st.integers(1, 4))
+    Du = 2 * draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (2,), (2, 1)]))
+    chunk = draw(st.integers(1, L + 2))
+    rotated = draw(st.booleans())
+    delta = np.array(draw(st.lists(st.integers(-(L + 1), L + 1),
+                                   min_size=N * N, max_size=N * N)))
+    rho = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-1.0, -0.01), st.floats(0.05, 1.0)),
+        min_size=N * N, max_size=N * N)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return L, N, Du, lead, chunk, rotated, delta.reshape(N, N), \
+        rho.reshape(N, N), seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(dala_cases())
+def test_batched_path_matches_oracle_property(case):
+    L, N, Du, lead, chunk, rotated, delta, rho, seed = case
+    rng = np.random.default_rng(seed)
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    q, k, v = (rng.standard_normal(lead + (L, N, Du)) for _ in range(3))
+    out = dala_attention(DalaInputs(q=T.Tensor(q), k=T.Tensor(k),
+                                    v=T.Tensor(v), priors=priors),
+                         rotated_denominator=rotated, chunk=chunk).data
+    assert out.shape == q.shape
+    for idx in np.ndindex(*lead):
+        ref = naive_dala_oracle(
+            DalaInputs(q=q[idx], k=k[idx], v=v[idx], priors=priors),
+            rotated_denominator=rotated)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(out[idx] - ref)) <= 1e-8 * scale
+
+
+def test_gradient_finite_difference_with_shifts(rng):
+    # several shifts of both signs, one beyond L, one zero weight, a row
+    # whose first token has no key in range (own-token fallback), and
+    # shifts shared by pairs with the same query or the same key variate
+    L, N, Du = 5, 3, 4
+    delta = np.array([[0, 2, -1], [1, 1, 9], [-2, 2, 0]])
+    rho = np.array([[1.0, 0.6, 0.3], [0.5, 0.8, 0.4], [0.7, 0.9, 0.0]])
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    # q and k mostly positive keep the denominators well above eps
+    datas = [rng.standard_normal((L, N, Du)) + 1.0 for _ in range(3)]
+    w = rng.standard_normal((L, N, Du))
+
+    def value(q, k, v):
+        inp = DalaInputs(q=q, k=k, v=v, priors=priors)
+        return dala_attention(inp, chunk=2)
+
+    args = [T.Tensor(d, requires_grad=True) for d in datas]
+    T.backward(T.tsum(T.mul(value(*args), w)))
+    h = 1e-6
+    for i, arg in enumerate(args):
+        for j in range(arg.data.size):
+            bumped = []
+            for step in (h, -h):
+                ds = [d.copy() for d in datas]
+                ds[i].ravel()[j] += step
+                bumped.append(float(np.sum(value(*ds).data * w)))
+            fd = (bumped[0] - bumped[1]) / (2 * h)
+            g = arg.grad.ravel()[j]
+            assert abs(g - fd) <= 1e-5 * max(abs(fd), abs(g), 1e-3), (i, j)
+
+
+def test_active_pairs_need_positive_weight_and_shift_below_l(rng):
+    # a shift of exactly L and a negative weight leave only the own pair
+    L, N = 4, 2
+    delta = np.array([[0, L], [-1, 0]])
+    rho = np.array([[1.0, 1.0], [-0.5, 1.0]])
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    inp = make_inputs(rng, L=L, N=N, Du=4, priors=priors)
+    out = dala_attention(inp).data
+    alone = dala_attention(DalaInputs(q=inp.q, k=inp.k, v=inp.v,
+                                      priors=DelayPriors.identity(N))).data
+    np.testing.assert_allclose(out, alone, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,30 @@ def test_blocked_handles_ragged_padding(rng):
     assert np.max(np.abs(out - ref)) <= 1e-10
 
 
+def test_blocked_survives_underflowing_decay(rng):
+    # delta * A < -745 underflows A_bar to exactly 0; the blocked scan
+    # must stay finite and equal to the recurrence
+    N, L, Dh, Du = 2, 10, 3, 2
+    delta = rng.uniform(0.1, 2.0, (N, L, Dh))
+    delta[:, 3, 0] = 800.0
+    delta[1, 4:7, 2] = 2000.0
+    sel = SelectiveParams(delta=T.Tensor(delta, requires_grad=True),
+                          B=T.Tensor(rng.standard_normal((N, L, Dh))),
+                          C=T.Tensor(rng.standard_normal((N, L, Dh))),
+                          A_log=T.Tensor(np.zeros(Dh), requires_grad=True))
+    d = discretize(sel)
+    assert np.any(d.A_bar.data == 0.0)
+    x = T.Tensor(rng.standard_normal((N, L, Du)))
+    ref = ssm_scan_reference(d, sel.C, x)
+    assert np.all(np.isfinite(ref))
+    for chunk in (1, 3, 4, 10):
+        out = ssd_blocked(d, sel.C, x, chunk=chunk)
+        assert np.max(np.abs(out.data - ref)) <= 1e-10
+    T.backward(T.tsum(T.mul(out, out)))
+    assert np.all(np.isfinite(sel.delta.grad))
+    assert np.all(np.isfinite(sel.A_log.grad))
+
+
 def test_blocked_rejects_bad_chunk(rng):
     d, C, x = random_instance(rng)
     with pytest.raises(ConfigError):

@@ -168,6 +168,16 @@ def test_getitem_grad_accumulates():
     np.testing.assert_array_equal(x.grad, [0.0, 2.0, 0.0, 0.0])
 
 
+def test_getitem_grad_repeated_array_index():
+    # every repeat of an index must add its gradient
+    x = T.Tensor(np.arange(4.0), requires_grad=True)
+    T.backward(T.tsum(T.getitem(x, [0, 0, 1])))
+    np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0, 0.0])
+    y = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    T.backward(T.tsum(T.getitem(y, (Ellipsis, np.array([2, 2, 2])))))
+    np.testing.assert_array_equal(y.grad, [[0, 0, 3], [0, 0, 3]])
+
+
 def test_cumsum_forward_backward(rng):
     x = T.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
     out = T.cumsum(x, axis=-1)
@@ -239,6 +249,23 @@ def _finite_diff_check(op, shapes, rng, rel_tol=1e-4, h=1e-6, **kwargs):
 ])
 def test_per_op_finite_difference(op, shapes, kwargs, rng):
     _finite_diff_check(op, shapes, rng, **kwargs)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_power_integer_matches_float_pow(p, rng):
+    x = rng.standard_normal((3, 4))
+    np.testing.assert_allclose(T.power(T.Tensor(x), p).data,
+                               x ** float(p), rtol=1e-14, atol=0)
+    _finite_diff_check(T.power, [(3, 4)], rng, p=p)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.5, 5.0])
+def test_power_non_integer_and_large_finite_difference(p, rng):
+    # positive inputs keep fractional powers real
+    def positive_power(a, p):
+        return T.power(T.add(T.mul(a, a), 0.5), p)
+
+    _finite_diff_check(positive_power, [(3, 4)], rng, p=p)
 
 
 def test_div_sqrt_log_positive_domain(rng):
