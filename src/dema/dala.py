@@ -5,6 +5,11 @@ shifted position j + delta_ab does not exceed l. Keys are rotated at their
 effective position j + delta_ab and queries at l, so attention scores
 depend only on the effective relative delay.
 
+Tokens are per-variate streams [..., N, L, D], the layout the temporal
+path uses too. :func:`dala_core` works on them directly; only the public
+:func:`dala_attention` and the oracle take [..., L, N, Du], and
+:func:`dala_attention` is the one place that swaps.
+
 The production path loops over the distinct token shifts of the active
 pairs (rho > 0 and |delta| < L), not over the pairs. For each shift it
 gathers the shift's (query, key) variate pairs onto a leading pair axis,
@@ -24,7 +29,6 @@ import numpy as np
 
 from . import tensor as T
 from .delay import DelayPriors
-from .embedding import VARIATE_MAJOR, TokenGrid
 from .errors import ConfigError, ContractError
 
 _PHI_TINY = 1e-30
@@ -137,6 +141,8 @@ def causal_linear_attention(q, k, v, chunk: int = 64):
 
 @dataclass
 class DalaInputs:
+    """Inputs of :func:`dala_attention` and the oracle, [..., L, N, Du]."""
+
     q: T.Tensor  # [..., L, N, Du]
     k: T.Tensor
     v: T.Tensor
@@ -180,18 +186,18 @@ def _mix_variates(w: np.ndarray, x: T.Tensor) -> T.Tensor:
     return T._make(apply(w, x.data), (x,), lambda g: (apply(w.T, g),))
 
 
-def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
-                   eps: float = ATTN_EPS, rotated_denominator: bool = False,
-                   chunk: int = 64) -> T.Tensor:
-    """Delay-aware causal linear attention over a variate-major grid."""
-    q, k, v = T._wrap(inp.q), T._wrap(inp.k), T._wrap(inp.v)
-    L, N, Du = q.shape[-3], q.shape[-2], q.shape[-1]
-    if inp.priors.n_variates != N:
+def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
+              table: RotaryTable | None = None, eps: float = ATTN_EPS,
+              rotated_denominator: bool = False, chunk: int = 64) -> T.Tensor:
+    """Delay-aware causal linear attention on token streams [..., N, L, Du]."""
+    q, k, v = T._wrap(q), T._wrap(k), T._wrap(v)
+    N, L, Du = q.shape[-3], q.shape[-2], q.shape[-1]
+    if priors.n_variates != N:
         raise ContractError(
-            f"priors are {inp.priors.n_variates}x{inp.priors.n_variates} "
-            f"but the grid has {N} variates")
-    rho = inp.priors.rho_weights()
-    delta = np.asarray(inp.priors.delta_tok)
+            f"priors are {priors.n_variates}x{priors.n_variates} "
+            f"but the tokens have {N} variates")
+    rho = priors.rho_weights()
+    delta = np.asarray(priors.delta_tok)
     active = (rho > 0) & (np.abs(delta) < L)
     if not active.any():
         # no pair contributes anywhere: every token falls back to itself
@@ -199,13 +205,8 @@ def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
     if table is None:
         table = RotaryTable(dim=Du)
     positions = np.arange(L)
-
-    # [..., N, L, Du]: the token axis next to the features
-    qn = T.swapaxes(q, -3, -2)
-    kn = T.swapaxes(k, -3, -2)
-    vn = T.swapaxes(v, -3, -2)
-    phi_q = kernel_phi(qn, inp.p)
-    phi_k = kernel_phi(kn, inp.p)
+    phi_q = kernel_phi(q, p)
+    phi_k = kernel_phi(k, p)
     q_rot = rope_rotate(phi_q, positions, table)
 
     # per shift: the shift's pairs on a leading pair axis, key and value
@@ -215,7 +216,7 @@ def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
         a_idx, b_idx = np.nonzero(active & (delta == d))
         k_d = _pair_stream(phi_k, b_idx, int(d))
         k_rot = rope_rotate(k_d, positions, table)
-        v_d = _pair_stream(vn, b_idx, int(d))
+        v_d = _pair_stream(v, b_idx, int(d))
         outs.append(causal_linear_attention(_pair_stream(q_rot, a_idx, 0),
                                             k_rot, v_d, chunk))
         cums.append(T.cumsum(k_rot if rotated_denominator else k_d, axis=-2))
@@ -235,8 +236,18 @@ def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
     keep = (positions[None, :] >= first[:, None]).astype(np.float64)[..., None]
     if not keep.all():
         # tokens with no key in range fall back to their own value
-        y = T.add(T.mul(y, keep), T.mul(vn, 1.0 - keep))
-    return T.swapaxes(y, -3, -2)         # [..., L, N, Du]
+        y = T.add(T.mul(y, keep), T.mul(v, 1.0 - keep))
+    return y
+
+
+def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
+                   eps: float = ATTN_EPS, rotated_denominator: bool = False,
+                   chunk: int = 64) -> T.Tensor:
+    """:func:`dala_core` on q, k, v [..., L, N, Du], the oracle's layout."""
+    q, k, v = (T.swapaxes(T._wrap(x), -3, -2) for x in (inp.q, inp.k, inp.v))
+    y = dala_core(q, k, v, inp.priors, inp.p, table, eps,
+                  rotated_denominator, chunk)
+    return T.swapaxes(y, -3, -2)
 
 
 def _phi_np(x: np.ndarray, p: int) -> np.ndarray:
@@ -345,25 +356,14 @@ class DalaParams:
         return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
 
 
-def mamba_dala_forward(grid: TokenGrid, priors: DelayPriors,
-                       params: DalaParams,
-                       table: RotaryTable | None = None) -> TokenGrid:
-    """Full variate-path module on a variate-major token grid."""
-    if grid.layout != VARIATE_MAJOR:
-        raise ContractError("mamba_dala_forward expects a variate-major grid")
-    x = grid.tokens
+def mamba_dala_forward(x: T.Tensor, priors: DelayPriors, params: DalaParams,
+                       table: RotaryTable | None = None) -> T.Tensor:
+    """Full variate-path module on tokens [..., N, L, D]."""
     content = T.add(T.matmul(x, params.w_content), params.b_content)
     gate = T.add(T.matmul(x, params.w_gate), params.b_gate)
-    inp = DalaInputs(
-        q=T.matmul(content, params.w_q),
-        k=T.matmul(content, params.w_k),
-        v=T.matmul(content, params.w_v),
-        priors=priors,
-        p=params.kernel_power,
-    )
-    y = dala_attention(inp, table=table, eps=params.eps,
-                       rotated_denominator=params.rotated_denominator,
-                       chunk=params.chunk)
-    out = T.add(T.matmul(T.mul(y, T.sigmoid(gate)), params.w_out), params.b_out)
-    return TokenGrid(layout=VARIATE_MAJOR, tokens=out,
-                     patch_len=grid.patch_len, stride=grid.stride)
+    y = dala_core(T.matmul(content, params.w_q), T.matmul(content, params.w_k),
+                  T.matmul(content, params.w_v), priors,
+                  p=params.kernel_power, table=table, eps=params.eps,
+                  rotated_denominator=params.rotated_denominator,
+                  chunk=params.chunk)
+    return T.add(T.matmul(T.mul(y, T.sigmoid(gate)), params.w_out), params.b_out)

@@ -1,9 +1,8 @@
-"""Instance normalization, patch tokenization and the two scan layouts.
+"""Instance normalization, patch tokenization and patch embedding.
 
 Windows are [N, T] (optionally with leading batch axes). Patch tokens are
-kept either time-major [..., N, L, D] for the temporal path or
-variate-major [..., L, N, D] for the variate path; conversion between the
-two is a pure axis permutation.
+plain tensors [..., N, L, D]: one token stream per variate, the layout
+both the temporal and the variate path work on.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError
 
-TIME_MAJOR = "time_major"      # [..., N, L, D]
-VARIATE_MAJOR = "variate_major"  # [..., L, N, D]
-
 REVIN_EPS = 1e-5
 
 
@@ -26,22 +22,6 @@ class InstanceStats:
     mean: np.ndarray  # [..., N]
     std: np.ndarray   # [..., N], >= eps
     eps: float = REVIN_EPS
-
-
-@dataclass
-class TokenGrid:
-    layout: str
-    tokens: T.Tensor
-    patch_len: int
-    stride: int
-
-    @property
-    def n_variates(self) -> int:
-        return self.tokens.shape[-2 if self.layout == VARIATE_MAJOR else -3]
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[-3 if self.layout == VARIATE_MAJOR else -2]
 
 
 def revin_normalize(window: np.ndarray, eps: float = REVIN_EPS):
@@ -108,25 +88,6 @@ class PatchEncoder:
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
 
-def embed_patches(patches: np.ndarray, encoder: PatchEncoder,
-                  patch_len: int, stride: int) -> TokenGrid:
-    """Embed patches [..., N, L, P] into a time-major token grid."""
-    tokens = T.add(T.matmul(T.Tensor(patches), encoder.weight), encoder.bias)
-    return TokenGrid(layout=TIME_MAJOR, tokens=tokens,
-                     patch_len=patch_len, stride=stride)
-
-
-def to_variate_major(grid: TokenGrid) -> TokenGrid:
-    if grid.layout == VARIATE_MAJOR:
-        return grid
-    return TokenGrid(layout=VARIATE_MAJOR,
-                     tokens=T.swapaxes(grid.tokens, -3, -2),
-                     patch_len=grid.patch_len, stride=grid.stride)
-
-
-def to_time_major(grid: TokenGrid) -> TokenGrid:
-    if grid.layout == TIME_MAJOR:
-        return grid
-    return TokenGrid(layout=TIME_MAJOR,
-                     tokens=T.swapaxes(grid.tokens, -3, -2),
-                     patch_len=grid.patch_len, stride=grid.stride)
+def embed_patches(patches: np.ndarray, encoder: PatchEncoder) -> T.Tensor:
+    """Embed patches [..., N, L, P] into tokens [..., N, L, D]."""
+    return T.add(T.matmul(T.Tensor(patches), encoder.weight), encoder.bias)

@@ -1,9 +1,10 @@
 """Dual-path block composition, backbone, task heads and checkpoints.
 
-One block runs the temporal path on the time-major grid and the variate
-path on the variate-major grid, feeds each path's residual (input minus
-output) to the next block, and fuses the two outputs into the block
-representation. The backbone output is the sum of block representations.
+Tokens are plain tensors [..., N, L, D] throughout. One block runs the
+temporal path on the cross-time tokens and the variate path on the
+cross-variate tokens, feeds each path's residual (input minus output) to
+the next block, and fuses the two outputs into the block representation.
+The backbone output is the sum of block representations.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 from . import tensor as T
 from .dala import DalaParams, RotaryTable, mamba_dala_forward
 from .delay import DelayPriors, default_max_lag, delay_matrix
-from .embedding import (InstanceStats, PatchEncoder, TIME_MAJOR, TokenGrid,
-                        VARIATE_MAJOR, embed_patches, patch_count, patchify,
-                        revin_denormalize, revin_normalize, to_time_major)
+from .embedding import (InstanceStats, PatchEncoder, embed_patches,
+                        patch_count, patchify, revin_denormalize,
+                        revin_normalize)
 from .errors import ConfigError, ContractError
 from .spectral import decompose
 from .ssd import SsdParams, mamba_ssd_forward
@@ -59,6 +60,16 @@ class ModelConfig:
             raise ConfigError("fusion weights must lie in [0, 1]")
         if self.n_blocks < 1:
             raise ConfigError("need at least one block")
+        for name in ("chunk", "d_state", "kernel_power", "conv_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.d_inner % 2:
+            raise ConfigError(f"d_inner = expand * d_model must be even "
+                              f"for the rotary encoding, got {self.d_inner}")
+        if self.patch_len > self.lookback:
+            raise ConfigError(f"patch_len {self.patch_len} exceeds lookback "
+                              f"{self.lookback}")
 
     @property
     def d_inner(self) -> int:
@@ -155,23 +166,19 @@ class DuoMNetBlockParams:
         return out
 
 
-def duomnet_block(x_time: TokenGrid, x_var: TokenGrid, priors: DelayPriors,
+def duomnet_block(x_time: T.Tensor, x_var: T.Tensor, priors: DelayPriors,
                   params: DuoMNetBlockParams,
                   table: RotaryTable | None = None):
-    """One dual-path layer. Returns (next time grid, next var grid, Z_b)."""
-    if x_time.layout != TIME_MAJOR or x_var.layout != VARIATE_MAJOR:
-        raise ContractError("block expects (time-major, variate-major) inputs")
+    """One dual-path layer on tokens [..., N, L, D].
+
+    Returns (next cross-time tokens, next cross-variate tokens, Z_b).
+    """
     y_time = mamba_ssd_forward(x_time, params.ssd)
     y_var = mamba_dala_forward(x_var, priors, params.dala, table=table)
-    next_time = TokenGrid(TIME_MAJOR, T.sub(x_time.tokens, y_time.tokens),
-                          x_time.patch_len, x_time.stride)
-    next_var = TokenGrid(VARIATE_MAJOR, T.sub(x_var.tokens, y_var.tokens),
-                         x_var.patch_len, x_var.stride)
-    y_var_tm = to_time_major(y_var).tokens
-    mixed = T.add(T.mul(params.ln_time(y_time.tokens), params.alpha),
-                  T.mul(params.ln_var(y_var_tm), params.beta))
+    mixed = T.add(T.mul(params.ln_time(y_time), params.alpha),
+                  T.mul(params.ln_var(y_var), params.beta))
     z_b = params.ln_out(T.add(mixed, params.ffn(mixed)))
-    return next_time, next_var, z_b
+    return T.sub(x_time, y_time), T.sub(x_var, y_var), z_b
 
 
 @dataclass
@@ -234,23 +241,11 @@ def _tokenize(window: np.ndarray, state: ModelState):
     """RevIN -> spectral split -> patchify -> embed both components."""
     cfg = state.config
     normalized, stats = revin_normalize(window)
-    if normalized.ndim == 2:
-        split = decompose(normalized, cfg.theta)
-        ct, cv = split.cross_time, split.cross_variate
-    else:
-        cts, cvs = [], []
-        for w in normalized:
-            split = decompose(w, cfg.theta)
-            cts.append(split.cross_time)
-            cvs.append(split.cross_variate)
-        ct, cv = np.stack(cts), np.stack(cvs)
-    p_time = patchify(ct, cfg.patch_len, cfg.stride)
-    p_var = patchify(cv, cfg.patch_len, cfg.stride)
-    g_time = embed_patches(p_time, state.encoder_time, cfg.patch_len, cfg.stride)
-    g_var_tm = embed_patches(p_var, state.encoder_var, cfg.patch_len, cfg.stride)
-    g_var = TokenGrid(VARIATE_MAJOR, T.swapaxes(g_var_tm.tokens, -3, -2),
-                      cfg.patch_len, cfg.stride)
-    return g_time, g_var, stats
+    split = decompose(normalized, cfg.theta)
+    P, S = cfg.patch_len, cfg.stride
+    x_time = embed_patches(patchify(split.cross_time, P, S), state.encoder_time)
+    x_var = embed_patches(patchify(split.cross_variate, P, S), state.encoder_var)
+    return x_time, x_var, stats
 
 
 def backbone_forward(window: np.ndarray, state: ModelState,
@@ -285,12 +280,12 @@ def backbone_forward(window: np.ndarray, state: ModelState,
         return BackboneOutput(Z=Z, stats=stats, per_block=per_block)
     if priors is None:
         priors = delay_matrix(window, cfg.lag_bound(), cfg.patch_len)
-    g_time, g_var, stats = _tokenize(window, state)
+    x_time, x_var, stats = _tokenize(window, state)
     table = RotaryTable(dim=cfg.d_inner)
     z_sum = None
     per_block = [] if trace else None
     for blk in state.blocks:
-        g_time, g_var, z_b = duomnet_block(g_time, g_var, priors, blk, table)
+        x_time, x_var, z_b = duomnet_block(x_time, x_var, priors, blk, table)
         z_sum = z_b if z_sum is None else T.add(z_sum, z_b)
         if trace:
             per_block.append(z_b)
@@ -303,14 +298,10 @@ def backbone_forward(window: np.ndarray, state: ModelState,
 # ----------------------------------------------------------------------
 
 def head_forecast(Z: T.Tensor, stats: InstanceStats, state: ModelState):
-    """[..., N, L, D] -> denormalized [..., N, S]."""
-    flat = T.reshape(Z, Z.shape[:-2] + (Z.shape[-2] * Z.shape[-1],))
-    pred = T.add(T.matmul(flat, state.head_w), state.head_b)
-    return revin_denormalize(pred, stats)
+    """[..., N, L, D] -> denormalized [..., N, S].
 
-
-def head_pointwise(Z: T.Tensor, stats: InstanceStats, state: ModelState):
-    """[..., N, L, D] -> denormalized [..., N, T]."""
+    Imputation and anomaly detection use it too, with S = lookback.
+    """
     flat = T.reshape(Z, Z.shape[:-2] + (Z.shape[-2] * Z.shape[-1],))
     pred = T.add(T.matmul(flat, state.head_w), state.head_b)
     return revin_denormalize(pred, stats)
@@ -331,12 +322,9 @@ def model_forward(window: np.ndarray, state: ModelState,
                   priors: DelayPriors | None = None):
     """Backbone plus the task head configured in `state`."""
     out = backbone_forward(window, state, priors=priors)
-    task = state.config.task
-    if task == "forecast":
-        return head_forecast(out.Z, out.stats, state)
-    if task in ("impute", "anomaly"):
-        return head_pointwise(out.Z, out.stats, state)
-    return head_classify(out.Z, state)
+    if state.config.task == "classify":
+        return head_classify(out.Z, state)
+    return head_forecast(out.Z, out.stats, state)
 
 
 # ----------------------------------------------------------------------
@@ -384,5 +372,9 @@ def load_checkpoint(path) -> ModelState:
             key = f"param/{name}"
             if key not in z:
                 raise ContractError(f"checkpoint missing parameter {name}")
+            if z[key].shape != p.shape:
+                raise ContractError(
+                    f"checkpoint parameter {name} has shape {z[key].shape}, "
+                    f"its config gives {p.shape}")
             p.data = np.array(z[key], dtype=np.float64)
     return state

@@ -113,27 +113,32 @@ def parse_config_file(path) -> tuple[TrainConfig, DatasetSpec]:
                 raise FormatError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            where = f"{path}:{lineno}: {key}"
             if key in train_fields:
-                train_kwargs[key] = _coerce(value, TrainConfig, key)
+                train_kwargs[key] = _coerce(value, TrainConfig, key, where)
             elif key in spec_fields:
-                spec_kwargs[key] = _coerce(value, DatasetSpec, key)
+                spec_kwargs[key] = _coerce(value, DatasetSpec, key, where)
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return TrainConfig(**train_kwargs), DatasetSpec(**spec_kwargs)
 
 
-def _coerce(value: str, cls, key):
+def _coerce(value: str, cls, key, where):
     default = next(f.default for f in fields(cls) if f.name == key)
     if isinstance(default, bool):
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+        raise ConfigError(f"{where}: expected a boolean, got {value!r}")
+    kind = type(default)
+    if kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(
+                f"{where}: expected {expected}, got {value!r}") from None
     return value
 
 
@@ -178,9 +183,10 @@ def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
             except ValueError:
                 raise FormatError(
                     f"{spec.path}: non-numeric value at row {r}, col {c}")
-            if math.isnan(x):
+            if not math.isfinite(x):
                 raise FormatError(
-                    f"{spec.path}: NaN at row {r}, col {c}")
+                    f"{spec.path}: non-finite value {cell.strip()!r} at "
+                    f"row {r}, col {c}")
             parsed.append(x)
         if has_labels:
             labels.append(int(parsed[-1]))
@@ -302,7 +308,7 @@ class TrainResult:
 def _batch_loss(state: ModelState, xs, ys, task, priors, mask_seed=None,
                 mask_ratio=0.0):
     x = np.stack(xs)
-    if task == "forecast":
+    if task in ("forecast", "anomaly"):
         pred = model_forward(x, state, priors)
         target = np.stack(ys)
         diff = T.sub(pred, target)
@@ -319,11 +325,6 @@ def _batch_loss(state: ModelState, xs, ys, task, priors, mask_seed=None,
         diff = T.mul(T.sub(pred, target), mask)
         denom = max(mask.sum(), 1.0)
         return T.div(T.tsum(T.mul(diff, diff)), denom)
-    if task == "anomaly":
-        pred = model_forward(x, state, priors)
-        target = np.stack(ys)
-        diff = T.sub(pred, target)
-        return T.tmean(T.mul(diff, diff))
     if task == "classify":
         probs = model_forward(x, state, priors)
         onehot = np.zeros(probs.shape)

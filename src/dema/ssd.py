@@ -1,6 +1,7 @@
 """Temporal path: selective SSM with a chunked semiseparable (SSD) scan.
 
-Each variate is scanned independently along its token axis. The blocked
+Tokens are [..., N, L, D]: each variate is scanned independently along
+its token axis, so the variate axis is one more batch axis. The blocked
 scan computes the same lower-triangular semiseparable product as the
 step-by-step recurrence, using intra-chunk matmuls plus an inter-chunk
 state carry, and is what the model uses; the recurrence is kept as the
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .embedding import TIME_MAJOR, TokenGrid
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 
 
 @dataclass
@@ -198,17 +198,12 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     return y
 
 
-def mamba_ssd_forward(grid: TokenGrid, params: SsdParams) -> TokenGrid:
-    """Full temporal-path module on a time-major token grid."""
-    if grid.layout != TIME_MAJOR:
-        raise ContractError("mamba_ssd_forward expects a time-major grid")
-    x = grid.tokens
+def mamba_ssd_forward(x: T.Tensor, params: SsdParams) -> T.Tensor:
+    """Full temporal-path module on tokens [..., N, L, D]."""
     content = T.add(T.matmul(x, params.w_content), params.b_content)
     gate = T.add(T.matmul(x, params.w_gate), params.b_gate)
     u = T.conv1d(content, params.conv_kernel, padding="causal")
     sel = selective_params(u, params)
     disc = discretize(sel)
     y = ssd_blocked(disc, sel.C, u, params.chunk)
-    out = T.add(T.matmul(T.mul(y, T.sigmoid(gate)), params.w_out), params.b_out)
-    return TokenGrid(layout=TIME_MAJOR, tokens=out,
-                     patch_len=grid.patch_len, stride=grid.stride)
+    return T.add(T.matmul(T.mul(y, T.sigmoid(gate)), params.w_out), params.b_out)

@@ -1,4 +1,4 @@
-"""Dense-tensor substrate: numpy storage, reverse-mode autodiff, real FFT.
+"""Dense-tensor substrate: numpy storage and reverse-mode autodiff.
 
 Values live in numpy arrays (float64 by default). Every differentiable op
 records a closure that maps the output gradient to parent gradients; the
@@ -9,7 +9,6 @@ operand requires a gradient, so inference runs at plain-numpy cost.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -502,11 +501,6 @@ def softmax(x, axis=-1):
     return div(e, tsum(e, axis=axis, keepdims=True))
 
 
-def norm_last(x, keepdims=True):
-    """Euclidean norm over the last axis."""
-    return tsqrt(tsum(mul(x, x), axis=-1, keepdims=keepdims))
-
-
 # ----------------------------------------------------------------------
 # reverse-mode driver
 # ----------------------------------------------------------------------
@@ -541,38 +535,3 @@ def backward(loss: Tensor):
             if not p.requires_grad or g is None:
                 continue
             p.grad = g.copy() if p.grad is None else p.grad + g
-
-
-# ----------------------------------------------------------------------
-# real FFT
-# ----------------------------------------------------------------------
-
-@dataclass
-class ComplexSpectrum:
-    """Half spectrum of a real series: indices 0..floor(T/2)."""
-
-    length: int
-    coeffs: np.ndarray  # complex128, shape [..., floor(T/2)+1]
-
-    @property
-    def n_bins(self) -> int:
-        return self.length // 2 + 1
-
-
-def rfft(x) -> ComplexSpectrum:
-    """Unnormalized forward real FFT along the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    T = x.shape[-1]
-    if T == 0:
-        raise DimensionError("rfft: empty input")
-    if T < 2:
-        raise ContractError("rfft requires length >= 2")
-    return ComplexSpectrum(length=T, coeffs=np.fft.rfft(x, axis=-1))
-
-
-def irfft(spectrum: ComplexSpectrum, T: int | None = None) -> np.ndarray:
-    """Inverse of :func:`rfft`, scaled by 1/T."""
-    T = spectrum.length if T is None else T
-    if T == 0:
-        raise DimensionError("irfft: empty output length")
-    return np.fft.irfft(spectrum.coeffs, n=T, axis=-1)

@@ -21,7 +21,6 @@ from dema.pipeline import (DatasetSpec, TrainConfig, bench_scaling, evaluate,
 from dema.spectral import decompose, support_overlap
 from dema.ssd import DiscreteSSM, mamba_ssd_forward, ssd_blocked, \
     ssm_scan_reference
-from dema.embedding import TIME_MAJOR, TokenGrid
 
 
 def report(tag, ok, detail=""):
@@ -148,13 +147,11 @@ def test_criterion_5_causality():
         # temporal path
         params = SsdParams.init(8, 16, 4, rng, chunk=4)
         tokens = rng.standard_normal((2, 12, 8))
-        grid = TokenGrid(TIME_MAJOR, T.Tensor(tokens), 8, 8)
-        full = mamba_ssd_forward(grid, params).tokens.data
+        full = mamba_ssd_forward(T.Tensor(tokens), params).data
         cut = int(rng.integers(0, 11))
         trunc = tokens.copy()
         trunc[:, cut + 1:] = 0.0
-        out = mamba_ssd_forward(
-            TokenGrid(TIME_MAJOR, T.Tensor(trunc), 8, 8), params).tokens.data
+        out = mamba_ssd_forward(T.Tensor(trunc), params).data
         worst_ssd = max(worst_ssd, float(np.max(np.abs(
             out[:, : cut + 1] - full[:, : cut + 1]))))
         # variate path

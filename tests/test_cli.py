@@ -140,3 +140,13 @@ def test_bad_config_returns_error(tmp_path):
     conf.write_text("nonsense_key = 1\n")
     assert main(["evaluate", "--config", str(conf),
                  "--out", str(tmp_path)]) == 1
+
+
+def test_malformed_config_value_exits_cleanly(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("d_model = 8\nepochs = 1.5\n")
+    assert main(["train", "--config", str(conf),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{conf}:2: epochs" in err

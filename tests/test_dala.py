@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from dema import tensor as T
 from dema.dala import (DalaInputs, DalaParams, RotaryTable,
-                       causal_linear_attention, dala_attention, kernel_phi,
-                       mamba_dala_forward, naive_dala_oracle, rope_rotate)
+                       causal_linear_attention, dala_attention, dala_core,
+                       kernel_phi, mamba_dala_forward, naive_dala_oracle,
+                       rope_rotate)
 from dema.delay import DelayPriors
-from dema.embedding import TIME_MAJOR, TokenGrid, VARIATE_MAJOR
 from dema.errors import ConfigError, ContractError
 
 
@@ -342,45 +342,45 @@ def test_active_pairs_need_positive_weight_and_shift_below_l(rng):
 # full module
 # ----------------------------------------------------------------------
 
-def test_forward_requires_variate_major(rng):
-    params = DalaParams.init(8, 16, np.random.default_rng(0))
-    bad = TokenGrid(TIME_MAJOR, T.Tensor(rng.standard_normal((2, 4, 8))), 8, 8)
-    with pytest.raises(ContractError):
-        mamba_dala_forward(bad, DelayPriors.identity(2), params)
+def test_dala_core_takes_token_streams(rng):
+    # the core works on [N, L, Du]; the public entry only swaps around it
+    inp = make_inputs(rng, L=7, N=3, Du=4)
+    q, k, v = (np.swapaxes(x.data, 0, 1) for x in (inp.q, inp.k, inp.v))
+    core = dala_core(T.Tensor(q), T.Tensor(k), T.Tensor(v), inp.priors,
+                     chunk=3).data
+    ref = naive_dala_oracle(inp)
+    np.testing.assert_allclose(np.swapaxes(core, 0, 1), ref, rtol=0,
+                               atol=1e-10)
+    np.testing.assert_array_equal(
+        np.swapaxes(core, 0, 1), dala_attention(inp, chunk=3).data)
 
 
 def test_forward_gate_kill(rng):
     params = DalaParams.init(8, 16, np.random.default_rng(0))
     params.b_gate.data = np.full(16, -60.0)
     params.w_gate.data = np.zeros((8, 16))
-    grid = TokenGrid(VARIATE_MAJOR, T.Tensor(rng.standard_normal((5, 2, 8))),
-                     8, 8)
-    out = mamba_dala_forward(grid, DelayPriors.identity(2), params)
-    np.testing.assert_allclose(out.tokens.data, 0.0, atol=1e-12)
+    tokens = T.Tensor(rng.standard_normal((2, 5, 8)))
+    out = mamba_dala_forward(tokens, DelayPriors.identity(2), params)
+    np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_forward_single_variate_self_contained(rng):
     params = DalaParams.init(8, 16, np.random.default_rng(3))
-    tokens = rng.standard_normal((6, 1, 8))
-    grid = TokenGrid(VARIATE_MAJOR, T.Tensor(tokens), 8, 8)
-    full = mamba_dala_forward(grid, DelayPriors.identity(1), params).tokens.data
+    tokens = rng.standard_normal((1, 6, 8))
+    full = mamba_dala_forward(T.Tensor(tokens), DelayPriors.identity(1),
+                              params).data
     trunc = tokens.copy()
-    trunc[4:] = 0.0
-    out = mamba_dala_forward(
-        TokenGrid(VARIATE_MAJOR, T.Tensor(trunc), 8, 8),
-        DelayPriors.identity(1), params).tokens.data
-    assert np.max(np.abs(out[:4] - full[:4])) <= 1e-9
+    trunc[:, 4:] = 0.0
+    out = mamba_dala_forward(T.Tensor(trunc), DelayPriors.identity(1),
+                             params).data
+    assert np.max(np.abs(out[:, :4] - full[:, :4])) <= 1e-9
 
 
 def test_forward_batched_matches_unbatched(rng):
     params = DalaParams.init(8, 16, np.random.default_rng(4))
     priors = DelayPriors.identity(2)
-    tokens = rng.standard_normal((3, 5, 2, 8))
-    batched = mamba_dala_forward(
-        TokenGrid(VARIATE_MAJOR, T.Tensor(tokens), 8, 8),
-        priors, params).tokens.data
+    tokens = rng.standard_normal((3, 2, 5, 8))
+    batched = mamba_dala_forward(T.Tensor(tokens), priors, params).data
     for g in range(3):
-        single = mamba_dala_forward(
-            TokenGrid(VARIATE_MAJOR, T.Tensor(tokens[g]), 8, 8),
-            priors, params).tokens.data
+        single = mamba_dala_forward(T.Tensor(tokens[g]), priors, params).data
         np.testing.assert_allclose(batched[g], single, atol=1e-12)

@@ -1,13 +1,11 @@
-"""Instance normalization, patching, embedding, and layout conversion."""
+"""Instance normalization, patching, and embedding into token streams."""
 
 import numpy as np
 import pytest
 
 from dema import tensor as T
-from dema.embedding import (PatchEncoder, TIME_MAJOR, TokenGrid,
-                            VARIATE_MAJOR, embed_patches, patch_count,
-                            patchify, revin_denormalize, revin_normalize,
-                            to_time_major, to_variate_major)
+from dema.embedding import (PatchEncoder, embed_patches, patch_count,
+                            patchify, revin_denormalize, revin_normalize)
 from dema.errors import ConfigError
 
 
@@ -72,47 +70,43 @@ def test_patchify_exact_cover(rng):
 
 def test_embed_zero_patches_zero_bias():
     enc = PatchEncoder.init(8, 16, np.random.default_rng(0))
-    grid = embed_patches(np.zeros((2, 4, 8)), enc, 8, 8)
-    np.testing.assert_array_equal(grid.tokens.data, 0.0)
+    tokens = embed_patches(np.zeros((2, 4, 8)), enc)
+    np.testing.assert_array_equal(tokens.data, 0.0)
 
 
 def test_embed_shape_and_determinism(rng):
     enc = PatchEncoder.init(8, 16, np.random.default_rng(1))
     patches = rng.standard_normal((3, 5, 8))
-    g1 = embed_patches(patches, enc, 8, 8)
-    g2 = embed_patches(patches, enc, 8, 8)
-    assert g1.layout == TIME_MAJOR
-    assert g1.tokens.shape == (3, 5, 16)
-    np.testing.assert_array_equal(g1.tokens.data, g2.tokens.data)
+    t1 = embed_patches(patches, enc)
+    t2 = embed_patches(patches, enc)
+    assert isinstance(t1, T.Tensor)
+    assert t1.shape == (3, 5, 16)
+    np.testing.assert_array_equal(t1.data, t2.data)
     # identical patches give identical embeddings
     same = np.broadcast_to(patches[0, 0], (1, 2, 8))
-    g3 = embed_patches(same, enc, 8, 8)
-    np.testing.assert_array_equal(g3.tokens.data[0, 0], g3.tokens.data[0, 1])
-
-
-def test_layout_roundtrip_bit_identical(rng):
-    grid = TokenGrid(TIME_MAJOR, T.Tensor(rng.standard_normal((3, 5, 4))), 8, 8)
-    back = to_time_major(to_variate_major(grid))
-    np.testing.assert_array_equal(back.tokens.data, grid.tokens.data)
+    t3 = embed_patches(same, enc)
+    np.testing.assert_array_equal(t3.data[0, 0], t3.data[0, 1])
 
 
 def test_layout_index_law(rng):
-    tokens = rng.standard_normal((3, 5, 4))
-    grid = TokenGrid(TIME_MAJOR, T.Tensor(tokens), 8, 8)
-    vm = to_variate_major(grid)
-    assert vm.layout == VARIATE_MAJOR
+    # token (n, l) of the one layout [N, L, D] embeds patch l of variate n
+    enc = PatchEncoder.init(8, 4, np.random.default_rng(2))
+    enc.bias.data = rng.standard_normal(4)
+    patches = rng.standard_normal((3, 5, 8))
+    tokens = embed_patches(patches, enc).data
     for n in range(3):
         for l in range(5):
-            np.testing.assert_array_equal(vm.tokens.data[l, n], tokens[n, l])
+            np.testing.assert_allclose(
+                tokens[n, l], patches[n, l] @ enc.weight.data + enc.bias.data,
+                rtol=0, atol=1e-12)
 
 
 def test_layout_degenerate_single_variate(rng):
-    tokens = rng.standard_normal((1, 5, 4))
-    vm = to_variate_major(TokenGrid(TIME_MAJOR, T.Tensor(tokens), 8, 8))
-    np.testing.assert_array_equal(vm.tokens.data, np.swapaxes(tokens, 0, 1))
-    assert vm.n_variates == 1 and vm.n_tokens == 5
-
-
-def test_layout_noop_when_already_there(rng):
-    grid = TokenGrid(TIME_MAJOR, T.Tensor(rng.standard_normal((2, 3, 4))), 8, 8)
-    assert to_time_major(grid) is grid
+    # one variate keeps its variate axis
+    enc = PatchEncoder.init(8, 4, np.random.default_rng(3))
+    window = rng.standard_normal((1, 40))
+    tokens = embed_patches(patchify(window, 8, 8), enc)
+    assert tokens.shape == (1, 5, 4)
+    np.testing.assert_allclose(tokens.data[0],
+                               window.reshape(5, 8) @ enc.weight.data,
+                               rtol=0, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from dema import tensor as T
 from dema.delay import DelayPriors
-from dema.embedding import InstanceStats, TIME_MAJOR, TokenGrid, VARIATE_MAJOR
+from dema.embedding import InstanceStats
 from dema.errors import ConfigError, ContractError
 from dema.model import (BackboneOutput, DuoMNetBlockParams, ModelConfig,
                         ModelState, anomaly_score, backbone_forward,
@@ -22,12 +22,9 @@ def small_config(**kw):
     return ModelConfig(**defaults)
 
 
-def make_grids(rng, cfg):
+def make_tokens(rng, cfg):
     tokens = rng.standard_normal((2, cfg.n_tokens, cfg.d_model))
-    g_time = TokenGrid(TIME_MAJOR, T.Tensor(tokens), cfg.patch_len, cfg.stride)
-    g_var = TokenGrid(VARIATE_MAJOR, T.Tensor(np.swapaxes(tokens, 0, 1)),
-                      cfg.patch_len, cfg.stride)
-    return g_time, g_var
+    return T.Tensor(tokens), T.Tensor(tokens.copy())
 
 
 # ----------------------------------------------------------------------
@@ -49,6 +46,19 @@ def test_config_fusion_weights_bounded():
         small_config(alpha=1.5)
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("d_inner", dict(d_model=5, expand=1)),
+    ("chunk", dict(chunk=0)),
+    ("d_state", dict(d_state=0)),
+    ("kernel_power", dict(kernel_power=0)),
+    ("conv_size", dict(conv_size=0)),
+    ("patch_len", dict(patch_len=40)),
+])
+def test_config_rejects_bad_sizes(field, kw):
+    with pytest.raises(ConfigError, match=field):
+        small_config(**kw)
+
+
 def test_config_derived_quantities():
     cfg = small_config()
     assert cfg.d_inner == 16
@@ -67,10 +77,10 @@ def test_block_fusion_alpha_one_beta_zero(rng):
     # silence the feed-forward tail so Z_b = LN_out(U) with U = LN(Y_time)
     blk.ffn.w1.data[:] = 0.0
     blk.ffn.w2.data[:] = 0.0
-    g_time, g_var = make_grids(rng, cfg)
+    x_time, x_var = make_tokens(rng, cfg)
     from dema.ssd import mamba_ssd_forward
-    y_time = mamba_ssd_forward(g_time, blk.ssd).tokens
-    _, _, z_b = duomnet_block(g_time, g_var, DelayPriors.identity(2), blk)
+    y_time = mamba_ssd_forward(x_time, blk.ssd)
+    _, _, z_b = duomnet_block(x_time, x_var, DelayPriors.identity(2), blk)
     expect = T.layer_norm(T.layer_norm(y_time, blk.ln_time.gamma,
                                        blk.ln_time.beta),
                           blk.ln_out.gamma, blk.ln_out.beta)
@@ -82,27 +92,19 @@ def test_block_zeroed_paths_pass_inputs_through(rng):
     blk = DuoMNetBlockParams.init(cfg, np.random.default_rng(1))
     for p in (blk.ssd.w_out, blk.ssd.b_out, blk.dala.w_out, blk.dala.b_out):
         p.data[:] = 0.0
-    g_time, g_var = make_grids(rng, cfg)
-    next_time, next_var, _ = duomnet_block(g_time, g_var,
+    x_time, x_var = make_tokens(rng, cfg)
+    next_time, next_var, _ = duomnet_block(x_time, x_var,
                                            DelayPriors.identity(2), blk)
-    np.testing.assert_array_equal(next_time.tokens.data, g_time.tokens.data)
-    np.testing.assert_array_equal(next_var.tokens.data, g_var.tokens.data)
+    np.testing.assert_array_equal(next_time.data, x_time.data)
+    np.testing.assert_array_equal(next_var.data, x_var.data)
 
 
 def test_block_output_shape(rng):
     cfg = small_config()
     blk = DuoMNetBlockParams.init(cfg, np.random.default_rng(2))
-    g_time, g_var = make_grids(rng, cfg)
-    _, _, z_b = duomnet_block(g_time, g_var, DelayPriors.identity(2), blk)
+    x_time, x_var = make_tokens(rng, cfg)
+    _, _, z_b = duomnet_block(x_time, x_var, DelayPriors.identity(2), blk)
     assert z_b.shape == (2, cfg.n_tokens, cfg.d_model)
-
-
-def test_block_layout_contract(rng):
-    cfg = small_config()
-    blk = DuoMNetBlockParams.init(cfg, np.random.default_rng(3))
-    g_time, g_var = make_grids(rng, cfg)
-    with pytest.raises(ContractError):
-        duomnet_block(g_var, g_time, DelayPriors.identity(2), blk)
 
 
 # ----------------------------------------------------------------------
@@ -256,4 +258,15 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     data["__version__"] = np.array(99)
     np.savez(path, **data)
     with pytest.raises(ContractError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_wrong_shape(tmp_path):
+    state = ModelState.init(small_config())
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(state, path)
+    data = dict(np.load(path))
+    data["param/head.b"] = np.zeros(1)  # broadcasts silently against [8]
+    np.savez(path, **data)
+    with pytest.raises(ContractError, match="head.b"):
         load_checkpoint(path)

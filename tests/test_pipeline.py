@@ -107,6 +107,28 @@ def test_load_nan_names_position(tmp_path):
         load_csv_dataset(DatasetSpec(path=str(p)))
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+def test_load_rejects_infinite_cells(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    rows = [["ts", "a", "b"]] + [[t, 1.0 + t, 2.0 + t] for t in range(8)]
+    rows[3][2] = cell  # data row 3 -> file row 4, col 3
+    write_csv(p, rows)
+    with pytest.raises(FormatError, match=r"non-finite .* row 4, col 3"):
+        load_csv_dataset(DatasetSpec(path=str(p)))
+
+
+def test_parse_config_bad_number_names_line_and_key(tmp_path):
+    p = tmp_path / "run.conf"
+    p.write_text("lr = 0.01\nepochs = 1.5\n")
+    with pytest.raises(ConfigError, match=r"run.conf:2: epochs: expected an "
+                                          r"integer, got '1.5'"):
+        parse_config_file(p)
+    p.write_text("lr = fast\n")
+    with pytest.raises(ConfigError, match=r"run.conf:1: lr: expected a "
+                                          r"number"):
+        parse_config_file(p)
+
+
 def test_load_rejects_ragged_and_nonnumeric(tmp_path):
     p = tmp_path / "d.csv"
     write_csv(p, [["ts", "a"], [0, 1.0], [1]])

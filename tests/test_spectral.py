@@ -40,6 +40,30 @@ def test_rank_rejects_bad_theta():
             amplitude_rank(np.ones((1, 8)), theta)
 
 
+def test_decompose_rejects_short_windows():
+    for length in (0, 1):
+        with pytest.raises(ContractError):
+            decompose(np.zeros((2, length)), 0.5)
+        with pytest.raises(ContractError):
+            amplitude_rank(np.zeros((2, length)), 0.5)
+
+
+def test_decompose_batch_matches_each_window(rng):
+    x = rng.standard_normal((2, 3, 4, 32))
+    x[0, 1] = np.sin(2 * np.pi * np.arange(32) * 3 / 32)  # its own top bin
+    split = decompose(x, 0.2)
+    assert split.cross_time.shape == x.shape
+    for g, h in np.ndindex(2, 3):
+        single = decompose(x[g, h], 0.2)
+        np.testing.assert_array_equal(split.cross_time[g, h],
+                                      single.cross_time)
+        np.testing.assert_array_equal(split.cross_variate[g, h],
+                                      single.cross_variate)
+        assert split.selected[g][h] == single.selected
+        assert amplitude_rank(x, 0.2)[g][h] == single.selected
+    assert 3 in split.selected[0][1]
+
+
 def test_decompose_theta_one_is_identity(rng):
     x = rng.standard_normal((3, 32))
     split = decompose(x, 1.0)

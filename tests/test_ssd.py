@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dema import tensor as T
-from dema.embedding import TIME_MAJOR, TokenGrid, VARIATE_MAJOR
-from dema.errors import ConfigError, ContractError
+from dema.errors import ConfigError
 from dema.ssd import (DiscreteSSM, SelectiveParams, SsdParams, discretize,
                       mamba_ssd_forward, selective_params, ssd_blocked,
                       ssm_scan_reference)
@@ -192,16 +191,8 @@ def test_blocked_is_differentiable(rng):
 # full module
 # ----------------------------------------------------------------------
 
-def make_grid(rng, N=3, L=12, D=8):
-    return TokenGrid(TIME_MAJOR, T.Tensor(rng.standard_normal((N, L, D))), 8, 8)
-
-
-def test_forward_requires_time_major(rng):
-    params = SsdParams.init(8, 16, 4, np.random.default_rng(0))
-    bad = TokenGrid(VARIATE_MAJOR, T.Tensor(rng.standard_normal((4, 2, 8))),
-                    8, 8)
-    with pytest.raises(ContractError):
-        mamba_ssd_forward(bad, params)
+def make_tokens(rng, N=3, L=12, D=8):
+    return T.Tensor(rng.standard_normal((N, L, D)))
 
 
 def test_forward_gate_kill(rng):
@@ -209,20 +200,18 @@ def test_forward_gate_kill(rng):
     params.b_gate.data = np.full(16, -60.0)
     params.w_gate.data = np.zeros((8, 16))
     params.b_out.data = np.zeros(8)
-    out = mamba_ssd_forward(make_grid(rng), params)
-    assert np.max(np.abs(out.tokens.data)) <= 1e-12
+    out = mamba_ssd_forward(make_tokens(rng), params)
+    assert np.max(np.abs(out.data)) <= 1e-12
 
 
 def test_forward_causality(rng):
     params = SsdParams.init(8, 16, 4, np.random.default_rng(7))
     tokens = rng.standard_normal((2, 10, 8))
-    full = mamba_ssd_forward(
-        TokenGrid(TIME_MAJOR, T.Tensor(tokens), 8, 8), params).tokens.data
+    full = mamba_ssd_forward(T.Tensor(tokens), params).data
     for cut in (0, 3, 7):
         trunc = tokens.copy()
         trunc[:, cut + 1:] = 0.0
-        out = mamba_ssd_forward(
-            TokenGrid(TIME_MAJOR, T.Tensor(trunc), 8, 8), params).tokens.data
+        out = mamba_ssd_forward(T.Tensor(trunc), params).data
         assert np.max(np.abs(out[:, : cut + 1] - full[:, : cut + 1])) <= 1e-10
 
 
@@ -230,6 +219,5 @@ def test_forward_identical_variates_identical_outputs(rng):
     params = SsdParams.init(8, 16, 4, np.random.default_rng(9))
     seq = rng.standard_normal((1, 12, 8))
     tokens = np.concatenate([seq, seq], axis=0)
-    out = mamba_ssd_forward(
-        TokenGrid(TIME_MAJOR, T.Tensor(tokens), 8, 8), params).tokens.data
+    out = mamba_ssd_forward(T.Tensor(tokens), params).data
     np.testing.assert_array_equal(out[0], out[1])

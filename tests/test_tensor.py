@@ -49,41 +49,6 @@ def test_matmul_batched(rng):
 
 
 # ----------------------------------------------------------------------
-# real FFT
-# ----------------------------------------------------------------------
-
-def test_rfft_constant_is_dc_only():
-    spec = T.rfft(np.full(4, 2.5))
-    np.testing.assert_allclose(spec.coeffs[0], 10.0, atol=1e-12)
-    assert np.max(np.abs(spec.coeffs[1:])) <= 1e-12
-
-
-def test_rfft_sine_peak_bin():
-    t = np.arange(16)
-    x = np.sin(2 * np.pi * t / 8)
-    # direct DFT sum oracle for bin amplitudes
-    amps = [abs(sum(x[n] * np.exp(-2j * np.pi * k * n / 16) for n in range(16)))
-            for k in range(9)]
-    assert int(np.argmax(amps)) == 2
-    spec = T.rfft(x)
-    np.testing.assert_allclose(np.abs(spec.coeffs), amps, atol=1e-9)
-    assert int(np.argmax(np.abs(spec.coeffs))) == 2
-
-
-def test_rfft_roundtrip(rng):
-    x = rng.standard_normal(96)
-    back = T.irfft(T.rfft(x))
-    assert np.max(np.abs(back - x)) <= 1e-9
-
-
-def test_rfft_errors():
-    with pytest.raises(DimensionError):
-        T.rfft(np.zeros(0))
-    with pytest.raises(ContractError):
-        T.rfft(np.zeros(1))
-
-
-# ----------------------------------------------------------------------
 # scalar nonlinearities
 # ----------------------------------------------------------------------
 
