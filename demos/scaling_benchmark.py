@@ -5,9 +5,11 @@ linearly with the lookback length: each doubling of T should roughly
 double time and memory rather than quadruple them.
 """
 
+from dema.model import ModelConfig
 from dema.pipeline import TrainConfig, bench_scaling
 
-cfg = TrainConfig(d_model=64, n_blocks=2, n_variates=7, seed=0)
+cfg = TrainConfig(n_variates=7,
+                  model=ModelConfig(d_model=64, n_blocks=2, seed=0))
 lengths = [192, 384, 768, 1536]
 rows = bench_scaling(lengths, cfg, repeats=3)
 

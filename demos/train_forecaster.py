@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from dema.model import ModelConfig
 from dema.pipeline import (DatasetSpec, DatasetSplits, TrainConfig, evaluate,
                            make_windows, train)
 
@@ -33,8 +34,10 @@ splits = DatasetSplits(train=z[:, :n_train],
                        scaler_mean=mean[:, 0], scaler_std=std[:, 0],
                        columns=["v1", "v2"])
 
-spec = DatasetSpec(lookback=96, horizon=24, task="forecast")
-cfg = TrainConfig(epochs=10, d_model=32, n_blocks=2, seed=0)
+spec = DatasetSpec()
+model = ModelConfig(task="forecast", lookback=96, horizon=24, d_model=32,
+                    n_blocks=2, seed=0)
+cfg = TrainConfig(epochs=10, model=model)
 
 t0 = time.time()
 result = train(cfg, spec, splits=splits)
@@ -45,9 +48,9 @@ for entry in result.log[:: max(1, cfg.epochs // 5)]:
           f"val {entry['val_loss']:.4f}")
 
 metrics = evaluate(result.state, spec, splits=splits, config=cfg)
-pairs = make_windows(splits.test, spec.lookback, spec.horizon, "forecast")
+pairs = make_windows(splits.test, model.lookback, model.horizon, "forecast")
 baseline = float(np.mean([
-    np.mean((np.repeat(x[:, -1:], spec.horizon, axis=1) - y) ** 2)
+    np.mean((np.repeat(x[:, -1:], model.horizon, axis=1) - y) ** 2)
     for x, y in pairs]))
 print(f"test MSE {metrics['mse']:.4f}, MAE {metrics['mae']:.4f}")
 print(f"last-value baseline MSE {baseline:.4f} "

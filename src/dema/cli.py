@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -12,12 +11,12 @@ import numpy as np
 
 from . import tensor as T
 from .delay import default_max_lag, delay_matrix
-from .errors import DemaError
+from .errors import ContractError, DemaError
 from .model import load_checkpoint, model_forward, save_checkpoint
-from .pipeline import (DatasetSpec, TrainConfig, bench_scaling, evaluate,
-                       load_csv_dataset, make_windows, model_config,
-                       parse_config_file, shared_priors, train,
-                       write_bench, write_metrics, write_predictions)
+from .pipeline import (DatasetSpec, TrainConfig, bench_scaling, choose_priors,
+                       evaluate, load_csv_dataset, parse_config_file, train,
+                       write_bench, write_json, write_metrics,
+                       write_predictions)
 from .spectral import decompose
 
 
@@ -29,7 +28,7 @@ def _load_configs(args) -> tuple[TrainConfig, DatasetSpec]:
     if args.data:
         spec.path = args.data
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.model.seed = args.seed
     return cfg, spec
 
 
@@ -38,8 +37,7 @@ def _read_window(path) -> tuple[np.ndarray, list]:
 
     Reuses the dataset loader for validation, then undoes the z-score.
     """
-    spec = DatasetSpec(path=path, train_ratio=0.5, val_ratio=0.0,
-                       test_ratio=0.5)
+    spec = DatasetSpec(path=path, train_ratio=0.5, val_ratio=0.0)
     s = load_csv_dataset(spec)
     raw = np.concatenate([s.train, s.val, s.test], axis=1)
     raw = raw * s.scaler_std[:, None] + s.scaler_mean[:, None]
@@ -49,24 +47,23 @@ def _read_window(path) -> tuple[np.ndarray, list]:
 def cmd_decompose(args):
     cfg, spec = _load_configs(args)
     window, columns = _read_window(spec.path)
-    split = decompose(window, cfg.theta)
+    split = decompose(window, cfg.model.theta)
     os.makedirs(args.out, exist_ok=True)
     write_predictions(split.cross_time,
                       os.path.join(args.out, "cross_time.csv"), columns)
     write_predictions(split.cross_variate,
                       os.path.join(args.out, "cross_var.csv"), columns)
-    with open(os.path.join(args.out, "selected.json"), "w") as fh:
-        json.dump({"theta": split.theta,
-                   "selected": list(split.selected)}, fh, indent=2)
-        fh.write("\n")
+    write_json({"theta": split.theta, "selected": list(split.selected)},
+               os.path.join(args.out, "selected.json"))
     print(f"wrote cross_time.csv, cross_var.csv, selected.json to {args.out}")
 
 
 def cmd_priors(args):
     cfg, spec = _load_configs(args)
     window, _ = _read_window(spec.path)
-    max_lag = cfg.max_lag if cfg.max_lag > 0 else default_max_lag(window.shape[1])
-    priors = delay_matrix(window, max_lag, cfg.patch_len)
+    mc = cfg.model
+    max_lag = mc.max_lag if mc.max_lag > 0 else default_max_lag(window.shape[1])
+    priors = delay_matrix(window, max_lag, mc.patch_len)
     os.makedirs(args.out, exist_ok=True)
     for name, mat in (("tau", priors.tau), ("rho", priors.rho),
                       ("delta", priors.delta_tok)):
@@ -77,64 +74,59 @@ def cmd_priors(args):
     print(f"wrote tau.csv, rho.csv, delta.csv to {args.out}")
 
 
+def _report(metrics, out):
+    """Write metrics.json to `out` and print each metric."""
+    os.makedirs(out, exist_ok=True)
+    write_metrics(metrics, os.path.join(out, "metrics.json"))
+    for k, v in metrics.items():
+        print(f"{k}: {v:.6f}")
+
+
 def cmd_train(args):
     cfg, spec = _load_configs(args)
     os.makedirs(args.out, exist_ok=True)
     result = train(cfg, spec)
     ckpt = os.path.join(args.out, "checkpoint.npz")
     save_checkpoint(result.state, ckpt)
-    with open(os.path.join(args.out, "train_log.json"), "w") as fh:
-        json.dump({"log": result.log, "best_epoch": result.best_epoch,
-                   "diverged": result.diverged}, fh, indent=2)
-        fh.write("\n")
+    write_json({"log": result.log, "best_epoch": result.best_epoch,
+                "diverged": result.diverged},
+               os.path.join(args.out, "train_log.json"))
     metrics = evaluate(result.state, spec, config=cfg)
-    write_metrics(metrics, os.path.join(args.out, "metrics.json"))
     print(f"checkpoint: {ckpt}")
-    for k, v in metrics.items():
-        print(f"{k}: {v:.6f}")
+    _report(metrics, args.out)
 
 
-def _checkpoint_path(args, cfg):
-    if args.checkpoint:
-        return args.checkpoint
-    if cfg.checkpoint:
-        return cfg.checkpoint
-    return os.path.join(args.out, "checkpoint.npz")
+def _load_state(args, cfg, task=None):
+    """Load the checkpoint; with `task`, it must have been trained for it."""
+    path = (args.checkpoint or cfg.checkpoint
+            or os.path.join(args.out, "checkpoint.npz"))
+    state = load_checkpoint(path)
+    if task is not None and state.config.task != task:
+        raise ContractError(f"{path} was trained for {state.config.task!r}, "
+                            f"not {task!r}")
+    return state
 
 
-def cmd_evaluate(args):
+def cmd_evaluate(args, task=None):
     cfg, spec = _load_configs(args)
-    state = load_checkpoint(_checkpoint_path(args, cfg))
-    metrics = evaluate(state, spec, config=cfg)
-    os.makedirs(args.out, exist_ok=True)
-    write_metrics(metrics, os.path.join(args.out, "metrics.json"))
-    for k, v in metrics.items():
-        print(f"{k}: {v:.6f}")
+    state = _load_state(args, cfg, task)
+    _report(evaluate(state, spec, config=cfg), args.out)
 
 
 def _predict_task(args, task):
     cfg, spec = _load_configs(args)
-    spec.task = task
-    state = load_checkpoint(_checkpoint_path(args, cfg))
+    state = _load_state(args, cfg, task)
     splits = load_csv_dataset(spec)
-    priors = shared_priors(splits, state.config) if cfg.global_priors else None
-    mc = state.config
-    outputs = []
+    priors = choose_priors(splits, state.config, cfg.global_priors)
+    L = state.config.lookback
     with T.no_grad():
-        step = mc.lookback
-        total = splits.test.shape[1]
-        for start in range(0, total - step + 1, step):
-            x = splits.test[:, start:start + step]
-            pred = model_forward(x, state, priors).data
-            outputs.append(pred)
+        outputs = [model_forward(splits.test[:, s:s + L], state, priors).data
+                   for s in range(0, splits.test.shape[1] - L + 1, L)]
     pred = np.concatenate(outputs, axis=1) if outputs else np.zeros((0, 0))
     os.makedirs(args.out, exist_ok=True)
     write_predictions(pred, os.path.join(args.out, "predictions.csv"),
                       splits.columns)
-    metrics = evaluate(state, spec, splits=splits, config=cfg)
-    write_metrics(metrics, os.path.join(args.out, "metrics.json"))
-    for k, v in metrics.items():
-        print(f"{k}: {v:.6f}")
+    _report(evaluate(state, spec, splits=splits, config=cfg), args.out)
 
 
 def cmd_forecast(args):
@@ -142,6 +134,13 @@ def cmd_forecast(args):
 
 
 def cmd_impute(args):
+    """Reconstruct the test split and score imputation on it.
+
+    The CSV format cannot mark a missing cell, so nothing is imputed from
+    the file: `predictions.csv` is the reconstruction of unmasked,
+    non-overlapping test windows, and `metrics.json` scores the points
+    hidden by a seeded random mask (`mask_ratio`) on every test window.
+    """
     _predict_task(args, "impute")
 
 
@@ -150,15 +149,7 @@ def cmd_detect(args):
 
 
 def cmd_classify(args):
-    cfg, spec = _load_configs(args)
-    spec.task = "classify"
-    state = load_checkpoint(_checkpoint_path(args, cfg))
-    spec.n_classes = state.config.n_classes
-    metrics = evaluate(state, spec, config=cfg)
-    os.makedirs(args.out, exist_ok=True)
-    write_metrics(metrics, os.path.join(args.out, "metrics.json"))
-    for k, v in metrics.items():
-        print(f"{k}: {v:.6f}")
+    cmd_evaluate(args, "classify")
 
 
 def cmd_bench(args):

@@ -35,7 +35,7 @@ class ModelConfig:
     lookback: int = 96
     horizon: int = 96
     n_classes: int = 0
-    d_model: int = 64
+    d_model: int = 32
     d_state: int = 16
     expand: int = 2
     n_blocks: int = 2
@@ -53,14 +53,22 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}")
+            raise ConfigError(f"task must be one of {', '.join(TASKS)}, "
+                              f"got {self.task!r}")
         if self.task == "classify" and self.n_classes < 2:
-            raise ConfigError("classification needs at least 2 classes")
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ConfigError("fusion weights must lie in [0, 1]")
-        if self.n_blocks < 1:
-            raise ConfigError("need at least one block")
-        for name in ("chunk", "d_state", "kernel_power", "conv_size"):
+            raise ConfigError("n_classes must be >= 2 for classification, "
+                              f"got {self.n_classes}")
+        if self.task == "forecast" and self.horizon < 1:
+            raise ConfigError("horizon must be >= 1 for forecasting, "
+                              f"got {self.horizon}")
+        if not 0.0 < self.theta <= 1.0:
+            raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
+        for name in ("alpha", "beta"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"fusion weight {name} must lie in [0, 1], "
+                                  f"got {getattr(self, name)}")
+        for name in ("d_model", "expand", "n_blocks", "patch_len", "stride",
+                     "chunk", "d_state", "kernel_power", "conv_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be >= 1, got {getattr(self, name)}")

@@ -14,12 +14,12 @@ import math
 import time
 import tracemalloc
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import tensor as T
-from .delay import delay_matrix, default_max_lag
+from .delay import delay_matrix
 from .errors import ConfigError, ContractError, FormatError
 from .model import (ModelConfig, ModelState, anomaly_score, backbone_forward,
                     model_forward, select_threshold)
@@ -29,70 +29,47 @@ LABEL_COLUMN = "label"
 
 @dataclass
 class DatasetSpec:
+    """Where the data lives and how it is split and masked.
+
+    The test split is whatever follows the train and val splits.
+    """
     path: str = ""
     train_ratio: float = 0.7
     val_ratio: float = 0.1
-    test_ratio: float = 0.2
-    lookback: int = 96
-    horizon: int = 96
-    task: str = "forecast"
     mask_ratio: float = 0.25
     anomaly_ratio: float = 0.01
-    n_classes: int = 0
+
+    def __post_init__(self):
+        for name, ok, bounds in (
+                ("train_ratio", 0.0 < self.train_ratio <= 1.0, "(0, 1]"),
+                ("val_ratio", 0.0 <= self.val_ratio < 1.0, "[0, 1)"),
+                ("mask_ratio", 0.0 <= self.mask_ratio < 1.0, "[0, 1)"),
+                ("anomaly_ratio", 0.0 < self.anomaly_ratio < 1.0, "(0, 1)")):
+            if not ok:
+                raise ConfigError(f"{name} must lie in {bounds}, "
+                                  f"got {getattr(self, name)}")
+        if self.train_ratio + self.val_ratio > 1.0:
+            raise ConfigError(f"train_ratio + val_ratio must be <= 1, got "
+                              f"{self.train_ratio} + {self.val_ratio}")
 
 
 @dataclass
 class TrainConfig:
+    """Optimiser and run settings; every model setting lives in `model`."""
     lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 50
-    seed: int = 0
-    theta: float = 0.4
-    patch_len: int = 8
-    stride: int = 8
-    alpha: float = 0.6
-    beta: float = 0.4
-    n_blocks: int = 2
-    d_model: int = 32
-    d_state: int = 16
-    expand: int = 2
-    chunk: int = 16
-    kernel_power: int = 3
-    max_lag: int = 0
     global_priors: bool = True
-    rotated_denominator: bool = False
     point_adjust: bool = False
     n_variates: int = 7  # bench only
     checkpoint: str = ""
+    model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        for name in ("lr", "batch_size", "epochs", "d_model", "n_blocks",
-                     "patch_len", "stride"):
+        for name in ("lr", "batch_size", "epochs", "n_variates"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-
-
-def model_config(train: TrainConfig, spec: DatasetSpec) -> ModelConfig:
-    return ModelConfig(
-        task=spec.task,
-        lookback=spec.lookback,
-        horizon=spec.horizon,
-        n_classes=spec.n_classes,
-        d_model=train.d_model,
-        d_state=train.d_state,
-        expand=train.expand,
-        n_blocks=train.n_blocks,
-        patch_len=train.patch_len,
-        stride=train.stride,
-        theta=train.theta,
-        alpha=train.alpha,
-        beta=train.beta,
-        chunk=train.chunk,
-        kernel_power=train.kernel_power,
-        rotated_denominator=train.rotated_denominator,
-        max_lag=train.max_lag,
-        seed=train.seed,
-    )
+                raise ConfigError(
+                    f"{name} must be positive, got {getattr(self, name)}")
 
 
 # ----------------------------------------------------------------------
@@ -100,10 +77,15 @@ def model_config(train: TrainConfig, spec: DatasetSpec) -> ModelConfig:
 # ----------------------------------------------------------------------
 
 def parse_config_file(path) -> tuple[TrainConfig, DatasetSpec]:
-    """Parse a flat key=value file; unknown keys are an error."""
-    train_fields = {f.name: f.type for f in fields(TrainConfig)}
-    spec_fields = {f.name: f.type for f in fields(DatasetSpec)}
-    train_kwargs, spec_kwargs = {}, {}
+    """Parse a flat key=value file; unknown keys are an error.
+
+    Each key goes to the one class that declares it: `ModelConfig`,
+    `TrainConfig` or `DatasetSpec`.
+    """
+    classes = (ModelConfig, TrainConfig, DatasetSpec)
+    owner = {f.name: cls for cls in classes for f in fields(cls)
+             if f.name != "model"}
+    kwargs = {cls: {} for cls in classes}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -113,14 +95,17 @@ def parse_config_file(path) -> tuple[TrainConfig, DatasetSpec]:
                 raise FormatError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            where = f"{path}:{lineno}: {key}"
-            if key in train_fields:
-                train_kwargs[key] = _coerce(value, TrainConfig, key, where)
-            elif key in spec_fields:
-                spec_kwargs[key] = _coerce(value, DatasetSpec, key, where)
-            else:
+            if key not in owner:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    return TrainConfig(**train_kwargs), DatasetSpec(**spec_kwargs)
+            cls = owner[key]
+            where = f"{path}:{lineno}: {key}"
+            kwargs[cls][key] = _coerce(value, cls, key, where)
+    try:
+        model = ModelConfig(**kwargs[ModelConfig])
+        return (TrainConfig(model=model, **kwargs[TrainConfig]),
+                DatasetSpec(**kwargs[DatasetSpec]))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _coerce(value: str, cls, key, where):
@@ -203,21 +188,16 @@ def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
     mean = data[:, :n_train].mean(axis=1)
     std = np.maximum(data[:, :n_train].std(axis=1), 1e-8)
     z = (data - mean[:, None]) / std[:, None]
-    split_labels = None
-    if has_labels:
-        arr = np.asarray(labels, dtype=np.int64)
-        split_labels = {
-            "train": arr[:n_train],
-            "val": arr[n_train:n_train + n_val],
-            "test": arr[n_train + n_val:],
-        }
+    parts = {"train": slice(0, n_train),
+             "val": slice(n_train, n_train + n_val),
+             "test": slice(n_train + n_val, None)}
+    labels = np.asarray(labels, dtype=np.int64)
     return DatasetSplits(
-        train=z[:, :n_train],
-        val=z[:, n_train:n_train + n_val],
-        test=z[:, n_train + n_val:],
+        **{name: z[:, part] for name, part in parts.items()},
         scaler_mean=mean,
         scaler_std=std,
-        labels=split_labels,
+        labels=({name: labels[part] for name, part in parts.items()}
+                if has_labels else None),
         columns=[h for h in header[1:] if h.strip().lower() != LABEL_COLUMN],
     )
 
@@ -305,42 +285,56 @@ class TrainResult:
     diverged: bool = False
 
 
-def _batch_loss(state: ModelState, xs, ys, task, priors, mask_seed=None,
+def _batches(windows, size):
+    """(start, inputs, targets) for consecutive batches of (x, y) pairs."""
+    for start in range(0, len(windows), size):
+        batch = windows[start:start + size]
+        yield start, [w[0] for w in batch], [w[1] for w in batch]
+
+
+def _mask_batch(xs, ratio, seed):
+    """`apply_mask` each window with seeds seed, seed + 1, ...; stacked."""
+    pairs = [apply_mask(x, ratio, seed + i) for i, x in enumerate(xs)]
+    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+
+def _batch_loss(state: ModelState, xs, ys, priors, mask_seed=None,
                 mask_ratio=0.0):
-    x = np.stack(xs)
+    task = state.config.task
     if task in ("forecast", "anomaly"):
-        pred = model_forward(x, state, priors)
-        target = np.stack(ys)
-        diff = T.sub(pred, target)
+        pred = model_forward(np.stack(xs), state, priors)
+        diff = T.sub(pred, np.stack(ys))
         return T.tmean(T.mul(diff, diff))
     if task == "impute":
-        masked, masks = [], []
-        for i, xi in enumerate(xs):
-            m_x, m = apply_mask(xi, mask_ratio, mask_seed + i)
-            masked.append(m_x)
-            masks.append(m)
-        pred = model_forward(np.stack(masked), state, priors)
-        target = np.stack(ys)
-        mask = np.stack(masks).astype(np.float64)
-        diff = T.mul(T.sub(pred, target), mask)
+        masked, mask = _mask_batch(xs, mask_ratio, mask_seed)
+        pred = model_forward(masked, state, priors)
+        mask = mask.astype(np.float64)
+        diff = T.mul(T.sub(pred, np.stack(ys)), mask)
         denom = max(mask.sum(), 1.0)
         return T.div(T.tsum(T.mul(diff, diff)), denom)
-    if task == "classify":
-        probs = model_forward(x, state, priors)
-        onehot = np.zeros(probs.shape)
-        for i, yi in enumerate(ys):
-            onehot[i, int(yi)] = 1.0
-        diff = T.sub(probs, onehot)
-        return T.tmean(T.mul(diff, diff))
-    raise ConfigError(f"unknown task {task!r}")
+    probs = model_forward(np.stack(xs), state, priors)
+    onehot = np.zeros(probs.shape)
+    for i, yi in enumerate(ys):
+        onehot[i, int(yi)] = 1.0
+    diff = T.sub(probs, onehot)
+    return T.tmean(T.mul(diff, diff))
 
 
 def shared_priors(splits: DatasetSplits, cfg: ModelConfig):
     """Delay priors estimated once from the train split (global cache)."""
     window = splits.train[:, -cfg.lookback * 4:]
-    max_lag = cfg.max_lag if cfg.max_lag > 0 else default_max_lag(cfg.lookback)
-    max_lag = min(max_lag, window.shape[1] - 4)
+    max_lag = min(cfg.lag_bound(), window.shape[1] - 4)
     return delay_matrix(window, max_lag, cfg.patch_len)
+
+
+def choose_priors(splits: DatasetSplits, cfg: ModelConfig,
+                  global_priors: bool, override=None):
+    """The priors a run uses: `override` if given, else priors shared from
+    the train split if `global_priors`, else None (each window estimates
+    its own)."""
+    if override is not None:
+        return override
+    return shared_priors(splits, cfg) if global_priors else None
 
 
 def train(config: TrainConfig, spec: DatasetSpec,
@@ -349,23 +343,17 @@ def train(config: TrainConfig, spec: DatasetSpec,
     """Adam/MSE training with best-validation checkpoint selection."""
     if splits is None:
         splits = load_csv_dataset(spec)
-    cfg = model_config(config, spec)
+    cfg = config.model
     state = ModelState.init(cfg)
-    rng = np.random.default_rng(config.seed)
-    task = spec.task
+    rng = np.random.default_rng(cfg.seed)
     labels = splits.labels or {}
     train_windows = make_windows(splits.train, cfg.lookback, cfg.horizon,
-                                 task, labels.get("train"))
+                                 cfg.task, labels.get("train"))
     val_windows = make_windows(splits.val, cfg.lookback, cfg.horizon,
-                               task, labels.get("val"))
+                               cfg.task, labels.get("val"))
     if not train_windows:
         raise ContractError("train split yields no windows")
-    if priors_override is not None:
-        priors = priors_override
-    elif config.global_priors:
-        priors = shared_priors(splits, cfg)
-    else:
-        priors = None
+    priors = choose_priors(splits, cfg, config.global_priors, priors_override)
     opt = Adam(state.parameters(), lr=config.lr)
     log = []
     best_val = np.inf
@@ -381,8 +369,8 @@ def train(config: TrainConfig, spec: DatasetSpec,
             xs = [train_windows[i][0] for i in idx]
             ys = [train_windows[i][1] for i in idx]
             opt.zero_grad()
-            loss = _batch_loss(state, xs, ys, task, priors,
-                               mask_seed=config.seed * 100003 + epoch * 1009 + start,
+            loss = _batch_loss(state, xs, ys, priors,
+                               mask_seed=cfg.seed * 100003 + epoch * 1009 + start,
                                mask_ratio=spec.mask_ratio)
             if not np.isfinite(loss.data):
                 diverged = True
@@ -394,7 +382,8 @@ def train(config: TrainConfig, spec: DatasetSpec,
             warnings.warn(f"loss diverged at epoch {epoch}; keeping the "
                           "last good checkpoint", stacklevel=2)
             break
-        val_loss = _epoch_loss(state, val_windows, task, priors, config, spec)
+        val_loss = _epoch_loss(state, val_windows, priors, config.batch_size,
+                               cfg.seed * 7919, spec.mask_ratio)
         entry = {"epoch": epoch,
                  "train_loss": float(np.mean(train_losses)),
                  "val_loss": val_loss}
@@ -410,106 +399,84 @@ def train(config: TrainConfig, spec: DatasetSpec,
                        diverged=diverged)
 
 
-def _epoch_loss(state, windows, task, priors, config, spec):
+def _epoch_loss(state, windows, priors, batch_size, mask_seed, mask_ratio):
     if not windows:
         return float("nan")
-    losses = []
+    weighted = 0.0  # sum of batch losses times batch sizes
     with T.no_grad():
-        for start in range(0, len(windows), config.batch_size):
-            chunk_ws = windows[start:start + config.batch_size]
-            xs = [w[0] for w in chunk_ws]
-            ys = [w[1] for w in chunk_ws]
-            loss = _batch_loss(state, xs, ys, task, priors,
-                               mask_seed=config.seed * 7919 + start,
-                               mask_ratio=spec.mask_ratio)
-            losses.append((float(loss.data), len(chunk_ws)))
-    total = sum(n for _, n in losses)
-    return float(sum(l * n for l, n in losses) / total)
+        for start, xs, ys in _batches(windows, batch_size):
+            loss = _batch_loss(state, xs, ys, priors,
+                               mask_seed=mask_seed + start,
+                               mask_ratio=mask_ratio)
+            weighted += float(loss.data) * len(xs)
+    return weighted / len(windows)
 
 
 def evaluate(state: ModelState, spec: DatasetSpec,
              splits: DatasetSplits | None = None,
              config: TrainConfig | None = None,
              priors_override=None) -> dict:
-    """Task metrics on the test split, as a flat numeric map."""
+    """Task metrics on the test split, as a flat numeric map.
+
+    The task and every model setting come from `state.config`.
+    """
     if splits is None:
         splits = load_csv_dataset(spec)
     config = config or TrainConfig()
     cfg = state.config
-    if cfg.task != spec.task:
-        raise ContractError(
-            f"checkpoint was trained for {cfg.task!r}, dataset says "
-            f"{spec.task!r}")
     labels = splits.labels or {}
-    if priors_override is not None:
-        priors = priors_override
-    elif config.global_priors:
-        priors = shared_priors(splits, cfg)
-    else:
-        priors = None
+    priors = choose_priors(splits, cfg, config.global_priors, priors_override)
     test_windows = make_windows(splits.test, cfg.lookback, cfg.horizon,
-                                spec.task, labels.get("test"))
+                                cfg.task, labels.get("test"))
     if not test_windows:
         raise ContractError("test split yields no windows")
-    task = spec.task
     with T.no_grad():
-        if task == "forecast":
-            err_sq, err_abs, count = 0.0, 0.0, 0
-            for start in range(0, len(test_windows), config.batch_size):
-                batch = test_windows[start:start + config.batch_size]
-                x = np.stack([w[0] for w in batch])
-                y = np.stack([w[1] for w in batch])
-                pred = model_forward(x, state, priors).data
-                err_sq += float(((pred - y) ** 2).sum())
-                err_abs += float(np.abs(pred - y).sum())
-                count += y.size
-            return {"mse": err_sq / count, "mae": err_abs / count}
-        if task == "impute":
-            err_sq, err_abs, count = 0.0, 0.0, 0
-            for i, (x, y) in enumerate(test_windows):
-                masked, mask = apply_mask(x, spec.mask_ratio, 10_000 + i)
-                pred = model_forward(masked, state, priors).data
-                d = (pred - y)[mask]
-                err_sq += float((d ** 2).sum())
-                err_abs += float(np.abs(d).sum())
-                count += d.size
-            return {"mse": err_sq / max(count, 1),
-                    "mae": err_abs / max(count, 1)}
-        if task == "classify":
-            correct = 0
-            for x, y in test_windows:
-                probs = model_forward(x, state, priors).data
-                correct += int(np.argmax(probs) == int(y))
-            return {"accuracy": correct / len(test_windows)}
-        # anomaly: threshold from train-split scores, F1 on the test split
-        recon_scores = _reconstruction_scores(state, splits.train, priors)
-        threshold = select_threshold(recon_scores, spec.anomaly_ratio)
-        test_scores = _reconstruction_scores(state, splits.test, priors)
-        test_labels = labels.get("test")
-        flags = test_scores > threshold
-        out = {"threshold": threshold,
-               "flagged_fraction": float(flags.mean())}
-        if test_labels is not None:
-            truth = test_labels[:flags.size].astype(bool)
-            if config.point_adjust:
-                flags = _point_adjust(flags, truth)
-            out.update(_prf(flags, truth))
-        return out
+        if cfg.task == "anomaly":
+            # threshold from train-split scores, F1 on the test split
+            threshold = select_threshold(
+                _reconstruction_scores(state, splits.train, priors),
+                spec.anomaly_ratio)
+            test_scores = _reconstruction_scores(state, splits.test, priors)
+            flags = test_scores > threshold
+            out = {"threshold": threshold,
+                   "flagged_fraction": float(flags.mean())}
+            if labels.get("test") is not None:
+                truth = labels["test"][:flags.size].astype(bool)
+                if config.point_adjust:
+                    flags = _point_adjust(flags, truth)
+                out.update(_prf(flags, truth))
+            return out
+        err_sq, err_abs, count, correct = 0.0, 0.0, 0, 0
+        for start, xs, ys in _batches(test_windows, config.batch_size):
+            if cfg.task == "impute":
+                x, mask = _mask_batch(xs, spec.mask_ratio, 10_000 + start)
+            else:
+                x = np.stack(xs)
+            pred = model_forward(x, state, priors).data
+            if cfg.task == "classify":
+                correct += int((pred.argmax(axis=-1) == np.asarray(ys)).sum())
+                continue
+            d = pred - np.stack(ys)
+            if cfg.task == "impute":
+                d = d[mask]
+            err_sq += float((d ** 2).sum())
+            err_abs += float(np.abs(d).sum())
+            count += d.size
+    if cfg.task == "classify":
+        return {"accuracy": correct / len(test_windows)}
+    return {"mse": err_sq / max(count, 1), "mae": err_abs / max(count, 1)}
 
 
 def _reconstruction_scores(state, split, priors):
     """Anomaly scores over a split via non-overlapping lookback windows."""
-    cfg = state.config
-    Tw = cfg.lookback
-    total = split.shape[1]
-    scores = []
-    for start in range(0, total - Tw + 1, Tw):
-        x = split[:, start:start + Tw]
-        recon = model_forward(x, state, priors).data
-        scores.append(anomaly_score(x, recon))
-    if not scores:
+    Tw = state.config.lookback
+    starts = range(0, split.shape[1] - Tw + 1, Tw)
+    if not starts:
         raise ContractError("split shorter than one lookback window")
-    return np.concatenate(scores)
+    windows = [split[:, s:s + Tw] for s in starts]
+    return np.concatenate([
+        anomaly_score(x, model_forward(x, state, priors).data)
+        for x in windows])
 
 
 def _point_adjust(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -555,14 +522,13 @@ def bench_scaling(lengths, config: TrainConfig, repeats: int = 5):
     if lengths != sorted(lengths):
         raise ContractError("lengths must be ascending")
     rows = []
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.model.seed)
     for T_len in lengths:
-        spec = DatasetSpec(lookback=T_len, horizon=config.patch_len,
-                           task="forecast")
-        cfg = model_config(config, spec)
+        cfg = replace(config.model, lookback=T_len,
+                      horizon=config.model.patch_len, task="forecast")
         state = ModelState.init(cfg)
         window = rng.standard_normal((config.n_variates, T_len))
-        max_lag = config.max_lag if config.max_lag > 0 else config.patch_len * 12
+        max_lag = cfg.max_lag if cfg.max_lag > 0 else cfg.patch_len * 12
         priors = delay_matrix(window, min(max_lag, T_len - 4), cfg.patch_len)
         times = []
         with T.no_grad():
@@ -584,10 +550,14 @@ def bench_scaling(lengths, config: TrainConfig, repeats: int = 5):
 # output helpers
 # ----------------------------------------------------------------------
 
-def write_metrics(metrics: dict, path) -> None:
+def write_json(obj, path) -> None:
     with open(path, "w") as fh:
-        json.dump({k: float(v) for k, v in metrics.items()}, fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def write_metrics(metrics: dict, path) -> None:
+    write_json({k: float(v) for k, v in metrics.items()}, path)
 
 
 def write_predictions(pred: np.ndarray, path, columns=None) -> None:

@@ -283,7 +283,8 @@ def test_criterion_7_gradient_checks():
 
 def test_criterion_8_linear_scaling():
     t0 = time.perf_counter()
-    cfg = TrainConfig(d_model=256, n_blocks=2, n_variates=7, seed=0)
+    cfg = TrainConfig(n_variates=7,
+                      model=ModelConfig(d_model=256, n_blocks=2, seed=0))
     rows = bench_scaling([384, 768, 1536, 3072], cfg, repeats=5)
     elapsed = time.perf_counter() - t0
     time_ratios = [rows[i + 1]["ms"] / rows[i]["ms"] for i in range(3)]
@@ -302,8 +303,10 @@ def test_criterion_8_linear_scaling():
 def test_criterion_9_learning_sanity():
     t0 = time.perf_counter()
     splits = coupled_splits(n_steps=1000, seed=0, n_train=600, n_val=200)
-    spec = DatasetSpec(lookback=96, horizon=24, task="forecast")
-    cfg = TrainConfig(epochs=50, d_model=32, n_blocks=2, seed=0)
+    spec = DatasetSpec()
+    cfg = TrainConfig(epochs=50, model=ModelConfig(
+        task="forecast", lookback=96, horizon=24, d_model=32, n_blocks=2,
+        seed=0))
     result = train(cfg, spec, splits=splits)
     metrics = evaluate(result.state, spec, splits=splits, config=cfg)
     pairs = make_windows(splits.test, 96, 24, "forecast")
@@ -322,13 +325,15 @@ def test_criterion_9_learning_sanity():
 # ----------------------------------------------------------------------
 
 def test_criterion_10_delay_ablation():
-    spec = DatasetSpec(lookback=96, horizon=24, task="forecast")
+    spec = DatasetSpec()
     wins = 0
     details = []
     for seed in (0, 1, 2):
         splits = coupled_splits(n_steps=1000, seed=seed,
                                 n_train=600, n_val=200)
-        cfg = TrainConfig(epochs=8, d_model=16, n_blocks=2, seed=seed)
+        cfg = TrainConfig(epochs=8, model=ModelConfig(
+            task="forecast", lookback=96, horizon=24, d_model=16, n_blocks=2,
+            seed=seed))
         full = train(cfg, spec, splits=splits)
         m_full = evaluate(full.state, spec, splits=splits, config=cfg)
         identity = DelayPriors.identity(2)

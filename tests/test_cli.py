@@ -150,3 +150,44 @@ def test_malformed_config_value_exits_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{conf}:2: epochs" in err
+
+
+def small_csv(path, n_rows=160):
+    data = coupled_series(n_steps=n_rows, seed=1)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["ts", "a", "b"])
+        for t in range(n_rows):
+            w.writerow([t, f"{data[0, t]:.6f}", f"{data[1, t]:.6f}"])
+    return path
+
+
+@pytest.mark.parametrize("line, field", [
+    ("task = impute\nmask_ratio = 1.5", "mask_ratio"),
+    ("val_ratio = -0.1", "val_ratio"),
+    ("d_model = 0", "d_model"),
+])
+def test_invalid_config_value_exits_cleanly(tmp_path, capsys, line, field):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("epochs = 1\nd_model = 8\nlookback = 24\nhorizon = 8\n"
+                    + line + "\n")
+    assert main(["train", "--config", str(conf),
+                 "--data", str(small_csv(tmp_path / "d.csv")),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {conf}: {field}")
+
+
+def test_task_command_rejects_other_task_checkpoint(workspace, capsys):
+    ckpt = workspace / "run_forecast" / "checkpoint.npz"
+    if not ckpt.exists():
+        run(["train", "--config", workspace / "forecast.conf",
+             "--data", workspace / "plain.csv", "--out", ckpt.parent])
+    assert main(["impute", "--data", str(workspace / "plain.csv"),
+                 "--checkpoint", str(ckpt),
+                 "--out", str(workspace / "run_mismatch")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "'forecast'" in err
+    assert "'impute'" in err

@@ -53,6 +53,14 @@ def test_config_fusion_weights_bounded():
     ("kernel_power", dict(kernel_power=0)),
     ("conv_size", dict(conv_size=0)),
     ("patch_len", dict(patch_len=40)),
+    ("patch_len", dict(patch_len=0)),
+    ("d_model", dict(d_model=0)),
+    ("expand", dict(expand=0)),
+    ("n_blocks", dict(n_blocks=0)),
+    ("stride", dict(stride=0)),
+    ("horizon", dict(horizon=0)),
+    ("theta", dict(theta=1.5)),
+    ("beta", dict(beta=-0.1)),
 ])
 def test_config_rejects_bad_sizes(field, kw):
     with pytest.raises(ConfigError, match=field):
@@ -150,6 +158,21 @@ def test_backbone_batched_matches_per_window(rng):
     for g in range(3):
         single = backbone_forward(windows[g], state, priors).Z.data
         np.testing.assert_allclose(batched[g], single, atol=1e-12)
+
+
+def test_backbone_batched_per_window_priors_matches_single(rng):
+    """A batch with priors=None estimates each window's priors itself."""
+    state = ModelState.init(small_config())
+    windows = rng.standard_normal((3, 2, 32))
+    windows[1, 1] = np.roll(windows[1, 0], 3)  # priors differ per window
+    batched = backbone_forward(windows, state, trace=True)
+    for g in range(3):
+        single = backbone_forward(windows[g], state, trace=True)
+        np.testing.assert_allclose(batched.Z.data[g], single.Z.data,
+                                   rtol=0, atol=1e-12)
+        for zb, zs in zip(batched.per_block, single.per_block, strict=True):
+            np.testing.assert_allclose(zb.data[g], zs.data, rtol=0,
+                                       atol=1e-12)
 
 
 def test_backbone_estimates_priors_when_absent(rng):

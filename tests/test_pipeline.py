@@ -1,5 +1,9 @@
 """CSV ingestion, windowing, masking, optimizer, training, and metrics."""
 
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,11 +11,11 @@ from conftest import coupled_splits
 from dema import tensor as T
 from dema.delay import DelayPriors
 from dema.errors import ConfigError, ContractError, FormatError
+from dema.model import ModelConfig, model_forward
 from dema.pipeline import (Adam, DatasetSpec, TrainConfig, _prf, apply_mask,
                            evaluate, load_csv_dataset, make_windows,
-                           model_config, parse_config_file, shared_priors,
-                           train, write_bench, write_metrics,
-                           write_predictions)
+                           parse_config_file, shared_priors, train,
+                           write_bench, write_metrics, write_predictions)
 
 
 def write_csv(path, rows):
@@ -39,13 +43,18 @@ def test_parse_config_roundtrip(tmp_path):
     cfg, spec = parse_config_file(p)
     assert cfg.lr == 0.01 and cfg.epochs == 3
     assert cfg.global_priors is False
-    assert spec.lookback == 48 and spec.task == "impute"
+    assert cfg.model.lookback == 48 and cfg.model.task == "impute"
+    assert spec == DatasetSpec()
 
 
 def test_parse_config_unknown_key(tmp_path):
     p = tmp_path / "run.conf"
     p.write_text("learning_rate = 0.01\n")
     with pytest.raises(ConfigError):
+        parse_config_file(p)
+    p.write_text("lr = 0.01\ntest_ratio = 0.2\n")  # the test split is the rest
+    with pytest.raises(ConfigError, match=r"run.conf:2: unknown key "
+                                          r"'test_ratio'"):
         parse_config_file(p)
 
 
@@ -56,6 +65,29 @@ def test_parse_config_bad_syntax(tmp_path):
         parse_config_file(p)
 
 
+def readme_config_keys():
+    """Backticked keys of the bullet lines in README's "Config file"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config file", 1)[1].split("\n### ", 1)[0]
+    keys = set()
+    for bullet in re.findall(r"^- .*?(?=\n(?! ))", section, re.M | re.S):
+        keys.update(re.findall(r"`(\w+)`", bullet.split(":", 1)[1]))
+    return keys
+
+
+def test_readme_lists_exactly_the_config_keys(tmp_path):
+    classes = (ModelConfig, TrainConfig, DatasetSpec)
+    declared = {f.name for cls in classes for f in fields(cls)} - {"model"}
+    assert readme_config_keys() == declared
+    defaults = {**asdict(ModelConfig()), **asdict(DatasetSpec())}
+    defaults.update((f.name, f.default) for f in fields(TrainConfig)
+                    if f.name != "model")
+    p = tmp_path / "run.conf"
+    for key in sorted(declared):
+        p.write_text(f"{key} = {defaults[key]}\n")
+        parse_config_file(p)  # each documented key is accepted
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0)
@@ -63,11 +95,46 @@ def test_train_config_validation():
         TrainConfig(lr=-1.0)
 
 
-def test_model_config_mapping():
-    cfg = model_config(TrainConfig(d_model=24, theta=0.3),
-                       DatasetSpec(lookback=64, horizon=16))
-    assert cfg.d_model == 24 and cfg.theta == 0.3
-    assert cfg.lookback == 64 and cfg.horizon == 16
+def test_parse_config_routes_each_key_to_its_class(tmp_path):
+    p = tmp_path / "run.conf"
+    p.write_text("d_model = 24\ntheta = 0.3\nconv_size = 2\nseed = 5\n"
+                 "batch_size = 4\nmask_ratio = 0.5\npath = d.csv\n")
+    cfg, spec = parse_config_file(p)
+    assert cfg.model == ModelConfig(d_model=24, theta=0.3, conv_size=2,
+                                    seed=5)
+    assert cfg.batch_size == 4
+    assert spec == DatasetSpec(path="d.csv", mask_ratio=0.5)
+
+
+@pytest.mark.parametrize("line, field", [
+    ("d_model = 0", "d_model"),
+    ("stride = 0", "stride"),
+    ("task = segment", "task"),
+    ("mask_ratio = 1.5", "mask_ratio"),
+    ("epochs = 0", "epochs"),
+])
+def test_parse_config_invalid_value_names_file_and_field(tmp_path, line,
+                                                         field):
+    p = tmp_path / "run.conf"
+    p.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=rf"run.conf: {field}"):
+        parse_config_file(p)
+
+
+@pytest.mark.parametrize("kw, field", [
+    (dict(train_ratio=0.0), "train_ratio"),
+    (dict(train_ratio=1.2), "train_ratio"),
+    (dict(val_ratio=-0.1), "val_ratio"),
+    (dict(val_ratio=1.0), "val_ratio"),
+    (dict(train_ratio=0.8, val_ratio=0.3), "train_ratio \\+ val_ratio"),
+    (dict(mask_ratio=1.5), "mask_ratio"),
+    (dict(mask_ratio=-0.1), "mask_ratio"),
+    (dict(anomaly_ratio=0.0), "anomaly_ratio"),
+    (dict(anomaly_ratio=1.0), "anomaly_ratio"),
+])
+def test_dataset_spec_validation(kw, field):
+    with pytest.raises(ConfigError, match=field):
+        DatasetSpec(**kw)
 
 
 # ----------------------------------------------------------------------
@@ -233,12 +300,13 @@ def test_adam_descends_quadratic():
 # training loop
 # ----------------------------------------------------------------------
 
-def tiny_setup():
+def tiny_setup(**model):
     splits = coupled_splits(n_steps=420, n_train=280, n_val=60)
-    spec = DatasetSpec(lookback=48, horizon=8, task="forecast")
-    cfg = TrainConfig(epochs=3, d_model=8, d_state=4, n_blocks=1, chunk=4,
-                      seed=0, batch_size=32)
-    return cfg, spec, splits
+    mc = dict(lookback=48, horizon=8, task="forecast", d_model=8, d_state=4,
+              n_blocks=1, chunk=4, seed=0)
+    mc.update(model)
+    cfg = TrainConfig(epochs=3, batch_size=32, model=ModelConfig(**mc))
+    return cfg, DatasetSpec(), splits
 
 
 def test_training_reduces_loss():
@@ -271,12 +339,33 @@ def test_evaluate_forecast_metrics():
     assert metrics["mse"] >= 0 and metrics["mae"] >= 0
 
 
-def test_evaluate_task_mismatch():
-    cfg, spec, splits = tiny_setup()
-    result = train(cfg, spec, splits=splits)
-    bad = DatasetSpec(lookback=48, horizon=8, task="impute")
-    with pytest.raises(ContractError):
-        evaluate(result.state, bad, splits=splits, config=cfg)
+@pytest.mark.parametrize("task", ["impute", "classify"])
+@pytest.mark.parametrize("global_priors", [True, False])
+def test_evaluate_batches_match_per_window(task, global_priors):
+    """Batched impute/classify evaluation equals one window at a time."""
+    cfg, spec, splits = tiny_setup(task=task, n_classes=2)
+    cfg.epochs, cfg.batch_size = 1, 4
+    cfg.global_priors = global_priors
+    rng = np.random.default_rng(0)
+    splits.labels = {k: rng.integers(0, 2, getattr(splits, k).shape[1])
+                     for k in ("train", "val", "test")}
+    splits.test = splits.test[:, :56]  # 9 windows: two full batches and one
+    state = train(cfg, spec, splits=splits).state
+    metrics = evaluate(state, spec, splits=splits, config=cfg)
+    priors = shared_priors(splits, cfg.model) if global_priors else None
+    windows = make_windows(splits.test, 48, 8, task, splits.labels["test"])
+    if task == "classify":
+        correct = [np.argmax(model_forward(x, state, priors).data) == y
+                   for x, y in windows]
+        assert metrics == {"accuracy": np.mean(correct)}
+        return
+    d = []
+    for i, (x, y) in enumerate(windows):
+        masked, mask = apply_mask(x, spec.mask_ratio, 10_000 + i)
+        d.append((model_forward(masked, state, priors).data - y)[mask])
+    d = np.concatenate(d)
+    assert metrics["mse"] == pytest.approx(np.mean(d ** 2), rel=1e-12)
+    assert metrics["mae"] == pytest.approx(np.mean(np.abs(d)), rel=1e-12)
 
 
 def test_evaluate_priors_override_changes_nothing_structural():
