@@ -75,6 +75,9 @@ class ModelConfig:
         if self.d_inner % 2:
             raise ConfigError(f"d_inner = expand * d_model must be even "
                               f"for the rotary encoding, got {self.d_inner}")
+        if self.max_lag < 0:
+            raise ConfigError(f"max_lag must be >= 0 (0 means lookback // 4), "
+                              f"got {self.max_lag}")
         if self.patch_len > self.lookback:
             raise ConfigError(f"patch_len {self.patch_len} exceeds lookback "
                               f"{self.lookback}")

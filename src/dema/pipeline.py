@@ -280,7 +280,7 @@ class Adam:
 @dataclass
 class TrainResult:
     state: ModelState
-    log: list  # per-epoch dicts with train/val loss
+    log: list  # per-epoch dicts: losses, wall time, rate, gradient norm
     best_epoch: int
     diverged: bool = False
 
@@ -351,8 +351,15 @@ def train(config: TrainConfig, spec: DatasetSpec,
                                  cfg.task, labels.get("train"))
     val_windows = make_windows(splits.val, cfg.lookback, cfg.horizon,
                                cfg.task, labels.get("val"))
-    if not train_windows:
-        raise ContractError("train split yields no windows")
+    for name, windows in (("train", train_windows), ("val", val_windows)):
+        if not windows:
+            need, span = ((cfg.lookback + cfg.horizon, "lookback + horizon")
+                          if cfg.task == "forecast" else
+                          (cfg.lookback, "lookback"))
+            raise ContractError(
+                f"{name} split yields no windows: it has "
+                f"{getattr(splits, name).shape[1]} rows and a window needs "
+                f"{span} = {need}")
     priors = choose_priors(splits, cfg, config.global_priors, priors_override)
     opt = Adam(state.parameters(), lr=config.lr)
     log = []
@@ -362,8 +369,10 @@ def train(config: TrainConfig, spec: DatasetSpec,
     diverged = False
     n = len(train_windows)
     for epoch in range(config.epochs):
+        t0 = time.perf_counter()
         order = rng.permutation(n)
         train_losses = []
+        grad_norms = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xs = [train_windows[i][0] for i in idx]
@@ -376,6 +385,7 @@ def train(config: TrainConfig, spec: DatasetSpec,
                 diverged = True
                 break
             T.backward(loss)
+            grad_norms.append(_grad_norm(opt.params))
             opt.step()
             train_losses.append(float(loss.data))
         if diverged:
@@ -384,9 +394,13 @@ def train(config: TrainConfig, spec: DatasetSpec,
             break
         val_loss = _epoch_loss(state, val_windows, priors, config.batch_size,
                                cfg.seed * 7919, spec.mask_ratio)
+        seconds = time.perf_counter() - t0
         entry = {"epoch": epoch,
                  "train_loss": float(np.mean(train_losses)),
-                 "val_loss": val_loss}
+                 "val_loss": val_loss,
+                 "epoch_seconds": seconds,
+                 "windows_per_s": n / seconds,
+                 "grad_norm": float(np.mean(grad_norms))}
         log.append(entry)
         if val_loss <= best_val:
             best_val = val_loss
@@ -399,9 +413,13 @@ def train(config: TrainConfig, spec: DatasetSpec,
                        diverged=diverged)
 
 
+def _grad_norm(params) -> float:
+    """Global L2 norm of the parameter gradients that are set."""
+    return math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                         for _, p in params if p.grad is not None))
+
+
 def _epoch_loss(state, windows, priors, batch_size, mask_seed, mask_ratio):
-    if not windows:
-        return float("nan")
     weighted = 0.0  # sum of batch losses times batch sizes
     with T.no_grad():
         for start, xs, ys in _batches(windows, batch_size):
@@ -515,34 +533,41 @@ def _prf(flags: np.ndarray, truth: np.ndarray) -> dict:
 def bench_scaling(lengths, config: TrainConfig, repeats: int = 5):
     """Median forward wall time and peak allocation per lookback length.
 
-    Delay priors are computed once per length outside the timed region so
-    the measurement isolates the backbone forward pass.
+    Models, windows and delay priors are built for every length before
+    anything is timed, so the measurement isolates the backbone forward
+    pass. The timed runs go round-robin over the lengths (repeat r of every
+    length before repeat r + 1), so a drift in machine speed spreads over
+    all lengths instead of landing on one.
     """
     lengths = list(lengths)
     if lengths != sorted(lengths):
         raise ContractError("lengths must be ascending")
-    rows = []
     rng = np.random.default_rng(config.model.seed)
+    runs = []  # (length, state, window, priors)
     for T_len in lengths:
         cfg = replace(config.model, lookback=T_len,
                       horizon=config.model.patch_len, task="forecast")
-        state = ModelState.init(cfg)
         window = rng.standard_normal((config.n_variates, T_len))
         max_lag = cfg.max_lag if cfg.max_lag > 0 else cfg.patch_len * 12
         priors = delay_matrix(window, min(max_lag, T_len - 4), cfg.patch_len)
-        times = []
-        with T.no_grad():
+        runs.append((T_len, ModelState.init(cfg), window, priors))
+    times = [[] for _ in runs]
+    rows = []
+    with T.no_grad():
+        for _, state, window, priors in runs:
             backbone_forward(window, state, priors)  # warm-up
-            for _ in range(repeats):
+        for _ in range(repeats):
+            for ms, (_, state, window, priors) in zip(times, runs):
                 t0 = time.perf_counter()
                 backbone_forward(window, state, priors)
-                times.append((time.perf_counter() - t0) * 1000.0)
+                ms.append((time.perf_counter() - t0) * 1000.0)
+        for ms, (T_len, state, window, priors) in zip(times, runs):
             tracemalloc.start()
             backbone_forward(window, state, priors)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-        rows.append({"T": T_len, "ms": float(np.median(times)),
-                     "bytes": int(peak)})
+            rows.append({"T": T_len, "ms": float(np.median(ms)),
+                         "bytes": int(peak)})
     return rows
 
 

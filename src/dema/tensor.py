@@ -4,6 +4,13 @@ Values live in numpy arrays (float64 by default). Every differentiable op
 records a closure that maps the output gradient to parent gradients; the
 graph is only built while gradient tracking is enabled and at least one
 operand requires a gradient, so inference runs at plain-numpy cost.
+
+Gradient lifetime: `backward` frees each interior node's gradient as soon
+as that node's closure has consumed it, so after `backward` only leaves
+(tensors without a closure, such as parameters) hold `.grad`, and they
+keep accumulating across calls until `zero_grad`. The graph itself
+(`_parents`, the closures and the forward values) stays until the loss is
+dropped.
 """
 
 from __future__ import annotations
@@ -506,7 +513,10 @@ def softmax(x, axis=-1):
 # ----------------------------------------------------------------------
 
 def backward(loss: Tensor):
-    """Accumulate gradients of a scalar loss into every reachable tensor."""
+    """Accumulate gradients of a scalar loss into every reachable leaf.
+
+    Interior gradients are released once used; see the module docstring.
+    """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
     if loss.data.size != 1:
@@ -531,7 +541,10 @@ def backward(loss: Tensor):
         if node._backward is None or node.grad is None:
             continue
         grads = node._backward(node.grad)
+        node.grad = None
         for p, g in zip(node._parents, grads):
             if not p.requires_grad or g is None:
                 continue
-            p.grad = g.copy() if p.grad is None else p.grad + g
+            # g may alias another operand's gradient or be a view of the
+            # node's, so it is stored as is and only ever added out of place
+            p.grad = g if p.grad is None else p.grad + g

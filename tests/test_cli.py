@@ -53,6 +53,11 @@ def test_train_and_evaluate_forecast(workspace):
     assert set(metrics) == {"mse", "mae"}
     log = json.loads((out / "train_log.json").read_text())
     assert len(log["log"]) == 2
+    for entry in log["log"]:
+        assert set(entry) == {"epoch", "train_loss", "val_loss",
+                              "epoch_seconds", "windows_per_s", "grad_norm"}
+        assert entry["epoch_seconds"] > 0 and entry["windows_per_s"] > 0
+        assert np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0
     run(["evaluate", "--config", workspace / "forecast.conf",
          "--data", workspace / "plain.csv", "--out", out])
     again = json.loads((out / "metrics.json").read_text())
@@ -166,6 +171,7 @@ def small_csv(path, n_rows=160):
     ("task = impute\nmask_ratio = 1.5", "mask_ratio"),
     ("val_ratio = -0.1", "val_ratio"),
     ("d_model = 0", "d_model"),
+    ("max_lag = -3", "max_lag"),
 ])
 def test_invalid_config_value_exits_cleanly(tmp_path, capsys, line, field):
     conf = tmp_path / "bad.conf"
@@ -177,6 +183,20 @@ def test_invalid_config_value_exits_cleanly(tmp_path, capsys, line, field):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"error: {conf}: {field}")
+
+
+def test_empty_val_split_exits_cleanly(tmp_path, capsys):
+    # 160 rows at the default ratios leave a 16-row val split
+    conf = tmp_path / "short.conf"
+    conf.write_text("epochs = 1\nd_model = 8\nlookback = 24\nhorizon = 8\n")
+    assert main(["train", "--config", str(conf),
+                 "--data", str(small_csv(tmp_path / "d.csv")),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("error: val split yields no windows: it has 16 rows and a "
+            "window needs lookback + horizon = 32") in err
+    assert not (tmp_path / "train_log.json").exists()
 
 
 def test_task_command_rejects_other_task_checkpoint(workspace, capsys):

@@ -1,10 +1,13 @@
 """Tensor engine: arithmetic, FFT, and reverse-mode gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dema import tensor as T
 from dema.errors import ContractError, DimensionError
+from dema.model import ModelConfig, ModelState, model_forward
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +114,75 @@ def test_unused_parameter_gets_no_gradient():
     T.backward(T.mul(used, used))
     assert unused.grad is None
     assert used.grad is not None
+
+
+def _reachable(loss):
+    """Every tensor backward visits from `loss`, by a walk of `_parents`."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+def test_backward_frees_interior_gradients_keeps_graph(rng):
+    W = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = T.Tensor(np.zeros(3), requires_grad=True)
+    x = T.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    h = T.tanh(T.add(T.matmul(x, W), b))
+    loss = T.tsum(T.mul(h, h))
+    before = _reachable(loss)
+    T.backward(loss)
+    after = _reachable(loss)
+    assert [id(n) for n in after] == [id(n) for n in before]
+    leaves = [n for n in after if n._backward is None]
+    interior = [n for n in after if n._backward is not None]
+    assert {id(n) for n in leaves} == {id(W), id(b), id(x)}
+    assert interior and loss in interior
+    assert all(n.grad is None for n in interior)
+    assert all(n.grad is not None for n in leaves)
+
+
+def test_repeated_backward_sends_no_stale_gradient():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    y = T.mul(x, x)
+    T.backward(T.tsum(y))
+    T.backward(T.tsum(T.mul(3.0, y)))
+    # 2x from the first call plus 6x from the second
+    np.testing.assert_array_equal(x.grad, [8.0, 16.0])
+
+
+def test_shared_gradient_arrays_are_not_written():
+    # add hands one array to both operands; a later in-place accumulation
+    # into a's gradient would also change b's
+    a = T.Tensor(np.ones(3), requires_grad=True)
+    b = T.Tensor(np.ones(3), requires_grad=True)
+    T.backward(T.add(T.tsum(T.add(a, b)), T.tsum(T.mul(3.0, a))))
+    np.testing.assert_array_equal(a.grad, [4.0, 4.0, 4.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+def test_backward_peak_memory_stays_near_forward_bytes(rng):
+    cfg = ModelConfig(lookback=32, horizon=8, d_model=16, d_state=4,
+                      n_blocks=2, chunk=4)
+    state = ModelState.init(cfg)
+    x = rng.standard_normal((4, 3, cfg.lookback))
+    y = rng.standard_normal((4, 3, cfg.horizon))
+    tracemalloc.start()
+    try:
+        diff = T.sub(model_forward(x, state), y)
+        loss = T.tmean(T.mul(diff, diff))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # keeping every interior gradient until the graph is dropped reads
+    # over 2x here
+    assert peak < 1.5 * held, (peak, held)
 
 
 def test_backward_requires_scalar():
