@@ -1,7 +1,7 @@
 """Variate path: delay-aware causal linear attention with rotary encoding.
 
 A query token (a, l) attends to key tokens (b, j) of every variate whose
-shifted position j + delta_ab does not exceed l. Keys are rotated at their
+shifted position j + delta_ab lies in [0, l]. Keys are rotated at their
 effective position j + delta_ab and queries at l, so attention scores
 depend only on the effective relative delay.
 
@@ -10,15 +10,27 @@ path uses too. :func:`dala_core` works on them directly; only the public
 :func:`dala_attention` and the oracle take [..., L, N, Du], and
 :func:`dala_attention` is the one place that swaps.
 
-The production path loops over the distinct token shifts of the active
-pairs (rho > 0 and |delta| < L), not over the pairs. For each shift it
-gathers the shift's (query, key) variate pairs onto a leading pair axis,
-shifts their key and value streams, rotates the keys at their effective
-positions, runs one chunked prefix-sum attention over all of them, and
-adds the pair outputs and key prefix sums (for the denominators) into
-their query variates with one rho-weighted matmul each. No (N*L) x (N*L)
-matrix is formed. A literal double-sum transcription is kept as the test
-oracle.
+The production path works per key variate, not per (query, key) pair.
+RoPE's relative property, R(l) q . R(j + d) k = R(l - d) q . R(j) k, lets
+every key variate be rotated once at its own positions; each distinct
+shift d of the active pairs (rho > 0, |delta| < L) rotates the query
+streams at l - d instead. The token axis is cut into chunks, as in the
+state-passing schedule of Mamba-2's SSD (Dao & Gu, arXiv:2405.21060)
+applied to linear attention (Katharopoulos et al., arXiv:2006.16236):
+
+* every chunk builds one k^T v state per key variate, and their prefix
+  sums are shared by all shifts;
+* within a chunk, the scores of the shift's query variates against its
+  key variates are one product, masked by the weights rho_ab [delta_ab =
+  d] and by the shifted causal band 0 <= j + d <= l;
+* every query chunk reads one prefix state, mixed per query variate with
+  the shift's weights; the first -d keys of a negative shift, which it
+  never shows, are masked in the band and taken out of the state;
+* the denominators contract the queries with rho-mixed running key sums.
+
+The whole attention is one tape node whose VJP retraces this schedule
+backwards. No (N*L) x (N*L) matrix and no per-pair stream is formed. A
+literal double-sum transcription is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -58,8 +70,11 @@ def _rope_apply(arr, cos, sin):
     e = arr[..., 0::2]
     o = arr[..., 1::2]
     out = np.empty_like(arr)
-    out[..., 0::2] = e * cos - o * sin
-    out[..., 1::2] = e * sin + o * cos
+    even, odd = out[..., 0::2], out[..., 1::2]
+    np.multiply(e, cos, out=even)
+    even -= o * sin
+    np.multiply(e, sin, out=odd)
+    odd += o * cos
     return out
 
 
@@ -99,46 +114,6 @@ def kernel_phi(x, p: int = 3):
     return T.mul(rp, T.div(n1, n2))
 
 
-def causal_linear_attention(q, k, v, chunk: int = 64):
-    """out[l] = q_l^T * sum_{j <= l} k_j v_j^T, via chunked prefix sums.
-
-    q, k: [..., L, Dk]; v: [..., L, Dv]. The token axis is cut into
-    ceil(L / chunk) chunks of equal length (at most `chunk`).
-    """
-    q, k, v = T._wrap(q), T._wrap(k), T._wrap(v)
-    L = q.shape[-2]
-    Dk, Dv = k.shape[-1], v.shape[-1]
-    nb = -(-L // min(chunk, L))
-    c = -(-L // nb)
-    pad = nb * c - L
-    if pad:
-        q = T.pad_last2(q, -2, pad)
-        k = T.pad_last2(k, -2, pad)
-        v = T.pad_last2(v, -2, pad)
-    qb = T.reshape(q, q.shape[:-2] + (nb, c, Dk))
-    kb = T.reshape(k, k.shape[:-2] + (nb, c, Dk))
-    vb = T.reshape(v, v.shape[:-2] + (nb, c, Dv))
-    mask = np.tril(np.ones((c, c)))
-    intra = T.matmul(T.mul(T.matmul(qb, T.swapaxes(kb, -1, -2)), mask), vb)
-    # Every chunk reads the state of the chunks before it (zero for the
-    # first) and adds its own k^T v, the last one too. The two products per
-    # chunk keep the state work exactly linear in the chunk count, which
-    # criterion 8 (time per doubling of the window) needs; see CHANGES.md.
-    state = T.Tensor(np.zeros((Dk, Dv)))  # broadcasts over the leading axes
-    inter = []
-    for i in range(nb):
-        blk = (Ellipsis, i, slice(None), slice(None))
-        o = T.matmul(T.getitem(qb, blk), state)
-        inter.append(T.reshape(o, o.shape[:-2] + (1, c, Dv)))
-        state = T.add(state, T.matmul(
-            T.swapaxes(T.getitem(kb, blk), -1, -2), T.getitem(vb, blk)))
-    out = T.add(intra, T.concat(inter, axis=-3) if nb > 1 else inter[0])
-    out = T.reshape(out, out.shape[:-3] + (nb * c, Dv))
-    if pad:
-        out = T.getitem(out, (Ellipsis, slice(0, L), slice(None)))
-    return out
-
-
 @dataclass
 class DalaInputs:
     """Inputs of :func:`dala_attention` and the oracle, [..., L, N, Du]."""
@@ -150,40 +125,296 @@ class DalaInputs:
     p: int = 3
 
 
-def _pair_stream(x: T.Tensor, idx: np.ndarray, d: int) -> T.Tensor:
-    """Variates `idx` of x [..., N, L, D] on a pair axis, token-shifted.
+def _swap(x):
+    return np.swapaxes(x, -1, -2)
 
-    Entry l of pair p holds x[..., idx[p], l - d, :], zero where l - d is
-    out of range. One tape node; its backward sums repeated variates with a
-    one-hot matmul.
-    """
+
+def _revcumsum(x, axis):
+    return np.flip(np.cumsum(np.flip(x, axis), axis=axis), axis)
+
+
+def _shift(x, d):
+    """Entry l of the token axis (-2) holds x[..., l - d, :], zero outside."""
     L = x.shape[-2]
     lo, hi = max(0, d), min(L, L + d)
-    data = np.zeros(x.shape[:-3] + (len(idx),) + x.shape[-2:])
-    data[..., lo:hi, :] = x.data[..., idx, lo - d:hi - d, :]
-    onehot_t = np.eye(x.shape[-3])[:, idx]          # [N, P]
-
-    def bwd(g):
-        body = g[..., lo:hi, :]
-        flat = body.reshape(body.shape[:-2] + (-1,))
-        gx = np.zeros(x.shape)
-        gx[..., lo - d:hi - d, :] = (onehot_t @ flat).reshape(
-            x.shape[:-2] + (hi - lo, x.shape[-1]))
-        return (gx,)
-
-    return T._make(data, (x,), bwd)
+    out = np.zeros_like(x)
+    out[..., lo:hi, :] = x[..., lo - d:hi - d, :]
+    return out
 
 
-def _mix_variates(w: np.ndarray, x: T.Tensor) -> T.Tensor:
-    """out[..., i, :, :] = sum_n w[i, n] x[..., n, :, :] for a constant w.
+def _mix(w, x):
+    """out[..., a, :, :] = sum_b w[a, b] x[..., b, :, :] (variate axis -3)."""
+    flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    return (w @ flat).reshape(x.shape[:-3] + (w.shape[0],) + x.shape[-2:])
 
-    One tape node for the product over the variate axis (-3).
+
+def _to_chunks(x, nb, c):
+    """[..., N, L, D] -> zero-padded chunks [..., nb, N, c, D]."""
+    N, L, D = x.shape[-3:]
+    buf = np.zeros(x.shape[:-2] + (nb * c, D))
+    buf[..., :L, :] = x
+    return np.ascontiguousarray(np.swapaxes(
+        buf.reshape(x.shape[:-2] + (nb, c, D)), -4, -3))
+
+
+def _from_chunks(x, L):
+    """Inverse of :func:`_to_chunks`: [..., nb, N, c, D] -> [..., N, L, D]."""
+    nb, N, c, D = x.shape[-4:]
+    return np.swapaxes(x, -4, -3).reshape(
+        x.shape[:-4] + (N, nb * c, D))[..., :L, :]
+
+
+@dataclass
+class _Shift:
+    """What the attention needs for one token shift d of the active pairs."""
+
+    d: int
+    a: np.ndarray     # query variates with a pair at d
+    b: np.ndarray     # key variates with a pair at d
+    w: np.ndarray     # [A, B] weights rho_ab [delta_ab = d]
+    pick: np.ndarray | None   # [A] index into b of each query's one key
+    keys: np.ndarray  # key variates of the band: b, or b[pick] per query
+    e: int            # floor(-d / c): chunk I's band starts at key chunk I + e
+    cos: np.ndarray   # query rotation at l - d, [nb, 1, c, Du / 2]
+    sin: np.ndarray
+    bands: list       # (i0, n, o, mask) per key offset o; mask is
+                      # [n, 1, A c, B c], or [n, A, c, c] with pick
+
+
+def _plan_shifts(rho, delta, active, nb, c, table):
+    """One :class:`_Shift` per distinct shift of the active pairs.
+
+    Query chunk I at shift d sees the keys j <= l - d, which end inside key
+    chunk I + e or I + e + 1. Those two chunks are the masked band, and the
+    chunks before I + e come in through the prefix state. The band mask
+    also hides the keys j < -d of a negative shift. When each query variate
+    has one key variate at d, the masked product is block diagonal and the
+    band pairs each query variate with its own key variate instead.
     """
-    def apply(m, arr):
-        flat = arr.reshape(arr.shape[:-3] + (arr.shape[-3], -1))
-        return (m @ flat).reshape(arr.shape[:-3] + (m.shape[0],) + x.shape[-2:])
+    ds = np.unique(delta[active])
+    lo = -int(ds[-1])       # query positions l - d lie in [lo, nb c - ds[0])
+    cos_all, sin_all = table.cos_sin(np.arange(lo, nb * c - int(ds[0])))
+    s = np.arange(c)
+    shifts = []
+    for d in ds:
+        d = int(d)
+        sel = active & (delta == d)
+        a = np.flatnonzero(sel.any(axis=1))
+        b = np.flatnonzero(sel.any(axis=0))
+        w = np.where(sel, rho, 0.0)[np.ix_(a, b)]
+        nz = w != 0
+        pick = nz.argmax(axis=1) if (nz.sum(axis=1) == 1).all() else None
+        e, r = divmod(-d, c)
+        bands = []
+        for o, thr in ((e, r), (e + 1, r - c)):
+            i0, i1 = max(0, -o), min(nb, nb - o)
+            if thr <= -c or i0 >= i1:
+                continue
+            key = (np.arange(i0, i1)[:, None] + o) * c + s     # [n, u]
+            m = (s[None, :] - s[:, None] <= thr) & (key[:, None, :] >= -d)
+            if pick is None:
+                mask = (w[None, :, None, :, None] * m[:, None, :, None, :]
+                        ).reshape(i1 - i0, 1, len(a) * c, len(b) * c)
+            else:
+                mask = w.sum(axis=1)[None, :, None, None] * m[:, None, :, :]
+            bands.append((i0, i1 - i0, o, mask))
+        cos, sin = (x[-d - lo:-d - lo + nb * c].reshape(nb, 1, c, -1)
+                    for x in (cos_all, sin_all))
+        keys = b if pick is None else b[pick]
+        shifts.append(_Shift(d, a, b, w, pick, keys, e, cos, sin, bands))
+    return shifts
 
-    return T._make(apply(w, x.data), (x,), lambda g: (apply(w.T, g),))
+
+def _take(x, idx):
+    """Variates idx of x (axis -3), a view when idx is evenly spaced.
+
+    An idx that repeats one variate gives that variate alone, which
+    broadcasts against the selection.
+    """
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if step >= 0 and (np.diff(idx) == step).all():
+        return x[..., idx[0]:idx[-1] + 1:max(step, 1), :, :]
+    return np.take(x, idx, axis=-3)
+
+
+def _add_into(x, idx, val):
+    """x[..., idx, :, :] += val (variate axis -3), in place."""
+    if len(idx) == x.shape[-3]:
+        x += val
+    else:
+        x[..., idx, :, :] += val
+
+
+def _band(x, j0, n, flat):
+    """Chunks j0 .. j0 + n of x [..., nb, X, c, D], as [..., n, 1, X c, D]
+    when flat, else as they are."""
+    x = x[..., j0:j0 + n, :, :, :]
+    return x.reshape(x.shape[:-3] + (1, -1, x.shape[-1])) if flat else x
+
+
+def _attend(phq, phk, v, shifts, table, rotated, nb, c, record):
+    """Numerator [..., N, L, Du] and denominator [..., N, L, 1] of DALA.
+
+    Returns them with the VJP that maps their gradients to those of the
+    feature maps phq, phk and the values v (all [..., N, L, Du]). With
+    `record`, each shift's streams, band scores and key sums are kept for
+    the VJP.
+    """
+    L, Du = v.shape[-2:]
+    cos_k, sin_k = table.cos_sin(np.arange(L))
+    kr = _rope_apply(phk, cos_k, sin_k)        # keys at their own positions
+    kd = kr if rotated else phk                # keys of the denominator
+    q_ch, k_ch, v_ch = (_to_chunks(x, nb, c) for x in (phq, kr, v))
+    zero_state = np.zeros((Du, Du))
+
+    def prefix_states():
+        # P[J] sums the k^T v states of the chunks before J,
+        # [..., nb + 1, N, Du, Du]; every chunk builds its state, the last too
+        P = np.zeros(k_ch.shape[:-4] + (nb + 1, k_ch.shape[-3], Du, Du))
+        np.matmul(_swap(k_ch), v_ch, out=P[..., 1:, :, :, :])
+        for J in range(1, nb):
+            P[..., J + 1, :, :, :] += P[..., J, :, :, :]
+        return P
+
+    def streams(sh):
+        # the shift's queries, also rotated at l - d, and its keys and values
+        qa = _take(q_ch, sh.a)
+        return qa, _rope_apply(qa, sh.cos, sh.sin), _take(k_ch, sh.keys), \
+            _take(v_ch, sh.keys)
+
+    def hidden(sh):
+        # token slices of the keys j < -d, which a negative shift never shows
+        m = -sh.d
+        return _take(kr[..., :m, :], sh.b), _take(v[..., :m, :], sh.b)
+
+    def src(sh, I):
+        # the prefix state query chunk I reads: the chunks before its band
+        return min(max(I + sh.e, 0), nb)
+
+    def mixed_states(P, sh):
+        # (I, M, scale) per query chunk I >= 1, which reads (q @ M) * scale.
+        # M is the w-mix of the prefix states before the band, less the keys
+        # that a negative shift hides. When each query variate has a single
+        # key variate, M is that variate's state and w scales the read.
+        if sh.pick is None:
+            scale = 1.0
+
+            def select(x):
+                return _mix(sh.w, x)
+        else:
+            scale = sh.w[np.arange(len(sh.a)), sh.pick][:, None, None]
+
+            def select(x):
+                return _take(x, sh.pick)
+        hid = None
+        if sh.d < 0 and nb > 1:
+            kh, vh = hidden(sh)
+            hid = select(_swap(kh) @ vh)
+        for I in range(1, nb):
+            M = select(_take(P[..., src(sh, I), :, :, :], sh.b))
+            yield I, (M if hid is None else M - hid), scale
+
+    def key_sums(sh):
+        # z[a, l] = sum_b w_ab sum_{0 <= j + d <= l} kd[b, j], chunked
+        ks = np.cumsum(_shift(_take(kd, sh.b), sh.d), axis=-2)
+        return _to_chunks(_mix(sh.w, ks), nb, c)
+
+    P = prefix_states()
+    num = np.zeros_like(v_ch)
+    den = np.zeros(v_ch.shape[:-1] + (1,))
+    saved = []
+    for sh in shifts:
+        qa, q, kb, vb = streams(sh)
+        out = np.empty_like(q)
+        # chunk 0 reads the zero state: each chunk reads one state, so the
+        # state work stays exactly linear in the chunk count
+        out[..., :1, :, :, :] = q[..., :1, :, :, :] @ zero_state
+        for I, M, scale in mixed_states(P, sh):
+            out[..., I, :, :, :] = (q[..., I, :, :, :] @ M) * scale
+        flat = sh.pick is None
+        atts = []
+        for i0, n, o, mask in sh.bands:
+            atts.append((_band(q, i0, n, flat)
+                         @ _swap(_band(kb, i0 + o, n, flat))) * mask)
+            blk = out[..., i0:i0 + n, :, :, :]
+            blk += (atts[-1] @ _band(vb, i0 + o, n, flat)).reshape(blk.shape)
+        _add_into(num, sh.a, out)
+        z = key_sums(sh)
+        _add_into(den, sh.a, np.sum((q if rotated else qa) * z, axis=-1,
+                                    keepdims=True))
+        if record:
+            saved.append((qa, q, kb, vb, atts, z))
+    del P
+    num, den = _from_chunks(num, L), _from_chunks(den, L)
+
+    def vjp(gnum, gden):
+        gn, gd = _to_chunks(gnum, nb, c), _to_chunks(gden, nb, c)
+        gq_ch, gk_ch, gv_ch = (np.zeros_like(x) for x in (q_ch, k_ch, v_ch))
+        gkr, gkd, gv = (np.zeros_like(x) for x in (kr, kd, v))
+        # chunk 0 reads the zero state, so only chunks 1.. send gradients
+        # back into the prefix states
+        P = prefix_states() if nb > 1 else None
+        gP = np.zeros_like(P) if nb > 1 else None
+        for sh, (qa, q, kb, vb, atts, z) in zip(shifts, saved):
+            go = _take(gn, sh.a)
+            gq = np.zeros_like(q)
+            # one gradient per band key: per key variate, or per query
+            gkb, gvb = (np.zeros(x.shape[:-3] + (len(sh.keys),) + x.shape[-2:])
+                        for x in (kb, vb))
+            ghid = 0
+            for I, M, scale in mixed_states(P, sh):
+                # out[I] = (q[I] @ M[I]) * scale; chunk 0 reads the zero state
+                gq[..., I, :, :, :] = (go[..., I, :, :, :] @ _swap(M)) * scale
+                gM = _swap(q[..., I, :, :, :]) @ go[..., I, :, :, :]
+                _add_into(gP[..., src(sh, I), :, :, :], sh.b, _mix(sh.w.T, gM))
+                ghid = ghid - gM
+            if sh.d < 0 and nb > 1:
+                kh, vh = hidden(sh)
+                gh = _mix(sh.w.T, ghid)
+                _add_into(gkr[..., :vh.shape[-2], :], sh.b, vh @ _swap(gh))
+                _add_into(gv[..., :vh.shape[-2], :], sh.b, kh @ gh)
+            flat = sh.pick is None
+            for (i0, n, o, mask), att in zip(sh.bands, atts):
+                # out[I] += att v with att = (q k^T) * mask, over the band
+                qi, kj, vj, goi = (_band(x, j0, n, flat) for x, j0 in (
+                    (q, i0), (kb, i0 + o), (vb, i0 + o), (go, i0)))
+                gatt = (goi @ _swap(vj)) * mask
+                for g, x, j0 in ((gq, gatt @ kj, i0),
+                                 (gkb, _swap(gatt) @ qi, i0 + o),
+                                 (gvb, _swap(att) @ goi, i0 + o)):
+                    blk = g[..., j0:j0 + n, :, :, :]
+                    blk += x.reshape(blk.shape)
+            # den[a, l] += qd . z
+            gda = _take(gd, sh.a)
+            if rotated:
+                gq += gda * z
+            gz = _mix(sh.w.T, _from_chunks(gda * (q if rotated else qa), L))
+            _add_into(gkd, sh.b, _shift(_revcumsum(gz, -2), -sh.d))
+            gqa = _rope_apply(gq, sh.cos, -sh.sin)
+            if not rotated:
+                gqa += gda * z
+            _add_into(gq_ch, sh.a, gqa)
+            if sh.pick is not None:
+                to_b = (sh.w != 0).T.astype(float)    # query a's key is b
+                gkb, gvb = _mix(to_b, gkb), _mix(to_b, gvb)
+            _add_into(gk_ch, sh.b, gkb)
+            _add_into(gv_ch, sh.b, gvb)
+        if nb > 1:
+            # P[J] sums kv of the chunks before J: kv[J] collects gP[J + 1 ..]
+            del P
+            for J in range(nb - 1, 0, -1):
+                gP[..., J, :, :, :] += gP[..., J + 1, :, :, :]
+            gk_ch += v_ch @ _swap(gP[..., 1:, :, :, :])
+            gv_ch += k_ch @ gP[..., 1:, :, :, :]
+        gkr += _from_chunks(gk_ch, L)
+        if rotated:
+            gkr += gkd
+        gphk = _rope_apply(gkr, cos_k, -sin_k)
+        if not rotated:
+            gphk += gkd
+        return _from_chunks(gq_ch, L), gphk, gv + _from_chunks(gv_ch, L)
+
+    return num, den, vjp
 
 
 def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
@@ -204,40 +435,33 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
         return v
     if table is None:
         table = RotaryTable(dim=Du)
-    positions = np.arange(L)
+    if table.dim != Du:
+        raise ConfigError(
+            f"rotary table dim {table.dim} does not match input {Du}")
+    nb = -(-L // min(chunk, L))
+    c = -(-L // nb)
     phi_q = kernel_phi(q, p)
     phi_k = kernel_phi(k, p)
-    q_rot = rope_rotate(phi_q, positions, table)
-
-    # per shift: the shift's pairs on a leading pair axis, key and value
-    # streams shifted so entry l holds token l - d, keys rotated at l
-    outs, cums, a_all, w_all = [], [], [], []
-    for d in np.unique(delta[active]):
-        a_idx, b_idx = np.nonzero(active & (delta == d))
-        k_d = _pair_stream(phi_k, b_idx, int(d))
-        k_rot = rope_rotate(k_d, positions, table)
-        v_d = _pair_stream(v, b_idx, int(d))
-        outs.append(causal_linear_attention(_pair_stream(q_rot, a_idx, 0),
-                                            k_rot, v_d, chunk))
-        cums.append(T.cumsum(k_rot if rotated_denominator else k_d, axis=-2))
-        a_all.append(a_idx)
-        w_all.append(rho[a_idx, b_idx])
-    # add every pair into its query variate, weighted by rho
-    a_all = np.concatenate(a_all)
-    scatter = np.eye(N)[:, a_all] * np.concatenate(w_all)   # [N, pairs]
-    num = _mix_variates(scatter, T.concat(outs, axis=-3))
-    den_keys = _mix_variates(scatter, T.concat(cums, axis=-3))
-
-    den_q = q_rot if rotated_denominator else phi_q
-    den = T.tsum(T.mul(den_q, den_keys), axis=-1, keepdims=True)
-    y = T.div(num, T.maximum(den, eps))
-    # query (a, l) sees a key once l reaches the smallest max(0, delta_ab)
+    shifts = _plan_shifts(rho, delta, active, nb, c, table)
+    record = T._grad_enabled and any(
+        t.requires_grad for t in (phi_q, phi_k, v))   # as T._make decides
+    num, den, vjp = _attend(phi_q.data, phi_k.data, v.data, shifts, table,
+                            rotated_denominator, nb, c, record)
+    # query (a, l) sees a key once l reaches the smallest max(0, delta_ab);
+    # tokens with no key in range fall back to their own value
     first = np.where(active, np.maximum(delta, 0), L).min(axis=1)
-    keep = (positions[None, :] >= first[:, None]).astype(np.float64)[..., None]
-    if not keep.all():
-        # tokens with no key in range fall back to their own value
-        y = T.add(T.mul(y, keep), T.mul(v, 1.0 - keep))
-    return y
+    keep = (np.arange(L)[None, :] >= first[:, None])[..., None]
+    dd = np.maximum(den, eps)
+    y = np.where(keep, num / dd, v.data)
+
+    def bwd(g):
+        gk = np.where(keep, g, 0.0)
+        gden = np.where(den >= eps,
+                        -np.sum(gk * num, axis=-1, keepdims=True), 0.0)
+        gq, gphk, gv = vjp(gk / dd, gden / dd ** 2)
+        return gq, gphk, gv + np.where(keep, 0.0, g)
+
+    return T._make(y, (phi_q, phi_k, v), bwd)
 
 
 def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,

@@ -204,14 +204,14 @@ def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
 
 def make_windows(split: np.ndarray, lookback: int, horizon: int, task: str,
                  labels: np.ndarray | None = None):
-    """Stride-1 sliding (input, target) pairs for one split."""
+    """Stride-1 sliding (input, target) pairs for one split.
+
+    Empty when the split is shorter than one window; :func:`train` and
+    :func:`evaluate` reject that with :func:`_no_windows`.
+    """
     split = np.atleast_2d(np.asarray(split, dtype=np.float64))
     total = split.shape[1]
     need = lookback + (horizon if task == "forecast" else 0)
-    if total < need:
-        warnings.warn(f"split of length {total} yields no windows "
-                      f"(need {need})", stacklevel=2)
-        return []
     out = []
     for i in range(total - need + 1):
         x = split[:, i:i + lookback]
@@ -227,6 +227,16 @@ def make_windows(split: np.ndarray, lookback: int, horizon: int, task: str,
             raise ConfigError(f"unknown task {task!r}")
         out.append((x, y))
     return out
+
+
+def _no_windows(name: str, splits: DatasetSplits, cfg: ModelConfig):
+    """The error for a split that is shorter than one window."""
+    need, span = ((cfg.lookback + cfg.horizon, "lookback + horizon")
+                  if cfg.task == "forecast" else (cfg.lookback, "lookback"))
+    return ContractError(
+        f"{name} split yields no windows: it has "
+        f"{getattr(splits, name).shape[1]} rows and a window needs "
+        f"{span} = {need}")
 
 
 def apply_mask(window: np.ndarray, ratio: float, seed: int):
@@ -353,13 +363,7 @@ def train(config: TrainConfig, spec: DatasetSpec,
                                cfg.task, labels.get("val"))
     for name, windows in (("train", train_windows), ("val", val_windows)):
         if not windows:
-            need, span = ((cfg.lookback + cfg.horizon, "lookback + horizon")
-                          if cfg.task == "forecast" else
-                          (cfg.lookback, "lookback"))
-            raise ContractError(
-                f"{name} split yields no windows: it has "
-                f"{getattr(splits, name).shape[1]} rows and a window needs "
-                f"{span} = {need}")
+            raise _no_windows(name, splits, cfg)
     priors = choose_priors(splits, cfg, config.global_priors, priors_override)
     opt = Adam(state.parameters(), lr=config.lr)
     log = []
@@ -447,7 +451,7 @@ def evaluate(state: ModelState, spec: DatasetSpec,
     test_windows = make_windows(splits.test, cfg.lookback, cfg.horizon,
                                 cfg.task, labels.get("test"))
     if not test_windows:
-        raise ContractError("test split yields no windows")
+        raise _no_windows("test", splits, cfg)
     with T.no_grad():
         if cfg.task == "anomaly":
             # threshold from train-split scores, F1 on the test split

@@ -103,9 +103,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
     def swapaxes(self, a, b):
         return swapaxes(self, a, b)
 
@@ -328,19 +325,6 @@ def gelu(a):
     return _make(data, (a,), bwd)
 
 
-def maximum(a, b):
-    a, b = _wrap(a), _wrap(b)
-    data = np.maximum(a.data, b.data)
-    mask = a.data >= b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g * mask, a.shape)
-        gb = _unbroadcast(g * (~mask), b.shape)
-        return ga, gb
-
-    return _make(data, (a, b), bwd)
-
-
 # ----------------------------------------------------------------------
 # reductions and structure
 # ----------------------------------------------------------------------
@@ -368,12 +352,6 @@ def tmean(a, axis=None, keepdims=False):
 def reshape(a, shape):
     a = _wrap(a)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a, axes):
-    a = _wrap(a)
-    inv = np.argsort(axes)
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def swapaxes(a, ax1, ax2):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dema import tensor as T
-from dema.dala import (DalaInputs, DalaParams, RotaryTable,
-                       causal_linear_attention, dala_attention, dala_core,
-                       kernel_phi, mamba_dala_forward, naive_dala_oracle,
-                       rope_rotate)
+from dema.dala import (DalaInputs, DalaParams, RotaryTable, dala_attention,
+                       dala_core, kernel_phi, mamba_dala_forward,
+                       naive_dala_oracle, rope_rotate)
 from dema.delay import DelayPriors
 from dema.errors import ConfigError, ContractError
 
@@ -113,21 +112,6 @@ def test_phi_rejects_bad_power():
 def test_phi_nonnegative(rng):
     out = kernel_phi(T.Tensor(rng.standard_normal((20, 8))), p=3)
     assert np.all(out.data >= 0)
-
-
-# ----------------------------------------------------------------------
-# causal linear attention building block
-# ----------------------------------------------------------------------
-
-def test_causal_linear_attention_vs_direct(rng):
-    q = rng.standard_normal((9, 4))
-    k = rng.standard_normal((9, 4))
-    v = rng.standard_normal((9, 5))
-    out = causal_linear_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v),
-                                  chunk=4).data
-    for l in range(9):
-        ref = sum((q[l] @ k[j]) * v[j] for j in range(l + 1))
-        np.testing.assert_allclose(out[l], ref, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +294,64 @@ def test_gradient_finite_difference_with_shifts(rng):
         inp = DalaInputs(q=q, k=k, v=v, priors=priors)
         return dala_attention(inp, chunk=2)
 
+    args = [T.Tensor(d, requires_grad=True) for d in datas]
+    T.backward(T.tsum(T.mul(value(*args), w)))
+    h = 1e-6
+    for i, arg in enumerate(args):
+        for j in range(arg.data.size):
+            bumped = []
+            for step in (h, -h):
+                ds = [d.copy() for d in datas]
+                ds[i].ravel()[j] += step
+                bumped.append(float(np.sum(value(*ds).data * w)))
+            fd = (bumped[0] - bumped[1]) / (2 * h)
+            g = arg.grad.ravel()[j]
+            assert abs(g - fd) <= 1e-5 * max(abs(fd), abs(g), 1e-3), (i, j)
+
+
+@pytest.mark.parametrize("chunk", [3, 8])
+def test_shift_with_one_key_per_query_matches_oracle(rng, chunk):
+    # at shift 2 every query variate has one key variate, and two of them
+    # share key variate 2: keys [0, 2, 2] are neither a range nor one key
+    delta = np.array([[2, -1, 5, 0], [3, 0, 1, -2],
+                      [1, -3, 2, 4], [0, 6, 2, -1]])
+    rho = np.array([[0.9, 0.5, 0.0, 0.3], [0.6, 1.0, 0.2, 0.4],
+                    [0.5, 0.7, 0.8, 0.1], [0.3, 0.2, 0.6, 1.0]])
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    inp = make_inputs(rng, L=8, N=4, Du=4, priors=priors)
+    for rotated in (False, True):
+        out = dala_attention(inp, rotated_denominator=rotated,
+                             chunk=chunk).data
+        ref = naive_dala_oracle(inp, rotated_denominator=rotated)
+        assert np.max(np.abs(out - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_gradient_finite_difference_multi_chunk(rotated):
+    # L = 9 in chunks of 2, so bands and prefix states cross chunks: shifts
+    # of both signs beyond the chunk, one at L or beyond, zero weights, a
+    # query variate whose only key pair starts at l = 5 (own-token fallback
+    # before that), a shift whose query variates have one key each and
+    # shifts that mix several keys into one query, hidden keys included
+    L, N, Du = 9, 4, 4
+    delta = np.array([[0, 4, -3, -3], [5, 0, 9, 2],
+                      [0, 4, 0, -5], [-3, -1, 1, 0]])
+    rho = np.array([[1.0, 0.6, 0.3, 0.5], [0.5, 0.0, 0.4, 0.0],
+                    [0.7, 0.9, 0.8, 0.6], [0.4, 0.5, 0.6, 1.0]])
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    rng = np.random.default_rng(5)
+    # q and k mostly positive keep the denominators well above eps
+    datas = [rng.standard_normal((L, N, Du)) * 0.5 + 1.0 for _ in range(3)]
+    w = rng.standard_normal((L, N, Du))
+
+    def value(q, k, v):
+        inp = DalaInputs(q=q, k=k, v=v, priors=priors)
+        return dala_attention(inp, rotated_denominator=rotated, chunk=2)
+
+    ref = naive_dala_oracle(DalaInputs(*datas, priors=priors),
+                            rotated_denominator=rotated)
+    assert np.max(np.abs(value(*datas).data - ref)) <= 1e-10
+    np.testing.assert_array_equal(ref[:5, 1], datas[2][:5, 1])
     args = [T.Tensor(d, requires_grad=True) for d in datas]
     T.backward(T.tsum(T.mul(value(*args), w)))
     h = 1e-6

@@ -1,6 +1,7 @@
 """CSV ingestion, windowing, masking, optimizer, training, and metrics."""
 
 import re
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -239,8 +240,10 @@ def test_windows_anomaly_target_is_input(rng):
         np.testing.assert_array_equal(x, y)
 
 
-def test_windows_too_short_warns(rng):
-    with pytest.warns(UserWarning):
+def test_windows_too_short_is_empty(rng):
+    # no warning: train and evaluate raise a ContractError for an empty split
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = make_windows(rng.standard_normal((1, 50)), 96, 24, "forecast")
     assert out == []
 
@@ -326,9 +329,24 @@ def test_training_is_deterministic():
 def test_training_empty_split_raises():
     cfg, spec, splits = tiny_setup()
     splits.train = splits.train[:, :10]
-    with pytest.warns(UserWarning):
-        with pytest.raises(ContractError):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="train split yields no "
+                           "windows: it has 10 rows"):
             train(cfg, spec, splits=splits)
+
+
+def test_evaluate_empty_test_split_names_rows_and_need():
+    cfg, spec, splits = tiny_setup()
+    cfg.epochs = 1
+    result = train(cfg, spec, splits=splits)
+    splits.test = splits.test[:, :10]
+    need = cfg.model.lookback + cfg.model.horizon
+    with pytest.raises(ContractError) as err:
+        evaluate(result.state, spec, splits=splits, config=cfg)
+    assert str(err.value) == (
+        "test split yields no windows: it has 10 rows and a window needs "
+        f"lookback + horizon = {need}")
 
 
 def test_evaluate_forecast_metrics():

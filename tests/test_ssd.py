@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dema import tensor as T
 from dema.errors import ConfigError
@@ -167,6 +169,46 @@ def test_blocked_survives_underflowing_decay(rng):
     T.backward(T.tsum(T.mul(out, out)))
     assert np.all(np.isfinite(sel.delta.grad))
     assert np.all(np.isfinite(sel.A_log.grad))
+
+
+@st.composite
+def ssd_cases(draw):
+    """Shapes, chunk and step sizes for the blocked scan against the oracle.
+
+    Chunks need not divide L, inputs may carry leading batch axes, and
+    up to three step sizes are large enough that A_bar underflows to 0.
+    """
+    L = draw(st.integers(1, 20))
+    Dh = draw(st.integers(1, 4))
+    Du = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (2,), (2, 3)]))
+    chunk = draw(st.integers(1, L + 3))
+    n_under = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return L, Dh, Du, lead, chunk, n_under, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(ssd_cases())
+def test_blocked_matches_reference_property(case):
+    L, Dh, Du, lead, chunk, n_under, seed = case
+    rng = np.random.default_rng(seed)
+    delta = rng.uniform(0.05, 3.0, lead + (L, Dh))
+    # A = -exp(A_log) <= -e^-1, so delta = 3000 gives delta * A < -745
+    delta.ravel()[rng.choice(delta.size, min(n_under, delta.size),
+                             replace=False)] = 3000.0
+    sel = SelectiveParams(delta=T.Tensor(delta),
+                          B=T.Tensor(rng.standard_normal(lead + (L, Dh))),
+                          C=T.Tensor(rng.standard_normal(lead + (L, Dh))),
+                          A_log=T.Tensor(rng.uniform(-1.0, 1.0, Dh)))
+    d = discretize(sel)
+    assert np.any(d.A_bar.data == 0.0) == (n_under > 0)
+    x = T.Tensor(rng.standard_normal(lead + (L, Du)))
+    ref = ssm_scan_reference(d, sel.C, x)
+    out = ssd_blocked(d, sel.C, x, chunk=chunk).data
+    assert out.shape == ref.shape and np.all(np.isfinite(out))
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(out - ref)) <= 1e-8 * scale
 
 
 def test_blocked_rejects_bad_chunk(rng):
