@@ -13,24 +13,27 @@ path uses too. :func:`dala_core` works on them directly; only the public
 The production path works per key variate, not per (query, key) pair.
 RoPE's relative property, R(l) q . R(j + d) k = R(l - d) q . R(j) k, lets
 every key variate be rotated once at its own positions; each distinct
-shift d of the active pairs (rho > 0, |delta| < L) rotates the query
-streams at l - d instead. The token axis is cut into chunks, as in the
-state-passing schedule of Mamba-2's SSD (Dao & Gu, arXiv:2405.21060)
-applied to linear attention (Katharopoulos et al., arXiv:2006.16236):
+shift d of the active pairs (rho > 0, |delta| < L) rotates the query rows
+at m = l - d instead. The token axis is cut into chunks of c keys, as in
+the state-passing schedule of Mamba-2's SSD (Dao & Gu, arXiv:2405.21060)
+applied to linear attention (Katharopoulos et al., arXiv:2006.16236).
+Query chunk I of shift d holds the rows m in [I c, I c + c), so:
 
-* every chunk builds one k^T v state per key variate, and their prefix
-  sums are shared by all shifts;
-* within a chunk, the scores of the shift's query variates against its
-  key variates are one product, masked by the weights rho_ab [delta_ab =
-  d] and by the shifted causal band 0 <= j + d <= l;
-* every query chunk reads one prefix state, mixed per query variate with
-  the shift's weights; the first -d keys of a negative shift, which it
-  never shows, are masked in the band and taken out of the state;
-* the denominators contract the queries with rho-mixed running key sums.
+* its band is key chunk I alone: the scores of the shift's query
+  variates against its key variates are one product, masked by the
+  weights rho_ab [delta_ab = d] and by the causal band j <= m;
+* the keys of the chunks before I come in through one running k^T v
+  state per key variate, shared by all shifts; each key variate's state
+  meets the queries that read it in one product, weighted by rho;
+* a negative shift never shows its first -d keys: they are zeroed in the
+  band and taken out of the state read by a product with those keys;
+* the denominators of all shifts are one contraction of the queries with
+  rho-mixed running key sums.
 
 The whole attention is one tape node whose VJP retraces this schedule
-backwards. No (N*L) x (N*L) matrix and no per-pair stream is formed. A
-literal double-sum transcription is kept as the test oracle.
+backwards. No (N*L) x (N*L) matrix, no per-pair stream and no per-pair
+state is formed. A literal double-sum transcription is kept as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -70,11 +73,8 @@ def _rope_apply(arr, cos, sin):
     e = arr[..., 0::2]
     o = arr[..., 1::2]
     out = np.empty_like(arr)
-    even, odd = out[..., 0::2], out[..., 1::2]
-    np.multiply(e, cos, out=even)
-    even -= o * sin
-    np.multiply(e, sin, out=odd)
-    odd += o * cos
+    out[..., 0::2] = e * cos - o * sin
+    out[..., 1::2] = e * sin + o * cos
     return out
 
 
@@ -129,39 +129,31 @@ def _swap(x):
     return np.swapaxes(x, -1, -2)
 
 
-def _revcumsum(x, axis):
-    return np.flip(np.cumsum(np.flip(x, axis), axis=axis), axis)
-
-
-def _shift(x, d):
-    """Entry l of the token axis (-2) holds x[..., l - d, :], zero outside."""
-    L = x.shape[-2]
-    lo, hi = max(0, d), min(L, L + d)
-    out = np.zeros_like(x)
-    out[..., lo:hi, :] = x[..., lo - d:hi - d, :]
-    return out
-
-
 def _mix(w, x):
     """out[..., a, :, :] = sum_b w[a, b] x[..., b, :, :] (variate axis -3)."""
     flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
     return (w @ flat).reshape(x.shape[:-3] + (w.shape[0],) + x.shape[-2:])
 
 
-def _to_chunks(x, nb, c):
-    """[..., N, L, D] -> zero-padded chunks [..., nb, N, c, D]."""
-    N, L, D = x.shape[-3:]
-    buf = np.zeros(x.shape[:-2] + (nb * c, D))
-    buf[..., :L, :] = x
-    return np.ascontiguousarray(np.swapaxes(
-        buf.reshape(x.shape[:-2] + (nb, c, D)), -4, -3))
+def _flat(x):
+    """[..., X, c, D] -> [..., X c, D]."""
+    return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))
 
 
-def _from_chunks(x, L):
-    """Inverse of :func:`_to_chunks`: [..., nb, N, c, D] -> [..., N, L, D]."""
-    nb, N, c, D = x.shape[-4:]
-    return np.swapaxes(x, -4, -3).reshape(
-        x.shape[:-4] + (N, nb * c, D))[..., :L, :]
+def _rows(x, idx, lo, n, start=0):
+    """x[..., idx, lo:lo + n, :], zero for the rows outside [start, L)."""
+    out = np.zeros(x.shape[:-3] + (len(idx), n, x.shape[-1]))
+    s0, s1 = max(lo, start), min(lo + n, x.shape[-2])
+    if s1 > s0:
+        out[..., s0 - lo:s1 - lo, :] = x[..., idx, s0:s1, :]
+    return out
+
+
+def _add_rows(x, idx, lo, val, start=0):
+    """x[..., idx, lo:lo + n, :] += val, for the rows inside [start, L)."""
+    s0, s1 = max(lo, start), min(lo + val.shape[-2], x.shape[-2])
+    if s1 > s0:
+        x[..., idx, s0:s1, :] += val[..., s0 - lo:s1 - lo, :]
 
 
 @dataclass
@@ -172,247 +164,181 @@ class _Shift:
     a: np.ndarray     # query variates with a pair at d
     b: np.ndarray     # key variates with a pair at d
     w: np.ndarray     # [A, B] weights rho_ab [delta_ab = d]
-    pick: np.ndarray | None   # [A] index into b of each query's one key
-    keys: np.ndarray  # key variates of the band: b, or b[pick] per query
-    e: int            # floor(-d / c): chunk I's band starts at key chunk I + e
-    cos: np.ndarray   # query rotation at l - d, [nb, 1, c, Du / 2]
-    sin: np.ndarray
-    bands: list       # (i0, n, o, mask) per key offset o; mask is
-                      # [n, 1, A c, B c], or [n, A, c, c] with pick
+    h: int            # keys j < h = max(0, -d) are never shown at d
+    chunks: range     # query chunks I: m = l - d in [I c, I c + c)
+    readers: list     # per key variate: (its queries, as indices into a, w)
 
 
-def _plan_shifts(rho, delta, active, nb, c, table):
-    """One :class:`_Shift` per distinct shift of the active pairs.
-
-    Query chunk I at shift d sees the keys j <= l - d, which end inside key
-    chunk I + e or I + e + 1. Those two chunks are the masked band, and the
-    chunks before I + e come in through the prefix state. The band mask
-    also hides the keys j < -d of a negative shift. When each query variate
-    has one key variate at d, the masked product is block diagonal and the
-    band pairs each query variate with its own key variate instead.
-    """
-    ds = np.unique(delta[active])
-    lo = -int(ds[-1])       # query positions l - d lie in [lo, nb c - ds[0])
-    cos_all, sin_all = table.cos_sin(np.arange(lo, nb * c - int(ds[0])))
-    s = np.arange(c)
+def _plan_shifts(rho, delta, active, L, c):
+    """One :class:`_Shift` per distinct shift of the active pairs."""
+    nb = -(-L // c)
     shifts = []
-    for d in ds:
+    for d in np.unique(delta[active]):
         d = int(d)
         sel = active & (delta == d)
         a = np.flatnonzero(sel.any(axis=1))
         b = np.flatnonzero(sel.any(axis=0))
         w = np.where(sel, rho, 0.0)[np.ix_(a, b)]
-        nz = w != 0
-        pick = nz.argmax(axis=1) if (nz.sum(axis=1) == 1).all() else None
-        e, r = divmod(-d, c)
-        bands = []
-        for o, thr in ((e, r), (e + 1, r - c)):
-            i0, i1 = max(0, -o), min(nb, nb - o)
-            if thr <= -c or i0 >= i1:
-                continue
-            key = (np.arange(i0, i1)[:, None] + o) * c + s     # [n, u]
-            m = (s[None, :] - s[:, None] <= thr) & (key[:, None, :] >= -d)
-            if pick is None:
-                mask = (w[None, :, None, :, None] * m[:, None, :, None, :]
-                        ).reshape(i1 - i0, 1, len(a) * c, len(b) * c)
-            else:
-                mask = w.sum(axis=1)[None, :, None, None] * m[:, None, :, :]
-            bands.append((i0, i1 - i0, o, mask))
-        cos, sin = (x[-d - lo:-d - lo + nb * c].reshape(nb, 1, c, -1)
-                    for x in (cos_all, sin_all))
-        keys = b if pick is None else b[pick]
-        shifts.append(_Shift(d, a, b, w, pick, keys, e, cos, sin, bands))
+        h = max(0, -d)
+        # the queries l in [0, L) sit at m in [h, L - d); the last chunk
+        # also takes the rows m >= nb c, which see every key
+        chunks = range(h // c, min(nb, -(-(L - d) // c)))
+        readers = [(np.flatnonzero(col), col[col != 0]) for col in w.T]
+        shifts.append(_Shift(d, a, b, w, h, chunks, readers))
     return shifts
 
 
-def _take(x, idx):
-    """Variates idx of x (axis -3), a view when idx is evenly spaced.
-
-    An idx that repeats one variate gives that variate alone, which
-    broadcasts against the selection.
-    """
-    step = idx[1] - idx[0] if len(idx) > 1 else 1
-    if step >= 0 and (np.diff(idx) == step).all():
-        return x[..., idx[0]:idx[-1] + 1:max(step, 1), :, :]
-    return np.take(x, idx, axis=-3)
+def _band_mask(w, t, c):
+    """[A t, B c]: w_ab [key s <= query row t'] for t query rows."""
+    causal = np.arange(c)[None, :] <= np.arange(t)[:, None]
+    return (w[:, None, :, None] * causal[None, :, None, :]).reshape(
+        len(w) * t, -1)
 
 
-def _add_into(x, idx, val):
-    """x[..., idx, :, :] += val (variate axis -3), in place."""
-    if len(idx) == x.shape[-3]:
-        x += val
-    else:
-        x[..., idx, :, :] += val
-
-
-def _band(x, j0, n, flat):
-    """Chunks j0 .. j0 + n of x [..., nb, X, c, D], as [..., n, 1, X c, D]
-    when flat, else as they are."""
-    x = x[..., j0:j0 + n, :, :, :]
-    return x.reshape(x.shape[:-3] + (1, -1, x.shape[-1])) if flat else x
-
-
-def _attend(phq, phk, v, shifts, table, rotated, nb, c, record):
+def _attend(phq, phk, v, shifts, table, rotated, c, record):
     """Numerator [..., N, L, Du] and denominator [..., N, L, 1] of DALA.
 
     Returns them with the VJP that maps their gradients to those of the
     feature maps phq, phk and the values v (all [..., N, L, Du]). With
-    `record`, each shift's streams, band scores and key sums are kept for
-    the VJP.
+    `record`, the states and every chunk's queries and band scores are kept
+    for the VJP.
     """
-    L, Du = v.shape[-2:]
-    cos_k, sin_k = table.cos_sin(np.arange(L))
-    kr = _rope_apply(phk, cos_k, sin_k)        # keys at their own positions
-    kd = kr if rotated else phk                # keys of the denominator
-    q_ch, k_ch, v_ch = (_to_chunks(x, nb, c) for x in (phq, kr, v))
-    zero_state = np.zeros((Du, Du))
+    N, L, Du = v.shape[-3:]
+    nb = -(-L // c)                            # chunks
+    top = L + max(sh.h for sh in shifts)       # query rows m < top
 
-    def prefix_states():
-        # P[J] sums the k^T v states of the chunks before J,
-        # [..., nb + 1, N, Du, Du]; every chunk builds its state, the last too
-        P = np.zeros(k_ch.shape[:-4] + (nb + 1, k_ch.shape[-3], Du, Du))
-        np.matmul(_swap(k_ch), v_ch, out=P[..., 1:, :, :, :])
-        for J in range(1, nb):
-            P[..., J + 1, :, :, :] += P[..., J, :, :, :]
-        return P
+    cos, sin = table.cos_sin(np.arange(top))
+    kr = _rope_apply(phk, cos[:L], sin[:L])    # keys at their own positions
+    # running key sums of the denominators; past L they hold the total
+    K = np.cumsum(np.pad(kr if rotated else phk, [(0, 0)] * (v.ndim - 2) +
+                         [(0, top - L), (0, 0)]), axis=-2)
 
-    def streams(sh):
-        # the shift's queries, also rotated at l - d, and its keys and values
-        qa = _take(q_ch, sh.a)
-        return qa, _rope_apply(qa, sh.cos, sh.sin), _take(k_ch, sh.keys), \
-            _take(v_ch, sh.keys)
+    def read(S, h, sh, q, out):
+        # out[a] += sum_b w_ab q_a (S_b less the first h keys): per key
+        # variate, one product of its queries with its state
+        for b, (sel, wb) in zip(sh.b, sh.readers):
+            qb = _flat(q[..., sel, :, :])
+            r = qb @ S[..., b, :, :]
+            if h:
+                r -= (qb @ _swap(kr[..., b, :h, :])) @ v[..., b, :h, :]
+            out[..., sel, :, :] += wb[:, None, None] * r.reshape(
+                q[..., sel, :, :].shape)
 
-    def hidden(sh):
-        # token slices of the keys j < -d, which a negative shift never shows
-        m = -sh.d
-        return _take(kr[..., :m, :], sh.b), _take(v[..., :m, :], sh.b)
-
-    def src(sh, I):
-        # the prefix state query chunk I reads: the chunks before its band
-        return min(max(I + sh.e, 0), nb)
-
-    def mixed_states(P, sh):
-        # (I, M, scale) per query chunk I >= 1, which reads (q @ M) * scale.
-        # M is the w-mix of the prefix states before the band, less the keys
-        # that a negative shift hides. When each query variate has a single
-        # key variate, M is that variate's state and w scales the read.
-        if sh.pick is None:
-            scale = 1.0
-
-            def select(x):
-                return _mix(sh.w, x)
-        else:
-            scale = sh.w[np.arange(len(sh.a)), sh.pick][:, None, None]
-
-            def select(x):
-                return _take(x, sh.pick)
-        hid = None
-        if sh.d < 0 and nb > 1:
-            kh, vh = hidden(sh)
-            hid = select(_swap(kh) @ vh)
-        for I in range(1, nb):
-            M = select(_take(P[..., src(sh, I), :, :, :], sh.b))
-            yield I, (M if hid is None else M - hid), scale
+    def read_vjp(S, sh, q, go, gq, gS, gkr, gv):
+        for b, (sel, wb) in zip(sh.b, sh.readers):
+            qb = _flat(q[..., sel, :, :])
+            gr = _flat(wb[:, None, None] * go[..., sel, :, :])
+            gqb = gr @ _swap(S[..., b, :, :])
+            gS[..., b, :, :] += _swap(qb) @ gr
+            if sh.h:
+                hk, hv = kr[..., b, :sh.h, :], v[..., b, :sh.h, :]
+                gp = gr @ _swap(hv)
+                gqb -= gp @ hk
+                gkr[..., b, :sh.h, :] -= _swap(gp) @ qb
+                gv[..., b, :sh.h, :] -= _swap(qb @ _swap(hk)) @ gr
+            gq[..., sel, :, :] += gqb.reshape(go[..., sel, :, :].shape)
 
     def key_sums(sh):
-        # z[a, l] = sum_b w_ab sum_{0 <= j + d <= l} kd[b, j], chunked
-        ks = np.cumsum(_shift(_take(kd, sh.b), sh.d), axis=-2)
-        return _to_chunks(_mix(sh.w, ks), nb, c)
+        # [..., B, L, Du]: row l sums the keys j in [h, l - d]
+        z = _rows(K, sh.b, -sh.d, L)
+        return z - K[..., sh.b, sh.h - 1:sh.h, :] if sh.h else z
 
-    P = prefix_states()
-    num = np.zeros_like(v_ch)
-    den = np.zeros(v_ch.shape[:-1] + (1,))
-    saved = []
+    # den[a, l] = sum_d qd_a(l - d) . z_d[a, l] with the rho-mixed key sums
+    # z_d; qd_a(l - d) . z = qd_a(l) . R(d) z, so one contraction serves all
+    qd = _rope_apply(phq, cos[:L], sin[:L]) if rotated else phq
+    Z = np.zeros_like(phq)
     for sh in shifts:
-        qa, q, kb, vb = streams(sh)
-        out = np.empty_like(q)
-        # chunk 0 reads the zero state: each chunk reads one state, so the
-        # state work stays exactly linear in the chunk count
-        out[..., :1, :, :, :] = q[..., :1, :, :, :] @ zero_state
-        for I, M, scale in mixed_states(P, sh):
-            out[..., I, :, :, :] = (q[..., I, :, :, :] @ M) * scale
-        flat = sh.pick is None
-        atts = []
-        for i0, n, o, mask in sh.bands:
-            atts.append((_band(q, i0, n, flat)
-                         @ _swap(_band(kb, i0 + o, n, flat))) * mask)
-            blk = out[..., i0:i0 + n, :, :, :]
-            blk += (atts[-1] @ _band(vb, i0 + o, n, flat)).reshape(blk.shape)
-        _add_into(num, sh.a, out)
-        z = key_sums(sh)
-        _add_into(den, sh.a, np.sum((q if rotated else qa) * z, axis=-1,
-                                    keepdims=True))
-        if record:
-            saved.append((qa, q, kb, vb, atts, z))
-    del P
-    num, den = _from_chunks(num, L), _from_chunks(den, L)
+        z = _mix(sh.w, key_sums(sh))
+        Z[..., sh.a, :, :] += _rope_apply(z, *table.cos_sin(sh.d)) \
+            if rotated else z
+    den = np.sum(qd * Z, axis=-1, keepdims=True)
+
+    def chunk(sh, I):
+        # query rows l = m + d of chunk I, the rows m and the band mask
+        t = c if I + 1 < nb else L - sh.d - I * c
+        return I * c + sh.d, slice(I * c, I * c + t), _band_mask(sh.w, t, c)
+
+    num = np.zeros_like(v)
+    zero = np.zeros((N, Du, Du))
+    S = zero                                   # k^T v of the chunks before I
+    states, saved = [], {}
+    for I in range(nb):
+        rows = slice(I * c, I * c + c)
+        for j, sh in enumerate(shifts):
+            if I not in sh.chunks:
+                continue
+            lo, m, mask = chunk(sh, I)
+            q = _rope_apply(_rows(phq, sh.a, lo, m.stop - m.start),
+                            cos[m], sin[m])        # rotated at m = l - d
+            # the band: the keys of chunk I, up to the query's own m
+            kb = _rows(kr, sh.b, I * c, c, sh.h)
+            att = (_flat(q) @ _swap(_flat(kb))) * mask
+            out = (att @ _flat(_rows(v, sh.b, I * c, c))).reshape(q.shape)
+            # the keys before chunk I that the shift shows; a chunk before
+            # which it shows none, chunk 0 too, reads the zero state
+            if I * c >= sh.h:
+                read(S, sh.h, sh, q, out)
+            else:
+                read(zero, 0, sh, q, out)
+            _add_rows(num, sh.a, lo, out)
+            if record:
+                saved[I, j] = q, att
+        states.append(S)
+        # every chunk builds its state, the last one too: as every chunk
+        # reads one, the state work grows exactly with the chunk count, as
+        # criterion 8 (time per doubling of the window) needs
+        S = S + _swap(kr[..., rows, :]) @ v[..., rows, :]
+    if not record:
+        states = None
 
     def vjp(gnum, gden):
-        gn, gd = _to_chunks(gnum, nb, c), _to_chunks(gden, nb, c)
-        gq_ch, gk_ch, gv_ch = (np.zeros_like(x) for x in (q_ch, k_ch, v_ch))
-        gkr, gkd, gv = (np.zeros_like(x) for x in (kr, kd, v))
-        # chunk 0 reads the zero state, so only chunks 1.. send gradients
-        # back into the prefix states
-        P = prefix_states() if nb > 1 else None
-        gP = np.zeros_like(P) if nb > 1 else None
-        for sh, (qa, q, kb, vb, atts, z) in zip(shifts, saved):
-            go = _take(gn, sh.a)
-            gq = np.zeros_like(q)
-            # one gradient per band key: per key variate, or per query
-            gkb, gvb = (np.zeros(x.shape[:-3] + (len(sh.keys),) + x.shape[-2:])
-                        for x in (kb, vb))
-            ghid = 0
-            for I, M, scale in mixed_states(P, sh):
-                # out[I] = (q[I] @ M[I]) * scale; chunk 0 reads the zero state
-                gq[..., I, :, :, :] = (go[..., I, :, :, :] @ _swap(M)) * scale
-                gM = _swap(q[..., I, :, :, :]) @ go[..., I, :, :, :]
-                _add_into(gP[..., src(sh, I), :, :, :], sh.b, _mix(sh.w.T, gM))
-                ghid = ghid - gM
-            if sh.d < 0 and nb > 1:
-                kh, vh = hidden(sh)
-                gh = _mix(sh.w.T, ghid)
-                _add_into(gkr[..., :vh.shape[-2], :], sh.b, vh @ _swap(gh))
-                _add_into(gv[..., :vh.shape[-2], :], sh.b, kh @ gh)
-            flat = sh.pick is None
-            for (i0, n, o, mask), att in zip(sh.bands, atts):
-                # out[I] += att v with att = (q k^T) * mask, over the band
-                qi, kj, vj, goi = (_band(x, j0, n, flat) for x, j0 in (
-                    (q, i0), (kb, i0 + o), (vb, i0 + o), (go, i0)))
-                gatt = (goi @ _swap(vj)) * mask
-                for g, x, j0 in ((gq, gatt @ kj, i0),
-                                 (gkb, _swap(gatt) @ qi, i0 + o),
-                                 (gvb, _swap(att) @ goi, i0 + o)):
-                    blk = g[..., j0:j0 + n, :, :, :]
-                    blk += x.reshape(blk.shape)
-            # den[a, l] += qd . z
-            gda = _take(gd, sh.a)
+        gq = np.zeros_like(phq)
+        gkr, gv, gK = (np.zeros_like(x) for x in (kr, v, K))
+        gS = np.zeros_like(S)
+        gZ = gden * qd
+        for sh in shifts:
+            gz = gZ[..., sh.a, :, :]
             if rotated:
-                gq += gda * z
-            gz = _mix(sh.w.T, _from_chunks(gda * (q if rotated else qa), L))
-            _add_into(gkd, sh.b, _shift(_revcumsum(gz, -2), -sh.d))
-            gqa = _rope_apply(gq, sh.cos, -sh.sin)
-            if not rotated:
-                gqa += gda * z
-            _add_into(gq_ch, sh.a, gqa)
-            if sh.pick is not None:
-                to_b = (sh.w != 0).T.astype(float)    # query a's key is b
-                gkb, gvb = _mix(to_b, gkb), _mix(to_b, gvb)
-            _add_into(gk_ch, sh.b, gkb)
-            _add_into(gv_ch, sh.b, gvb)
-        if nb > 1:
-            # P[J] sums kv of the chunks before J: kv[J] collects gP[J + 1 ..]
-            del P
-            for J in range(nb - 1, 0, -1):
-                gP[..., J, :, :, :] += gP[..., J + 1, :, :, :]
-            gk_ch += v_ch @ _swap(gP[..., 1:, :, :, :])
-            gv_ch += k_ch @ gP[..., 1:, :, :, :]
-        gkr += _from_chunks(gk_ch, L)
+                cd, sd = table.cos_sin(sh.d)
+                gz = _rope_apply(gz, cd, -sd)
+            gz = _mix(sh.w.T, gz)
+            _add_rows(gK, sh.b, -sh.d, gz)
+            if sh.h:
+                gK[..., sh.b, sh.h - 1:sh.h, :] -= gz.sum(axis=-2,
+                                                         keepdims=True)
+        gqd = gden * Z
+        for I in reversed(range(nb)):
+            rows = slice(I * c, I * c + c)
+            if I + 1 < nb:
+                # S grew by k^T v of chunk I for the chunks after it
+                gkr[..., rows, :] += v[..., rows, :] @ _swap(gS)
+                gv[..., rows, :] += kr[..., rows, :] @ gS
+            for j, sh in enumerate(shifts):
+                if I not in sh.chunks:
+                    continue
+                q, att = saved.pop((I, j))
+                lo, m, mask = chunk(sh, I)
+                go = _rows(gnum, sh.a, lo, q.shape[-2])
+                kb = _rows(kr, sh.b, I * c, c, sh.h)
+                vb = _rows(v, sh.b, I * c, c)
+                gatt = (_flat(go) @ _swap(_flat(vb))) * mask
+                gqr = (gatt @ _flat(kb)).reshape(q.shape)
+                _add_rows(gkr, sh.b, I * c, (_swap(gatt) @ _flat(q)
+                                             ).reshape(kb.shape), sh.h)
+                _add_rows(gv, sh.b, I * c, (_swap(att) @ _flat(go)
+                                            ).reshape(vb.shape))
+                if I * c > sh.h:
+                    # a state without a key the shift shows sends nothing back
+                    read_vjp(states[I], sh, q, go, gqr, gS, gkr, gv)
+                _add_rows(gq, sh.a, lo, _rope_apply(gqr, cos[m], -sin[m]))
+        gq += _rope_apply(gqd, cos[:L], -sin[:L]) if rotated else gqd
+        gkd = np.flip(np.cumsum(np.flip(gK, -2), axis=-2), -2)[..., :L, :]
         if rotated:
             gkr += gkd
-        gphk = _rope_apply(gkr, cos_k, -sin_k)
+        gphk = _rope_apply(gkr, cos[:L], -sin[:L])
         if not rotated:
             gphk += gkd
-        return _from_chunks(gq_ch, L), gphk, gv + _from_chunks(gv_ch, L)
+        return gq, gphk, gv
 
     return num, den, vjp
 
@@ -442,11 +368,11 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
     c = -(-L // nb)
     phi_q = kernel_phi(q, p)
     phi_k = kernel_phi(k, p)
-    shifts = _plan_shifts(rho, delta, active, nb, c, table)
+    shifts = _plan_shifts(rho, delta, active, L, c)
     record = T._grad_enabled and any(
         t.requires_grad for t in (phi_q, phi_k, v))   # as T._make decides
     num, den, vjp = _attend(phi_q.data, phi_k.data, v.data, shifts, table,
-                            rotated_denominator, nb, c, record)
+                            rotated_denominator, c, record)
     # query (a, l) sees a key once l reaches the smallest max(0, delta_ab);
     # tokens with no key in range fall back to their own value
     first = np.where(active, np.maximum(delta, 0), L).min(axis=1)

@@ -312,7 +312,7 @@ def test_gradient_finite_difference_with_shifts(rng):
 @pytest.mark.parametrize("chunk", [3, 8])
 def test_shift_with_one_key_per_query_matches_oracle(rng, chunk):
     # at shift 2 every query variate has one key variate, and two of them
-    # share key variate 2: keys [0, 2, 2] are neither a range nor one key
+    # share key variate 2, so one key variate's state serves two queries
     delta = np.array([[2, -1, 5, 0], [3, 0, 1, -2],
                       [1, -3, 2, 4], [0, 6, 2, -1]])
     rho = np.array([[0.9, 0.5, 0.0, 0.3], [0.6, 1.0, 0.2, 0.4],
@@ -323,7 +323,10 @@ def test_shift_with_one_key_per_query_matches_oracle(rng, chunk):
         out = dala_attention(inp, rotated_denominator=rotated,
                              chunk=chunk).data
         ref = naive_dala_oracle(inp, rotated_denominator=rotated)
-        assert np.max(np.abs(out - ref)) <= 1e-9
+        # a rotated denominator can sit at eps, so scale as the property
+        # test does
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(out - ref)) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("rotated", [False, True])
