@@ -203,7 +203,7 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
     `record`, the states and every chunk's queries and band scores are kept
     for the VJP.
     """
-    N, L, Du = v.shape[-3:]
+    L, Du = v.shape[-2:]
     nb = -(-L // c)                            # chunks
     top = L + max(sh.h for sh in shifts)       # query rows m < top
 
@@ -213,14 +213,14 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
     K = np.cumsum(np.pad(kr if rotated else phk, [(0, 0)] * (v.ndim - 2) +
                          [(0, top - L), (0, 0)]), axis=-2)
 
-    def read(S, h, sh, q, out):
-        # out[a] += sum_b w_ab q_a (S_b less the first h keys): per key
-        # variate, one product of its queries with its state
+    def read(S, sh, q, out):
+        # out[a] += sum_b w_ab q_a (S_b less the keys the shift never shows):
+        # per key variate, one product of its queries with its state
         for b, (sel, wb) in zip(sh.b, sh.readers):
             qb = _flat(q[..., sel, :, :])
             r = qb @ S[..., b, :, :]
-            if h:
-                r -= (qb @ _swap(kr[..., b, :h, :])) @ v[..., b, :h, :]
+            if sh.h:
+                r -= (qb @ _swap(kr[..., b, :sh.h, :])) @ v[..., b, :sh.h, :]
             out[..., sel, :, :] += wb[:, None, None] * r.reshape(
                 q[..., sel, :, :].shape)
 
@@ -259,8 +259,8 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
         return I * c + sh.d, slice(I * c, I * c + t), _band_mask(sh.w, t, c)
 
     num = np.zeros_like(v)
-    zero = np.zeros((N, Du, Du))
-    S = zero                                   # k^T v of the chunks before I
+    zero = np.zeros((Du, Du))
+    S = 0.0                                    # k^T v of the chunks before I
     states, saved = [], {}
     for I in range(nb):
         rows = slice(I * c, I * c + c)
@@ -274,12 +274,13 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
             kb = _rows(kr, sh.b, I * c, c, sh.h)
             att = (_flat(q) @ _swap(_flat(kb))) * mask
             out = (att @ _flat(_rows(v, sh.b, I * c, c))).reshape(q.shape)
-            # the keys before chunk I that the shift shows; a chunk before
-            # which it shows none, chunk 0 too, reads the zero state
-            if I * c >= sh.h:
-                read(S, sh.h, sh, q, out)
+            if I * c > sh.h:
+                # the keys before chunk I that the shift shows
+                read(S, sh, q, out)
             else:
-                read(zero, 0, sh, q, out)
+                # none (chunk 0 too): read the zero state, so that every
+                # chunk reads one
+                out += q @ zero
             _add_rows(num, sh.a, lo, out)
             if record:
                 saved[I, j] = q, att
@@ -294,7 +295,7 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
     def vjp(gnum, gden):
         gq = np.zeros_like(phq)
         gkr, gv, gK = (np.zeros_like(x) for x in (kr, v, K))
-        gS = np.zeros_like(S)
+        gS = np.zeros_like(states[-1])
         gZ = gden * qd
         for sh in shifts:
             gz = gZ[..., sh.a, :, :]
@@ -328,7 +329,6 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
                 _add_rows(gv, sh.b, I * c, (_swap(att) @ _flat(go)
                                             ).reshape(vb.shape))
                 if I * c > sh.h:
-                    # a state without a key the shift shows sends nothing back
                     read_vjp(states[I], sh, q, go, gqr, gS, gkr, gv)
                 _add_rows(gq, sh.a, lo, _rope_apply(gqr, cos[m], -sin[m]))
         gq += _rope_apply(gqd, cos[:L], -sin[:L]) if rotated else gqd
