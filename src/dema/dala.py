@@ -284,13 +284,12 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
             _add_rows(num, sh.a, lo, out)
             if record:
                 saved[I, j] = q, att
-        states.append(S)
+        if record:
+            states.append(S)
         # every chunk builds its state, the last one too: as every chunk
         # reads one, the state work grows exactly with the chunk count, as
         # criterion 8 (time per doubling of the window) needs
         S = S + _swap(kr[..., rows, :]) @ v[..., rows, :]
-    if not record:
-        states = None
 
     def vjp(gnum, gden):
         gq = np.zeros_like(phq)
