@@ -117,16 +117,19 @@ def _predict_task(args, task):
     cfg, spec = _load_configs(args)
     state = _load_state(args, cfg, task)
     splits = load_csv_dataset(spec)
+    # evaluate rejects a test split shorter than one window
+    metrics = evaluate(state, spec, splits=splits, config=cfg)
     priors = choose_priors(splits, state.config, cfg.global_priors)
     L = state.config.lookback
+    # every non-overlapping test window in one batched forward
+    windows = np.stack([splits.test[:, s:s + L]
+                        for s in range(0, splits.test.shape[1] - L + 1, L)])
     with T.no_grad():
-        outputs = [model_forward(splits.test[:, s:s + L], state, priors).data
-                   for s in range(0, splits.test.shape[1] - L + 1, L)]
-    pred = np.concatenate(outputs, axis=1) if outputs else np.zeros((0, 0))
+        pred = model_forward(windows, state, priors).data
     os.makedirs(args.out, exist_ok=True)
-    write_predictions(pred, os.path.join(args.out, "predictions.csv"),
-                      splits.columns)
-    _report(evaluate(state, spec, splits=splits, config=cfg), args.out)
+    write_predictions(np.concatenate(list(pred), axis=1),
+                      os.path.join(args.out, "predictions.csv"), splits.columns)
+    _report(metrics, args.out)
 
 
 def cmd_forecast(args):

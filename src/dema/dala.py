@@ -30,6 +30,11 @@ Query chunk I of shift d holds the rows m in [I c, I c + c), so:
 * the denominators of all shifts are one contraction of the queries with
   rho-mixed running key sums.
 
+Priors are shared ([N, N]) or one set per window ([..., N, N]). A batch
+of windows plans the union of its windows' shifts, and each shift's
+weights and band masks carry the batch axis, zero where a window has no
+pair at that shift.
+
 The whole attention is one tape node whose VJP retraces this schedule
 backwards. No (N*L) x (N*L) matrix, no per-pair stream and no per-pair
 state is formed. A literal double-sum transcription is kept as the test
@@ -130,9 +135,10 @@ def _swap(x):
 
 
 def _mix(w, x):
-    """out[..., a, :, :] = sum_b w[a, b] x[..., b, :, :] (variate axis -3)."""
+    """out[..., a, :, :] = sum_b w[..., a, b] x[..., b, :, :] (variate axis -3)."""
     flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
-    return (w @ flat).reshape(x.shape[:-3] + (w.shape[0],) + x.shape[-2:])
+    out = w @ flat
+    return out.reshape(out.shape[:-1] + x.shape[-2:])
 
 
 def _flat(x):
@@ -161,38 +167,42 @@ class _Shift:
     """What the attention needs for one token shift d of the active pairs."""
 
     d: int
-    a: np.ndarray     # query variates with a pair at d
+    a: np.ndarray     # query variates with a pair at d (in some window)
     b: np.ndarray     # key variates with a pair at d
-    w: np.ndarray     # [A, B] weights rho_ab [delta_ab = d]
+    w: np.ndarray     # [..., A, B] weights rho_ab [delta_ab = d]
     h: int            # keys j < h = max(0, -d) are never shown at d
     chunks: range     # query chunks I: m = l - d in [I c, I c + c)
-    readers: list     # per key variate: (its queries, as indices into a, w)
+    readers: list     # per key variate: (its queries, as indices into a,
+                      # and their weights [..., S])
 
 
 def _plan_shifts(rho, delta, active, L, c):
-    """One :class:`_Shift` per distinct shift of the active pairs."""
+    """One :class:`_Shift` per distinct shift of the active pairs (of any
+    window, for priors with a batch axis)."""
     nb = -(-L // c)
     shifts = []
     for d in np.unique(delta[active]):
         d = int(d)
         sel = active & (delta == d)
-        a = np.flatnonzero(sel.any(axis=1))
-        b = np.flatnonzero(sel.any(axis=0))
-        w = np.where(sel, rho, 0.0)[np.ix_(a, b)]
+        pairs = sel.reshape((-1,) + sel.shape[-2:]).any(axis=0)
+        a = np.flatnonzero(pairs.any(axis=1))
+        b = np.flatnonzero(pairs.any(axis=0))
+        w = np.where(sel, rho, 0.0)[..., a[:, None], b]
         h = max(0, -d)
         # the queries l in [0, L) sit at m in [h, L - d); the last chunk
         # also takes the rows m >= nb c, which see every key
         chunks = range(h // c, min(nb, -(-(L - d) // c)))
-        readers = [(np.flatnonzero(col), col[col != 0]) for col in w.T]
+        readers = [(sel, w[..., sel, k]) for k, sel in enumerate(
+            np.flatnonzero(col) for col in pairs[np.ix_(a, b)].T)]
         shifts.append(_Shift(d, a, b, w, h, chunks, readers))
     return shifts
 
 
 def _band_mask(w, t, c):
-    """[A t, B c]: w_ab [key s <= query row t'] for t query rows."""
+    """[..., A t, B c]: w_ab [key s <= query row t'] for t query rows."""
     causal = np.arange(c)[None, :] <= np.arange(t)[:, None]
-    return (w[:, None, :, None] * causal[None, :, None, :]).reshape(
-        len(w) * t, -1)
+    return (w[..., :, None, :, None] * causal[:, None, :]).reshape(
+        w.shape[:-2] + (w.shape[-2] * t, -1))
 
 
 def _attend(phq, phk, v, shifts, table, rotated, c, record):
@@ -221,13 +231,13 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
             r = qb @ S[..., b, :, :]
             if sh.h:
                 r -= (qb @ _swap(kr[..., b, :sh.h, :])) @ v[..., b, :sh.h, :]
-            out[..., sel, :, :] += wb[:, None, None] * r.reshape(
+            out[..., sel, :, :] += wb[..., None, None] * r.reshape(
                 q[..., sel, :, :].shape)
 
     def read_vjp(S, sh, q, go, gq, gS, gkr, gv):
         for b, (sel, wb) in zip(sh.b, sh.readers):
             qb = _flat(q[..., sel, :, :])
-            gr = _flat(wb[:, None, None] * go[..., sel, :, :])
+            gr = _flat(wb[..., None, None] * go[..., sel, :, :])
             gqb = gr @ _swap(S[..., b, :, :])
             gS[..., b, :, :] += _swap(qb) @ gr
             if sh.h:
@@ -301,7 +311,7 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
             if rotated:
                 cd, sd = table.cos_sin(sh.d)
                 gz = _rope_apply(gz, cd, -sd)
-            gz = _mix(sh.w.T, gz)
+            gz = _mix(_swap(sh.w), gz)
             _add_rows(gK, sh.b, -sh.d, gz)
             if sh.h:
                 gK[..., sh.b, sh.h - 1:sh.h, :] -= gz.sum(axis=-2,
@@ -345,13 +355,18 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
 def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
               table: RotaryTable | None = None, eps: float = ATTN_EPS,
               rotated_denominator: bool = False, chunk: int = 64) -> T.Tensor:
-    """Delay-aware causal linear attention on token streams [..., N, L, Du]."""
+    """Delay-aware causal linear attention on token streams [..., N, L, Du].
+
+    The priors are [N, N], shared by every window, or [..., N, N] with the
+    tokens' batch shape, one set per window.
+    """
     q, k, v = T._wrap(q), T._wrap(k), T._wrap(v)
     N, L, Du = q.shape[-3], q.shape[-2], q.shape[-1]
-    if priors.n_variates != N:
+    shape = np.shape(priors.delta_tok)
+    if shape not in ((N, N), q.shape[:-3] + (N, N)):
         raise ContractError(
-            f"priors are {priors.n_variates}x{priors.n_variates} "
-            f"but the tokens have {N} variates")
+            f"priors of shape {shape} do not fit tokens of shape {q.shape}: "
+            f"they must be {(N, N)} or {q.shape[:-3] + (N, N)}")
     rho = priors.rho_weights()
     delta = np.asarray(priors.delta_tok)
     active = (rho > 0) & (np.abs(delta) < L)
@@ -374,8 +389,8 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
                             rotated_denominator, c, record)
     # query (a, l) sees a key once l reaches the smallest max(0, delta_ab);
     # tokens with no key in range fall back to their own value
-    first = np.where(active, np.maximum(delta, 0), L).min(axis=1)
-    keep = (np.arange(L)[None, :] >= first[:, None])[..., None]
+    first = np.where(active, np.maximum(delta, 0), L).min(axis=-1)
+    keep = (np.arange(L) >= first[..., None])[..., None]
     dd = np.maximum(den, eps)
     y = np.where(keep, num / dd, v.data)
 

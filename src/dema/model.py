@@ -264,31 +264,16 @@ def backbone_forward(window: np.ndarray, state: ModelState,
                      trace: bool = False) -> BackboneOutput:
     """Run the stacked blocks on one window [N, T] or a batch [G, N, T].
 
-    Delay priors default to per-window estimation from the raw values; a
-    precomputed `priors` is shared across the whole batch.
+    Without `priors`, each window's delay priors are estimated from its raw
+    values, in one :func:`delay_matrix` call for the whole batch; the
+    forward then takes the per-window priors [G, N, N] as one batch. A
+    precomputed `priors` [N, N] is shared across the whole batch.
     """
     window = np.asarray(window, dtype=np.float64)
     cfg = state.config
     if window.shape[-1] != cfg.lookback:
         raise ContractError(
             f"window length {window.shape[-1]} != lookback {cfg.lookback}")
-    if priors is None and window.ndim == 3:
-        # per-window priors differ, so windows cannot share one attention
-        # shift pattern; run them one by one and stitch the outputs
-        outs = [backbone_forward(w, state, None, trace) for w in window]
-        Z = T.concat([T.reshape(o.Z, (1,) + o.Z.shape) for o in outs], axis=0)
-        stats = InstanceStats(
-            mean=np.stack([o.stats.mean for o in outs]),
-            std=np.stack([o.stats.std for o in outs]),
-        )
-        per_block = None
-        if trace:
-            per_block = [
-                T.concat([T.reshape(o.per_block[i], (1,) + o.per_block[i].shape)
-                          for o in outs], axis=0)
-                for i in range(cfg.n_blocks)
-            ]
-        return BackboneOutput(Z=Z, stats=stats, per_block=per_block)
     if priors is None:
         priors = delay_matrix(window, cfg.lag_bound(), cfg.patch_len)
     x_time, x_var, stats = _tokenize(window, state)

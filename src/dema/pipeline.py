@@ -290,7 +290,8 @@ class Adam:
 @dataclass
 class TrainResult:
     state: ModelState
-    log: list  # per-epoch dicts: losses, wall time, rate, gradient norm
+    log: list  # per-epoch dicts: losses, wall time, rate, gradient norm;
+               # a diverged run ends with its non-finite-loss event
     best_epoch: int
     diverged: bool = False
 
@@ -387,6 +388,8 @@ def train(config: TrainConfig, spec: DatasetSpec,
                                mask_ratio=spec.mask_ratio)
             if not np.isfinite(loss.data):
                 diverged = True
+                log.append({"epoch": epoch, "batch_start": start,
+                            "event": "non-finite loss"})
                 break
             T.backward(loss)
             grad_norms.append(_grad_norm(opt.params))

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import coupled_series
+from dema import cli
+from dema import tensor as T
 from dema.cli import main
+from dema.model import load_checkpoint, model_forward
+from dema.pipeline import (DatasetSpec, choose_priors, load_csv_dataset,
+                           parse_config_file)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +77,32 @@ def test_forecast_writes_predictions(workspace):
     rows = (out / "predictions.csv").read_text().strip().splitlines()
     assert rows[0] == "v1,v2"
     assert len(rows) > 1 and len(rows[1].split(",")) == 2
+
+
+@pytest.mark.parametrize("global_priors", ["true", "false"])
+def test_forecast_predictions_match_window_by_window(workspace, monkeypatch,
+                                                     global_priors):
+    # one batched forward gives what one forward per test window gives
+    conf = workspace / f"forecast_{global_priors}.conf"
+    conf.write_text((workspace / "forecast.conf").read_text()
+                    + f"global_priors = {global_priors}\n")
+    ckpt = workspace / "run_forecast" / "checkpoint.npz"
+    written = []
+    monkeypatch.setattr(cli, "write_predictions",
+                        lambda pred, *_: written.append(pred))
+    run(["forecast", "--config", conf, "--data", workspace / "plain.csv",
+         "--out", workspace / "run_forecast", "--checkpoint", ckpt])
+    cfg, _ = parse_config_file(conf)
+    state = load_checkpoint(ckpt)
+    splits = load_csv_dataset(DatasetSpec(path=str(workspace / "plain.csv")))
+    priors = choose_priors(splits, state.config, cfg.global_priors)
+    L = state.config.lookback
+    with T.no_grad():
+        ref = np.concatenate(
+            [model_forward(splits.test[:, s:s + L], state, priors).data
+             for s in range(0, splits.test.shape[1] - L + 1, L)], axis=1)
+    assert len(written) == 1 and written[0].shape == ref.shape
+    np.testing.assert_allclose(written[0], ref, rtol=0, atol=1e-12)
 
 
 def test_impute_roundtrip(workspace):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dema import tensor as T
+from dema import dala
 from dema.dala import (DalaInputs, DalaParams, RotaryTable, dala_attention,
                        dala_core, kernel_phi, mamba_dala_forward,
                        naive_dala_oracle, rope_rotate)
@@ -222,6 +223,18 @@ def test_priors_size_mismatch(rng):
         dala_attention(inp)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 2, 2), (4, 4), (1, 2, 3, 3)])
+def test_priors_batch_mismatch_names_both_shapes(rng, shape):
+    # tokens [2, 3, L, Du]: priors must be [3, 3] or [2, 3, 3]
+    q = T.Tensor(rng.standard_normal((2, 3, 5, 4)))
+    priors = DelayPriors(tau=np.zeros(shape, dtype=np.int64),
+                         rho=np.ones(shape),
+                         delta_tok=np.zeros(shape, dtype=np.int64), max_lag=8)
+    with pytest.raises(ContractError) as err:
+        dala_core(q, q, q, priors)
+    assert str(shape) in str(err.value) and "(2, 3, 5, 4)" in str(err.value)
+
+
 def test_oracle_zero_rho_offdiagonal_fallback(rng):
     # shifts so large that no key is in range for early positions
     N = 2
@@ -381,6 +394,85 @@ def test_active_pairs_need_positive_weight_and_shift_below_l(rng):
     alone = dala_attention(DalaInputs(q=inp.q, k=inp.k, v=inp.v,
                                       priors=DelayPriors.identity(N))).data
     np.testing.assert_allclose(out, alone, atol=1e-12)
+
+
+def window_priors():
+    """Priors [3, 3, 3] that differ per window: shifts of both signs, one
+    beyond L = 7, zero and negative weights, a shift only one window uses,
+    and a window with no cross pair at all."""
+    delta = np.array([[[0, 2, -3], [1, 0, 9], [-2, 2, 0]],
+                      [[0, 4, 1], [-1, 0, 2], [3, -4, 0]],
+                      [[0, 1, 1], [2, 0, -1], [0, 1, 0]]])
+    rho = np.array([[[1.0, 0.6, 0.3], [0.5, 1.0, 0.4], [0.7, 0.9, 0.0]],
+                    [[1.0, 0.2, -0.4], [0.8, 1.0, 0.5], [0.0, 0.6, 1.0]],
+                    [[1.0, -0.1, 0.0], [-0.5, 1.0, 0.0], [-1.0, 0.0, 1.0]]])
+    return DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+
+
+def one_window(priors, g):
+    return DelayPriors(tau=priors.tau[g], rho=priors.rho[g],
+                       delta_tok=priors.delta_tok[g], max_lag=priors.max_lag)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("chunk", [2, 7])
+def test_per_window_priors_match_oracle(rotated, chunk):
+    priors = window_priors()
+    rng = np.random.default_rng(11)
+    q, k, v = (rng.standard_normal((3, 3, 7, 4)) for _ in range(3))
+    out = dala_core(q, k, v, priors, rotated_denominator=rotated,
+                    chunk=chunk).data
+    for g in range(3):
+        ref = naive_dala_oracle(
+            DalaInputs(*(np.swapaxes(x[g], 0, 1) for x in (q, k, v)),
+                       priors=one_window(priors, g)),
+            rotated_denominator=rotated)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(np.swapaxes(out[g], 0, 1) - ref)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_per_window_priors_gradients_match_single_windows(rotated):
+    priors = window_priors()
+    rng = np.random.default_rng(12)
+    datas = [rng.standard_normal((3, 3, 7, 4)) * 0.5 + 1.0 for _ in range(3)]
+    w = rng.standard_normal((3, 3, 7, 4))
+
+    def grads(ds, pri, wg):
+        args = [T.Tensor(d, requires_grad=True) for d in ds]
+        y = dala_core(*args, pri, rotated_denominator=rotated, chunk=3)
+        T.backward(T.tsum(T.mul(y, wg)))
+        return y.data, [np.zeros_like(a.data) if a.grad is None else a.grad
+                        for a in args]
+
+    y, g = grads(datas, priors, w)
+    for i in range(3):
+        yi, gi = grads([d[i] for d in datas], one_window(priors, i), w[i])
+        scale = max(1.0, float(np.max(np.abs(yi))))
+        assert np.max(np.abs(y[i] - yi)) <= 1e-12 * scale
+        for a, b in zip(g, gi):
+            scale = max(1.0, float(np.max(np.abs(b))))
+            assert np.max(np.abs(a[i] - b)) <= 1e-12 * scale
+
+
+def test_shared_priors_keep_unbatched_weights(rng, monkeypatch):
+    # priors [N, N] shared by a batch plan 2-D weights and masks: nothing
+    # is broadcast over the batch
+    masks = []
+    band_mask = dala._band_mask
+    monkeypatch.setattr(dala, "_band_mask",
+                        lambda w, t, c: masks.append(band_mask(w, t, c))
+                        or masks[-1])
+    priors = make_priors(rng, 3)
+    q, k, v = (T.Tensor(rng.standard_normal((4, 3, 6, 4)),
+                        requires_grad=True) for _ in range(3))
+    T.backward(T.tsum(dala_core(q, k, v, priors, chunk=2)))
+    assert masks and all(m.ndim == 2 for m in masks)
+    rho = priors.rho_weights()
+    active = (rho > 0) & (np.abs(priors.delta_tok) < 6)
+    for sh in dala._plan_shifts(rho, priors.delta_tok, active, 6, 2):
+        assert sh.w.shape == (len(sh.a), len(sh.b))
+        assert all(wb.ndim == 1 for _, wb in sh.readers)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chirp
-from dema.delay import (DelayPriors, default_max_lag, delay_matrix,
-                        token_shift, xcorr_delay)
+from dema.delay import (MIN_OVERLAP, DelayPriors, default_max_lag,
+                        delay_matrix, token_shift, xcorr_delay)
 from dema.errors import ContractError
 
 
@@ -116,6 +118,95 @@ def test_delay_matrix_three_chirps():
     expected_tau = np.array([[0, 2, 5], [-2, 0, 3], [-5, -3, 0]])
     np.testing.assert_array_equal(priors.tau, expected_tau)
     assert np.all(priors.rho >= 0.99)
+
+
+@st.composite
+def delay_windows(draw):
+    """A window [N, T], a lag bound and a patch length for delay_matrix.
+
+    Rows mix noise with the cases the oracle's rules decide: constant
+    series (zero spread, so the std == 0 rule skips every lag), copies of
+    one base (duplicated, sign-flipped or scaled by a power of two),
+    series with one common period of 3 to 6 (tied peaks at every aligned
+    lag) and coarsely rounded noise (many repeated values). In each tie the
+    overlaps are the same numbers up to sign and a power of two, so both
+    paths give |rho| = 1 exactly and the tie-break order alone decides.
+    Constants are multiples of 1/4, whose mean is exact; a constant whose
+    mean rounds (0.1 over 96 points) has a spread of 1e-17 in the oracle
+    too, and its rho is rounding noise, as is |rho| = 1 from two
+    different overlaps (a period-2 series against its own shift). There
+    the last bits of the dot products pick the lag, so those are not drawn.
+    """
+    n = draw(st.integers(1, 5))
+    length = draw(st.integers(MIN_OVERLAP, 40))
+    # often near the largest lag with any overlap of MIN_OVERLAP points
+    max_lag = draw(st.one_of(
+        st.integers(0, length - 1),
+        st.integers(max(0, length - MIN_OVERLAP - 1), length - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.standard_normal(length)
+    period = draw(st.integers(3, 6))
+    cycle = np.resize(rng.standard_normal(period), length + period)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(
+            ["noise", "constant", "copy", "periodic", "coarse"]))
+        scale = draw(st.sampled_from([1.0, -1.0, 2.0, -0.5]))
+        if kind == "noise":
+            rows.append(rng.standard_normal(length))
+        elif kind == "constant":
+            rows.append(np.full(length, draw(st.integers(-8, 8)) / 4))
+        elif kind == "copy":
+            rows.append(scale * base)
+        elif kind == "periodic":
+            start = draw(st.integers(0, period - 1))
+            rows.append(scale * cycle[start:start + length])
+        else:
+            rows.append(np.round(2 * rng.standard_normal(length)) / 2)
+    return np.stack(rows), max_lag, draw(st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(delay_windows())
+def test_delay_matrix_matches_pairwise_oracle_property(case):
+    window, max_lag, P = case
+    got = delay_matrix(window, max_lag, P)
+    n = len(window)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                assert (got.tau[a, a], got.rho[a, a], got.delta_tok[a, a]) \
+                    == (0, 1.0, 0)
+                continue
+            est = xcorr_delay(window[a], window[b], max_lag)
+            assert got.tau[a, b] == est.tau, (a, b)
+            assert got.delta_tok[a, b] == token_shift(est.tau, P), (a, b)
+            assert abs(got.rho[a, b] - est.rho) <= 1e-15, (a, b)
+    # a batch of windows gives each window's priors bit for bit
+    batch = np.stack([window, window[::-1], -window])
+    many = delay_matrix(batch, max_lag, P)
+    for g in range(len(batch)):
+        one = delay_matrix(batch[g], max_lag, P)
+        for name in ("tau", "rho", "delta_tok"):
+            np.testing.assert_array_equal(getattr(many, name)[g],
+                                          getattr(one, name))
+
+
+def test_delay_matrix_batch_shapes(rng):
+    priors = delay_matrix(rng.standard_normal((2, 3, 4, 40)), 6, 8)
+    for arr in (priors.tau, priors.rho, priors.delta_tok):
+        assert arr.shape == (2, 3, 4, 4)
+    assert priors.n_variates == 4
+
+
+def test_delay_matrix_input_contract_errors(rng):
+    # the oracle's limits hold for one variate too, where no pair is searched
+    with pytest.raises(ContractError):
+        delay_matrix(rng.standard_normal((1, 8)), 8, 8)
+    with pytest.raises(ContractError):
+        delay_matrix(rng.standard_normal((2, 3)), 1, 8)
+    with pytest.raises(ContractError):
+        delay_matrix(rng.standard_normal((2, 16)), 4, 0)
 
 
 def test_rho_weights_clamped():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dema import model
 from dema import tensor as T
 from dema.delay import DelayPriors
 from dema.embedding import InstanceStats
@@ -174,6 +175,44 @@ def test_backbone_batched_per_window_priors_matches_single(rng):
         for zb, zs in zip(batched.per_block, single.per_block, strict=True):
             np.testing.assert_allclose(zb.data[g], zs.data, rtol=0,
                                        atol=1e-12)
+
+
+def test_backbone_per_window_priors_gradients_match_stitched(rng,
+                                                             monkeypatch):
+    """One batched forward with per-window priors gives the outputs and the
+    parameter gradients of forwarding each window alone and stacking the
+    results, as the backbone used to."""
+    state = ModelState.init(small_config())
+    windows = rng.standard_normal((3, 2, 32))
+    windows[1, 1] = np.roll(windows[1, 0], 3)
+    windows[2, 1] = np.roll(windows[2, 0], -6)  # another shift
+    target = rng.standard_normal((3, 2, 8))
+
+    def step(forward):
+        state.zero_grad()
+        pred = forward()
+        diff = T.sub(pred, target)
+        T.backward(T.tmean(T.mul(diff, diff)))
+        return pred.data, {n: p.grad.copy() for n, p in state.parameters()}
+
+    def stitched():
+        outs = [backbone_forward(w, state) for w in windows]
+        Z = T.concat([T.reshape(o.Z, (1,) + o.Z.shape) for o in outs], axis=0)
+        stats = InstanceStats(mean=np.stack([o.stats.mean for o in outs]),
+                              std=np.stack([o.stats.std for o in outs]))
+        return head_forecast(Z, stats, state)
+
+    calls = []
+    delay_matrix = model.delay_matrix
+    monkeypatch.setattr(model, "delay_matrix",
+                        lambda *a: calls.append(a) or delay_matrix(*a))
+    pred, grads = step(lambda: model_forward(windows, state))
+    assert len(calls) == 1     # one call for the whole batch
+    ref_pred, ref_grads = step(stitched)
+    np.testing.assert_allclose(pred, ref_pred, rtol=0, atol=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 def test_backbone_estimates_priors_when_absent(rng):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import coupled_splits
+from dema import pipeline
 from dema import tensor as T
 from dema.delay import DelayPriors
 from dema.errors import ConfigError, ContractError, FormatError
@@ -324,6 +325,31 @@ def test_training_is_deterministic():
     log1 = train(cfg, spec, splits=splits).log
     log2 = train(cfg, spec, splits=splits).log
     assert [e["train_loss"] for e in log1] == [e["train_loss"] for e in log2]
+
+
+def test_training_logs_a_non_finite_loss(monkeypatch):
+    # 225 train windows make 8 batches of up to 32 per epoch; the loss of
+    # the second batch of epoch 1 (training call 10) goes non-finite
+    cfg, spec, splits = tiny_setup()
+    batch_loss = pipeline._batch_loss
+    calls = []
+
+    def loss_going_nan(state, xs, *args, **kw):
+        loss = batch_loss(state, xs, *args, **kw)
+        if T._grad_enabled:
+            calls.append(len(xs))
+            if len(calls) == 10:
+                return T.mul(loss, np.nan)
+        return loss
+
+    monkeypatch.setattr(pipeline, "_batch_loss", loss_going_nan)
+    with pytest.warns(UserWarning, match="diverged at epoch 1"):
+        result = train(cfg, spec, splits=splits)
+    assert calls == [32] * 7 + [1] + [32] * 2
+    assert result.diverged and result.best_epoch == 0
+    assert result.log[-1] == {"epoch": 1, "batch_start": 32,
+                              "event": "non-finite loss"}
+    assert len(result.log) == 2 and "train_loss" in result.log[0]
 
 
 def test_training_empty_split_raises():
