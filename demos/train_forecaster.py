@@ -43,7 +43,8 @@ t0 = time.time()
 result = train(cfg, spec, splits=splits)
 print(f"trained {cfg.epochs} epochs in {time.time() - t0:.1f}s "
       f"(best epoch {result.best_epoch})")
-for entry in result.log[:: max(1, cfg.epochs // 5)]:
+epochs = [e for e in result.log if "event" not in e]  # skip a divergence entry
+for entry in epochs[:: max(1, cfg.epochs // 5)]:
     print(f"  epoch {entry['epoch']}: train {entry['train_loss']:.4f} "
           f"val {entry['val_loss']:.4f}")
 

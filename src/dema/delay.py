@@ -8,7 +8,7 @@ lag is also mapped to the patch-token scale by round-half-away-from-zero.
 :func:`xcorr_delay` (one pair) and :func:`token_shift` (one lag) are the
 oracles. :func:`delay_matrix` applies the same rules to every pair of a
 window [N, T], or of a batch of windows [..., N, T], at once: one loop over
-the lags, and per lag one product of the centred overlaps.
+the lags, and per lag the correlations of all pairs of centred overlaps.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ def xcorr_delay(a: np.ndarray, b: np.ndarray, max_lag: int) -> LagEstimate:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ContractError("xcorr_delay expects two equal-length 1-D series")
-    _check_lag(a.size, max_lag)
+    n = a.size
+    _check_lag(n, max_lag)
     best_tau, best_rho = 0, 0.0
     any_valid = False
-    n = a.size
     # peak is strongest |correlation|; the signed value is reported
     for t in _lag_order(max_lag):
         if t >= 0:

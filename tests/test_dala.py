@@ -460,9 +460,12 @@ def test_shared_priors_keep_unbatched_weights(rng, monkeypatch):
     # is broadcast over the batch
     masks = []
     band_mask = dala._band_mask
-    monkeypatch.setattr(dala, "_band_mask",
-                        lambda w, t, c: masks.append(band_mask(w, t, c))
-                        or masks[-1])
+
+    def recorded(w, t, c):
+        masks.append(band_mask(w, t, c))
+        return masks[-1]
+
+    monkeypatch.setattr(dala, "_band_mask", recorded)
     priors = make_priors(rng, 3)
     q, k, v = (T.Tensor(rng.standard_normal((4, 3, 6, 4)),
                         requires_grad=True) for _ in range(3))
