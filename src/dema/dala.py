@@ -105,18 +105,26 @@ def kernel_phi(x, p: int = 3):
     """Nonnegative feature map: f(ReLU(x)) with f(r) = (|r|/|r^p|) r^p.
 
     Norms are over the last axis. The output norm equals |ReLU(x)| and a
-    zero input maps to zero.
+    zero input maps to zero. One tape node for every p; its VJP uses r,
+    r^p and the two norms.
     """
-    if p < 1:
-        raise ConfigError("kernel power must be >= 1")
+    if p < 1 or p != int(p):
+        raise ConfigError(f"kernel power must be an integer >= 1, got {p}")
     x = T._wrap(x)
-    r = T.relu(x)
     if p == 1:
-        return r
-    rp = T.power(r, p)
-    n1 = T.tsqrt(T.add(T.tsum(T.mul(r, r), axis=-1, keepdims=True), _PHI_TINY))
-    n2 = T.tsqrt(T.add(T.tsum(T.mul(rp, rp), axis=-1, keepdims=True), _PHI_TINY))
-    return T.mul(rp, T.div(n1, n2))
+        return T.relu(x)
+    r = np.where(x.data > 0, x.data, 0.0)
+    rp = T._int_power(r, p)
+    n1 = np.sqrt(np.sum(r * r, axis=-1, keepdims=True) + _PHI_TINY)
+    n2 = np.sqrt(np.sum(rp * rp, axis=-1, keepdims=True) + _PHI_TINY)
+
+    def bwd(g):
+        gs = np.sum(g * rp, axis=-1, keepdims=True)   # of the scale n1 / n2
+        grp = g * (n1 / n2) - (gs * n1 / n2 ** 3) * rp
+        # zero where x <= 0: r and r^(p - 1) are 0 there
+        return ((gs / (n1 * n2)) * r + grp * (p * T._int_power(r, p - 1)),)
+
+    return T._make(rp * (n1 / n2), (x,), bwd)
 
 
 @dataclass

@@ -71,7 +71,9 @@ def xcorr_delay(a: np.ndarray, b: np.ndarray, max_lag: int) -> LagEstimate:
             xa, xb = a[-t:], b[: n + t]
         if xa.size < MIN_OVERLAP:
             continue
-        if xa.std() == 0.0 or xb.std() == 0.0:
+        # a constant overlap has no correlation; its std need not be 0
+        # (a mean that does not round to the constant leaves a spread)
+        if xa.max() == xa.min() or xb.max() == xb.min():
             continue
         rho = _pearson(xa, xb)
         if not any_valid or abs(rho) > abs(best_rho):
@@ -123,7 +125,7 @@ def delay_matrix(window: np.ndarray, max_lag: int, patch_len: int) -> DelayPrior
 
     A batch [..., N, T] gives priors [..., N, N], window by window. Each
     pair gets what :func:`xcorr_delay` gives it: per lag, in the same
-    order, a series with zero spread or an overlap under MIN_OVERLAP points
+    order, a constant overlap (max == min) or one under MIN_OVERLAP points
     is skipped, and a lag replaces the best one only if its |rho| is
     strictly greater. The diagonal is tau = 0, rho = 1.
     """
@@ -151,8 +153,8 @@ def delay_matrix(window: np.ndarray, max_lag: int, patch_len: int) -> DelayPrior
                         * np.sum(cb * cb, axis=-1)[..., None, :])
         num = np.sum(ca[..., :, None, :] * cb[..., None, :, :], axis=-1)
         r = np.divide(num, denom, out=np.zeros_like(num), where=denom != 0)
-        valid = ((xa.std(axis=-1) != 0)[..., :, None]
-                 & (xb.std(axis=-1) != 0)[..., None, :])
+        valid = ((xa.max(axis=-1) != xa.min(axis=-1))[..., :, None]
+                 & (xb.max(axis=-1) != xb.min(axis=-1))[..., None, :])
         better = valid & (~seen | (np.abs(r) > np.abs(rho)))
         tau[better] = t
         rho[better] = r[better]

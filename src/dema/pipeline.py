@@ -459,9 +459,11 @@ def evaluate(state: ModelState, spec: DatasetSpec,
         if cfg.task == "anomaly":
             # threshold from train-split scores, F1 on the test split
             threshold = select_threshold(
-                _reconstruction_scores(state, splits.train, priors),
+                _reconstruction_scores(state, splits.train, priors,
+                                       config.batch_size),
                 spec.anomaly_ratio)
-            test_scores = _reconstruction_scores(state, splits.test, priors)
+            test_scores = _reconstruction_scores(state, splits.test, priors,
+                                                 config.batch_size)
             flags = test_scores > threshold
             out = {"threshold": threshold,
                    "flagged_fraction": float(flags.mean())}
@@ -492,16 +494,18 @@ def evaluate(state: ModelState, spec: DatasetSpec,
     return {"mse": err_sq / max(count, 1), "mae": err_abs / max(count, 1)}
 
 
-def _reconstruction_scores(state, split, priors):
-    """Anomaly scores over a split via non-overlapping lookback windows."""
+def _reconstruction_scores(state, split, priors, batch_size):
+    """Anomaly scores over a split via non-overlapping lookback windows,
+    one batched forward per `batch_size` windows."""
     Tw = state.config.lookback
     starts = range(0, split.shape[1] - Tw + 1, Tw)
     if not starts:
         raise ContractError("split shorter than one lookback window")
-    windows = [split[:, s:s + Tw] for s in starts]
+    windows = np.stack([split[:, s:s + Tw] for s in starts])
     return np.concatenate([
-        anomaly_score(x, model_forward(x, state, priors).data)
-        for x in windows])
+        anomaly_score(x, model_forward(x, state, priors).data).ravel()
+        for x in (windows[i:i + batch_size]
+                  for i in range(0, len(windows), batch_size))])
 
 
 def _point_adjust(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -11,6 +11,14 @@ as that node's closure has consumed it, so after `backward` only leaves
 keep accumulating across calls until `zero_grad`. The graph itself
 (`_parents`, the closures and the forward values) stays until the loss is
 dropped.
+
+The model's composite ops are one node each, with a VJP written by hand
+from their inputs and a few saved arrays, so the tape keeps no chain of
+intermediates. `layer_norm` saves x_hat and 1/sigma; the causal `conv1d`
+its zero-padded input; `dala.kernel_phi` r = ReLU(x), r^p and the two
+norms; `ssd.ssd_blocked` the cumulative log-decays, the masked decays,
+the intra-chunk matrices and the state each chunk reads. `dala.dala_core`
+and `dala.rope_rotate` are single nodes too.
 """
 
 from __future__ import annotations
@@ -306,65 +314,8 @@ def swapaxes(a, ax1, ax2):
     )
 
 
-def _has_array_index(key):
-    parts = key if isinstance(key, tuple) else (key,)
-    return any(isinstance(k, (list, np.ndarray)) for k in parts)
-
-
-def getitem(a, key):
-    a = _wrap(a)
-    # `buf[key] += g` keeps only one write per repeated array index
-    scatter = _has_array_index(key)
-
-    def bwd(g):
-        buf = np.zeros(a.shape)
-        if scatter:
-            np.add.at(buf, key, g)
-        else:
-            buf[key] += g
-        return (buf,)
-
-    return _make(a.data[key], (a,), bwd)
-
-
-def concat(tensors, axis=0):
-    tensors = [_wrap(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(data, tensors, bwd)
-
-
-def cumsum(a, axis):
-    a = _wrap(a)
-    data = np.cumsum(a.data, axis=axis)
-
-    def bwd(g):
-        return (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),)
-
-    return _make(data, (a,), bwd)
-
-
-def zeros(shape):
-    return Tensor(np.zeros(shape))
-
-
-def pad_last2(a, axis, amount):
-    """Zero-pad `amount` trailing entries along `axis` (negative index)."""
-    if amount == 0:
-        return _wrap(a)
-    a = _wrap(a)
-    shape = list(a.shape)
-    shape[axis] = amount
-    return concat([a, zeros(shape)], axis=axis)
-
-
 # ----------------------------------------------------------------------
-# composite ops named by the module contract
+# composite ops
 # ----------------------------------------------------------------------
 
 def layer_norm(x, gamma=None, beta=None, eps=1e-5):
@@ -374,23 +325,39 @@ def layer_norm(x, gamma=None, beta=None, eps=1e-5):
     x = _wrap(x)
     if not np.all(np.isfinite(x.data)):
         raise NumericError("layer_norm: non-finite input")
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    y = div(xc, tsqrt(add(var, eps)))
+    gamma, beta = (None if t is None else _wrap(t) for t in (gamma, beta))
+    n = x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    sd = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+    xhat = xc / sd
+    inv = 1.0 / sd
+    y = xhat
     if gamma is not None:
-        y = mul(y, gamma)
+        y = y * gamma.data
     if beta is not None:
-        y = add(y, beta)
-    return y
+        y = y + beta.data
+
+    def bwd(g):
+        gh = g if gamma is None else g * gamma.data
+        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        grads = [gx]
+        if gamma is not None:
+            grads.append(_unbroadcast(g * xhat, gamma.shape)
+                         if gamma.requires_grad else None)
+        if beta is not None:
+            grads.append(_unbroadcast(g, beta.shape)
+                         if beta.requires_grad else None)
+        return tuple(grads)
+
+    return _make(y, [t for t in (x, gamma, beta) if t is not None], bwd)
 
 
-def conv1d(x, kernel, padding="same"):
-    """Depthwise 1-D convolution along the second-to-last axis.
+def conv1d(x, kernel):
+    """Causal depthwise 1-D convolution along the second-to-last axis.
 
-    x: [..., L, C]; kernel: [K, C]. "same" keeps the token count with
-    symmetric zero padding, "causal" pads on the left only so position l
-    never sees positions > l.
+    x: [..., L, C]; kernel: [K, C]. Position l sees positions l - K + 1 to
+    l, with zeros before position 0, so it never sees positions > l.
     """
     x = _wrap(x)
     kernel = _wrap(kernel)
@@ -398,30 +365,25 @@ def conv1d(x, kernel, padding="same"):
         raise NumericError("conv1d: non-finite input")
     K = kernel.shape[0]
     L = x.shape[-2]
-    if padding == "causal":
-        lpad, rpad = K - 1, 0
-    elif padding == "same":
-        lpad = (K - 1) // 2
-        rpad = K - 1 - lpad
-    else:
-        raise ContractError(f"unknown conv1d padding: {padding!r}")
-    shape_l = list(x.shape)
-    shape_l[-2] = lpad
-    shape_r = list(x.shape)
-    shape_r[-2] = rpad
-    parts = []
-    if lpad:
-        parts.append(zeros(shape_l))
-    parts.append(x)
-    if rpad:
-        parts.append(zeros(shape_r))
-    xp = concat(parts, axis=-2) if len(parts) > 1 else x
-    out = None
-    for k in range(K):
-        term = mul(getitem(xp, (Ellipsis, slice(k, k + L), slice(None))),
-                   getitem(kernel, k))
-        out = term if out is None else add(out, term)
-    return out
+    xp = np.pad(x.data, [(0, 0)] * (x.ndim - 2) + [(K - 1, 0), (0, 0)])
+    out = xp[..., 0:L, :] * kernel.data[0]
+    for k in range(1, K):
+        out = out + xp[..., k:k + L, :] * kernel.data[k]
+
+    def bwd(g):
+        gx = gk = None
+        if x.requires_grad:
+            gxp = np.zeros(xp.shape)
+            for k in range(K):
+                gxp[..., k:k + L, :] += g * kernel.data[k]
+            gx = gxp[..., K - 1:, :]
+        if kernel.requires_grad:
+            lead = tuple(range(g.ndim - 1))
+            gk = np.stack([np.sum(g * xp[..., k:k + L, :], axis=lead)
+                           for k in range(K)])
+        return gx, gk
+
+    return _make(out, (x, kernel), bwd)
 
 
 def softmax(x, axis=-1):

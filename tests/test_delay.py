@@ -63,6 +63,22 @@ def test_degenerate_constant_series():
     assert est == (0, 0.0, True)
 
 
+def test_constant_series_with_rounded_mean_gets_no_pair(rng):
+    # np.full(96, 0.1).std() is 1.4e-17, not 0: the rule must be max == min
+    window = np.stack([rng.standard_normal(96), np.full(96, 0.1),
+                       np.full(96, 0.3)])
+    assert window[1].std() > 0
+    priors = delay_matrix(window, 24, 8)
+    # every off-diagonal pair has a constant row: no active pair
+    assert np.all((priors.rho_weights() > 0) == np.eye(3, dtype=bool))
+    for a in range(3):
+        for b in range(3):
+            if a != b:
+                est = xcorr_delay(window[a], window[b], 24)
+                assert est == (0, 0.0, True)
+                assert (priors.tau[a, b], priors.rho[a, b]) == est[:2]
+
+
 def test_input_contract_errors():
     with pytest.raises(ContractError):
         xcorr_delay(np.ones(8), np.ones(9), 2)
@@ -125,17 +141,16 @@ def delay_windows(draw):
     """A window [N, T], a lag bound and a patch length for delay_matrix.
 
     Rows mix noise with the cases the oracle's rules decide: constant
-    series (zero spread, so the std == 0 rule skips every lag), copies of
+    series (max == min, so every lag is skipped), copies of
     one base (duplicated, sign-flipped or scaled by a power of two),
     series with one common period of 3 to 6 (tied peaks at every aligned
     lag) and coarsely rounded noise (many repeated values). In each tie the
     overlaps are the same numbers up to sign and a power of two, so both
     paths give |rho| = 1 exactly and the tie-break order alone decides.
-    Constants are multiples of 1/4, whose mean is exact; a constant whose
-    mean rounds (0.1 over 96 points) has a spread of 1e-17 in the oracle
-    too, and its rho is rounding noise, as is |rho| = 1 from two
-    different overlaps (a period-2 series against its own shift). There
-    the last bits of the dot products pick the lag, so those are not drawn.
+    Constants are multiples of 1/10, most of whose means round (a spread
+    of 1e-17 around the constant). |rho| = 1 from two different overlaps
+    (a period-2 series against its own shift) is rounding noise: there
+    the last bits of the dot products pick the lag, so it is not drawn.
     """
     n = draw(st.integers(1, 5))
     length = draw(st.integers(MIN_OVERLAP, 40))
@@ -155,7 +170,7 @@ def delay_windows(draw):
         if kind == "noise":
             rows.append(rng.standard_normal(length))
         elif kind == "constant":
-            rows.append(np.full(length, draw(st.integers(-8, 8)) / 4))
+            rows.append(np.full(length, draw(st.integers(-8, 8)) / 10))
         elif kind == "copy":
             rows.append(scale * base)
         elif kind == "periodic":

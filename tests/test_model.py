@@ -197,7 +197,13 @@ def test_backbone_per_window_priors_gradients_match_stitched(rng,
 
     def stitched():
         outs = [backbone_forward(w, state) for w in windows]
-        Z = T.concat([T.reshape(o.Z, (1,) + o.Z.shape) for o in outs], axis=0)
+        # stack the windows' representations: window w times the w-th
+        # unit vector, summed, is exact in values and gradients
+        Z = None
+        for w, o in enumerate(outs):
+            term = T.mul(T.reshape(o.Z, (1,) + o.Z.shape),
+                         np.eye(len(outs))[w].reshape((-1,) + (1,) * o.Z.ndim))
+            Z = term if Z is None else T.add(Z, term)
         stats = InstanceStats(mean=np.stack([o.stats.mean for o in outs]),
                               std=np.stack([o.stats.std for o in outs]))
         return head_forecast(Z, stats, state)

@@ -462,3 +462,23 @@ def test_write_bench(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "T,ms,bytes"
     assert lines[1] == "384,12.500,1000"
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_reconstruction_scores_match_window_by_window(shared):
+    # one batched forward per slice of batch_size windows gives the scores
+    # of one forward per window; 7 windows in slices of 3 leave a ragged one
+    from dema.model import ModelState, anomaly_score
+    cfg = ModelConfig(task="anomaly", lookback=32, horizon=0, d_model=8,
+                      d_state=4, n_blocks=1, patch_len=8, stride=8, seed=0)
+    state = ModelState.init(cfg)
+    split = coupled_splits(n_steps=7 * 32 + 5, n_train=7 * 32 + 5,
+                           n_val=0).train
+    priors = shared_priors(coupled_splits(), cfg) if shared else None
+    with T.no_grad():
+        loop = np.concatenate([
+            anomaly_score(x, model_forward(x, state, priors).data)
+            for x in (split[:, s:s + 32] for s in range(0, 7 * 32, 32))])
+        batched = pipeline._reconstruction_scores(state, split, priors, 3)
+    assert batched.shape == loop.shape == (7 * 32,)
+    np.testing.assert_allclose(batched, loop, rtol=0, atol=1e-12)

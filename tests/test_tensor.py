@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from dema import tensor as T
+from dema.dala import kernel_phi
 from dema.errors import ContractError, DimensionError
 from dema.model import ModelConfig, ModelState, model_forward
+from dema.ssd import DiscreteSSM, ssd_blocked
 
 
 # ----------------------------------------------------------------------
@@ -198,41 +200,14 @@ def test_no_grad_skips_graph():
     assert not y.requires_grad and y._parents == ()
 
 
-def test_getitem_grad_accumulates():
-    x = T.Tensor(np.arange(4.0), requires_grad=True)
-    y = T.add(T.getitem(x, 1), T.getitem(x, 1))
-    T.backward(y)
-    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 0.0, 0.0])
-
-
-def test_getitem_grad_repeated_array_index():
-    # every repeat of an index must add its gradient
-    x = T.Tensor(np.arange(4.0), requires_grad=True)
-    T.backward(T.tsum(T.getitem(x, [0, 0, 1])))
-    np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0, 0.0])
-    y = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    T.backward(T.tsum(T.getitem(y, (Ellipsis, np.array([2, 2, 2])))))
-    np.testing.assert_array_equal(y.grad, [[0, 0, 3], [0, 0, 3]])
-
-
-def test_cumsum_forward_backward(rng):
-    x = T.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    out = T.cumsum(x, axis=-1)
-    np.testing.assert_allclose(out.data, np.cumsum(x.data, axis=-1))
-    w = rng.standard_normal((3, 5))
-    T.backward(T.tsum(T.mul(out, w)))
-    ref = np.flip(np.cumsum(np.flip(w, -1), axis=-1), -1)
-    np.testing.assert_allclose(x.grad, ref, atol=1e-12)
-
-
 def test_conv1d_causal_never_looks_ahead(rng):
     x = rng.standard_normal((6, 3))
     kern = rng.standard_normal((4, 3))
-    full = T.conv1d(T.Tensor(x), T.Tensor(kern), padding="causal").data
+    full = T.conv1d(T.Tensor(x), T.Tensor(kern)).data
     for cut in range(6):
         trunc = x.copy()
         trunc[cut + 1:] = 0.0
-        out = T.conv1d(T.Tensor(trunc), T.Tensor(kern), padding="causal").data
+        out = T.conv1d(T.Tensor(trunc), T.Tensor(kern)).data
         assert np.max(np.abs(out[: cut + 1] - full[: cut + 1])) <= 1e-12
 
 
@@ -266,6 +241,23 @@ def _finite_diff_check(op, shapes, rng, rel_tol=1e-4, h=1e-6, **kwargs):
             assert rel <= rel_tol, f"{op.__name__} arg{idx} flat[{i}]"
 
 
+def phi_with_dead_row(x, p):
+    """kernel_phi with row 1 pushed below zero (zero output and gradient)."""
+    return kernel_phi(T.add(x, np.array([0.0, -10.0, 0.0, 0.0])[:, None]), p)
+
+
+def ssd_from_log_decays(log_a, B_bar, C, x, chunk):
+    """ssd_blocked on log A_bar = log_a - 1, mostly below zero as in the
+    model, so the scan stays bounded.
+
+    The first step's decay multiplies the zero state, so its true gradient
+    is 0; the cumulative sums move the output by rounding alone, which
+    h = 1e-4 keeps under the tolerance.
+    """
+    d = DiscreteSSM(A_bar=None, B_bar=B_bar, log_A_bar=T.sub(log_a, 1.0))
+    return ssd_blocked(d, C, x, chunk)
+
+
 @pytest.mark.parametrize("op,shapes,kwargs", [
     (T.add, [(3, 4), (3, 4)], {}),
     (T.sub, [(3, 4), (4,)], {}),
@@ -279,10 +271,21 @@ def _finite_diff_check(op, shapes, rng, rel_tol=1e-4, h=1e-6, **kwargs):
     (T.gelu, [(3, 4)], {}),
     (T.tsum, [(3, 4)], {"axis": -1}),
     (T.tmean, [(3, 4)], {"axis": 0}),
-    (T.cumsum, [(3, 4)], {"axis": -1}),
+    (T.layer_norm, [(2, 3, 4), (4,), (4,)], {}),   # with gamma and beta
     (T.layer_norm, [(3, 4)], {}),
     (T.softmax, [(3, 4)], {}),
-    (T.conv1d, [(5, 3), (2, 3)], {"padding": "causal"}),
+    (T.conv1d, [(5, 3), (2, 3)], {}),
+    (T.conv1d, [(2, 3, 3), (5, 3)], {}),           # kernel longer than L
+    (phi_with_dead_row, [(4, 5)], {"p": 1}),
+    (phi_with_dead_row, [(4, 5)], {"p": 2}),
+    (phi_with_dead_row, [(4, 5)], {"p": 3}),
+    (phi_with_dead_row, [(4, 5)], {"p": 4}),
+    (ssd_from_log_decays, [(2, 7, 2), (2, 7, 2), (2, 7, 2), (2, 7, 3)],
+     {"chunk": 1, "h": 1e-4}),
+    (ssd_from_log_decays, [(2, 7, 2), (2, 7, 2), (2, 7, 2), (2, 7, 3)],
+     {"chunk": 5, "h": 1e-4}),
+    (ssd_from_log_decays, [(2, 7, 2), (2, 7, 2), (2, 7, 2), (2, 7, 3)],
+     {"chunk": 9, "h": 1e-4}),
 ])
 def test_per_op_finite_difference(op, shapes, kwargs, rng):
     _finite_diff_check(op, shapes, rng, **kwargs)
@@ -321,3 +324,55 @@ def test_div_sqrt_log_positive_domain(rng):
                   - np.sum(op(T.Tensor(xm)).data * w)) / (2 * h)
             rel = abs(x.grad.ravel()[i] - fd) / max(abs(fd), 1e-6)
             assert rel <= 1e-4
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_kernel_phi_dead_row_has_zero_gradient(p, rng):
+    x = T.Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+    x.data[1] = -np.abs(x.data[1])
+    x.data[1, 2] = 0.0
+    out = kernel_phi(x, p)
+    assert np.all(out.data[1] == 0.0)
+    T.backward(T.tsum(T.mul(out, rng.standard_normal(out.shape))))
+    assert np.all(x.grad[1] == 0.0) and np.all(np.isfinite(x.grad))
+
+
+def test_ssd_gradients_finite_when_decays_underflow(rng):
+    # exp(-2000) underflows to 0 in every decay across these steps
+    lead, L, Dh, Du = (2,), 9, 3, 2
+    log_a = -rng.uniform(0.1, 1.0, lead + (L, Dh))
+    log_a[0, 2, 0] = -2000.0
+    log_a[1, 4:8, 1:] = -800.0
+    args = [T.Tensor(a, requires_grad=True) for a in (
+        log_a, rng.standard_normal(lead + (L, Dh)),
+        rng.standard_normal(lead + (L, Dh)),
+        rng.standard_normal(lead + (L, Du)))]
+    for chunk in (1, 4, 9):
+        for a in args:
+            a.zero_grad()
+        d = DiscreteSSM(A_bar=None, B_bar=args[1], log_A_bar=args[0])
+        y = ssd_blocked(d, args[2], args[3], chunk)
+        assert np.all(np.isfinite(y.data))
+        T.backward(T.tsum(T.mul(y, y)))
+        for a in args:
+            assert np.all(np.isfinite(a.grad)), chunk
+
+
+def test_fused_ops_record_one_node(rng):
+    # each composite op is one tape node: its output's parents are the
+    # op's own inputs, not a chain of intermediate nodes
+    def leaf(*shape):
+        return T.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    x, gamma, beta = leaf(2, 5, 4), leaf(4), leaf(4)
+    assert T.layer_norm(x, gamma, beta)._parents == (x, gamma, beta)
+    assert T.layer_norm(x)._parents == (x,)
+    kernel = leaf(3, 4)
+    assert T.conv1d(x, kernel)._parents == (x, kernel)
+    for p in (1, 2, 3, 4):
+        assert kernel_phi(x, p)._parents == (x,)
+    log_a, B_bar, C, u = (leaf(2, 7, n) for n in (3, 3, 3, 4))
+    d = DiscreteSSM(A_bar=None, B_bar=B_bar, log_A_bar=log_a)
+    for chunk in (1, 5, 16):
+        y = ssd_blocked(d, C, u, chunk)
+        assert y._parents == (log_a, B_bar, C, u)
