@@ -31,14 +31,14 @@ class LagEstimate(NamedTuple):
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if x.size < MIN_OVERLAP:
-        return 0.0
     xc = x - x.mean()
     yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+    # pairwise sums, as in delay_matrix: equal |rho| from two different
+    # overlaps (rotations of one period) then tie in both to the last bit
+    denom = math.sqrt(float(np.sum(xc * xc)) * float(np.sum(yc * yc)))
     if denom == 0.0:
         return 0.0
-    return float(xc @ yc) / denom
+    return float(np.sum(xc * yc)) / denom
 
 
 def _lag_order(max_lag: int) -> list:
@@ -71,8 +71,7 @@ def xcorr_delay(a: np.ndarray, b: np.ndarray, max_lag: int) -> LagEstimate:
             xa, xb = a[-t:], b[: n + t]
         if xa.size < MIN_OVERLAP:
             continue
-        # a constant overlap has no correlation; its std need not be 0
-        # (a mean that does not round to the constant leaves a spread)
+        # constant: std is not 0 where the mean rounds (0.1 over 96 points)
         if xa.max() == xa.min() or xb.max() == xb.min():
             continue
         rho = _pearson(xa, xb)

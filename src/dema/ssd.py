@@ -182,7 +182,7 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     ea = np.exp(la)
     # the state after chunk i is e_i h + w_i^T x_i, with w the decays to
     # the chunk's end times B_bar
-    U = _swap((np.exp(la[..., -1:, :] - la) * Bb)) @ xb     # [..., nb, Dh, Du]
+    U = _swap(np.exp(la[..., -1:, :] - la) * Bb) @ xb      # [..., nb, Dh, Du]
     H = np.empty(U.shape)                          # the state each chunk reads
     h = np.zeros(lead + U.shape[-2:])
     for i in range(nb):

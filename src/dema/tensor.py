@@ -212,12 +212,6 @@ def tlog(a):
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def tsqrt(a):
-    a = _wrap(a)
-    data = np.sqrt(a.data)
-    return _make(data, (a,), lambda g: (g * 0.5 / data,))
-
-
 def relu(a):
     a = _wrap(a)
     mask = a.data > 0

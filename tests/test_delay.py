@@ -136,6 +136,17 @@ def test_delay_matrix_three_chirps():
     assert np.all(priors.rho >= 0.99)
 
 
+def test_delay_matrix_ties_rotated_overlaps_like_the_oracle():
+    # at lags -1 and +1 the overlaps are two rotations of one period: equal
+    # |rho| in exact arithmetic, so rounding picks the lag in both paths
+    cycle = np.array([0.2782399, 0.95168849, -1.51335912, 0.02871836])
+    window = np.stack([np.resize(cycle, 5), np.resize(np.roll(cycle, -2), 5)])
+    got = delay_matrix(window, 1, 1)
+    for a, b in ((0, 1), (1, 0)):
+        est = xcorr_delay(window[a], window[b], 1)
+        assert (got.tau[a, b], got.rho[a, b]) == (est.tau, est.rho)
+
+
 @st.composite
 def delay_windows(draw):
     """A window [N, T], a lag bound and a patch length for delay_matrix.
@@ -143,14 +154,14 @@ def delay_windows(draw):
     Rows mix noise with the cases the oracle's rules decide: constant
     series (max == min, so every lag is skipped), copies of
     one base (duplicated, sign-flipped or scaled by a power of two),
-    series with one common period of 3 to 6 (tied peaks at every aligned
-    lag) and coarsely rounded noise (many repeated values). In each tie the
-    overlaps are the same numbers up to sign and a power of two, so both
+    series with one common period of 2 to 6 (tied peaks at every aligned
+    lag) and coarsely rounded noise (many repeated values). Where the
+    overlaps are the same numbers up to sign and a power of two, both
     paths give |rho| = 1 exactly and the tie-break order alone decides.
-    Constants are multiples of 1/10, most of whose means round (a spread
-    of 1e-17 around the constant). |rho| = 1 from two different overlaps
-    (a period-2 series against its own shift) is rounding noise: there
-    the last bits of the dot products pick the lag, so it is not drawn.
+    Where they are different numbers with equal |rho| in exact arithmetic
+    (rotations of one period), rounding decides, the same way in both,
+    as both take the same pairwise sums. Constants are multiples of 1/10,
+    most of whose means round (a spread of 1e-17 around the constant).
     """
     n = draw(st.integers(1, 5))
     length = draw(st.integers(MIN_OVERLAP, 40))
@@ -160,7 +171,7 @@ def delay_windows(draw):
         st.integers(max(0, length - MIN_OVERLAP - 1), length - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     base = rng.standard_normal(length)
-    period = draw(st.integers(3, 6))
+    period = draw(st.integers(2, 6))
     cycle = np.resize(rng.standard_normal(period), length + period)
     rows = []
     for _ in range(n):

@@ -13,7 +13,7 @@ from dema import pipeline
 from dema import tensor as T
 from dema.delay import DelayPriors
 from dema.errors import ConfigError, ContractError, FormatError
-from dema.model import ModelConfig, model_forward
+from dema.model import ModelConfig, ModelState, anomaly_score, model_forward
 from dema.pipeline import (Adam, DatasetSpec, TrainConfig, _prf, apply_mask,
                            evaluate, load_csv_dataset, make_windows,
                            parse_config_file, shared_priors, train,
@@ -468,7 +468,6 @@ def test_write_bench(tmp_path):
 def test_reconstruction_scores_match_window_by_window(shared):
     # one batched forward per slice of batch_size windows gives the scores
     # of one forward per window; 7 windows in slices of 3 leave a ragged one
-    from dema.model import ModelState, anomaly_score
     cfg = ModelConfig(task="anomaly", lookback=32, horizon=0, d_model=8,
                       d_state=4, n_blocks=1, patch_len=8, stride=8, seed=0)
     state = ModelState.init(cfg)
