@@ -105,20 +105,25 @@ def kernel_phi(x, p: int = 3):
     """Nonnegative feature map: f(ReLU(x)) with f(r) = (|r|/|r^p|) r^p.
 
     Norms are over the last axis. The output norm equals |ReLU(x)| and a
-    zero input maps to zero. One tape node for every p; its VJP uses r,
-    r^p and the two norms.
+    zero input maps to zero. One tape node for every p; it saves the two
+    norms, and its VJP recomputes r and r^p from x.
     """
     if p < 1 or p != int(p):
         raise ConfigError(f"kernel power must be an integer >= 1, got {p}")
     x = T._wrap(x)
     if p == 1:
         return T.relu(x)
-    r = np.where(x.data > 0, x.data, 0.0)
-    rp = T._int_power(r, p)
+
+    def powers():
+        r = np.where(x.data > 0, x.data, 0.0)
+        return r, T._int_power(r, p)
+
+    r, rp = powers()
     n1 = np.sqrt(np.sum(r * r, axis=-1, keepdims=True) + _PHI_TINY)
     n2 = np.sqrt(np.sum(rp * rp, axis=-1, keepdims=True) + _PHI_TINY)
 
     def bwd(g):
+        r, rp = powers()
         gs = np.sum(g * rp, axis=-1, keepdims=True)   # of the scale n1 / n2
         grp = g * (n1 / n2) - (gs * n1 / n2 ** 3) * rp
         # zero where x <= 0: r and r^(p - 1) are 0 there
@@ -531,11 +536,11 @@ class DalaParams:
 def mamba_dala_forward(x: T.Tensor, priors: DelayPriors, params: DalaParams,
                        table: RotaryTable | None = None) -> T.Tensor:
     """Full variate-path module on tokens [..., N, L, D]."""
-    content = T.add(T.matmul(x, params.w_content), params.b_content)
-    gate = T.add(T.matmul(x, params.w_gate), params.b_gate)
-    y = dala_core(T.matmul(content, params.w_q), T.matmul(content, params.w_k),
-                  T.matmul(content, params.w_v), priors,
+    content = T.linear(x, params.w_content, params.b_content)
+    gate = T.linear(x, params.w_gate, params.b_gate)
+    y = dala_core(T.linear(content, params.w_q), T.linear(content, params.w_k),
+                  T.linear(content, params.w_v), priors,
                   p=params.kernel_power, table=table, eps=params.eps,
                   rotated_denominator=params.rotated_denominator,
                   chunk=params.chunk)
-    return T.add(T.matmul(T.mul(y, T.sigmoid(gate)), params.w_out), params.b_out)
+    return T.gated_linear(y, gate, params.w_out, params.b_out)

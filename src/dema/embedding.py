@@ -90,4 +90,4 @@ class PatchEncoder:
 
 def embed_patches(patches: np.ndarray, encoder: PatchEncoder) -> T.Tensor:
     """Embed patches [..., N, L, P] into tokens [..., N, L, D]."""
-    return T.add(T.matmul(T.Tensor(patches), encoder.weight), encoder.bias)
+    return T.linear(T.Tensor(patches), encoder.weight, encoder.bias)

@@ -131,8 +131,7 @@ class FfnParams:
         )
 
     def __call__(self, x):
-        h = T.gelu(T.add(T.matmul(x, self.w1), self.b1))
-        return T.add(T.matmul(h, self.w2), self.b2)
+        return T.linear(T.gelu(T.linear(x, self.w1, self.b1)), self.w2, self.b2)
 
     def parameters(self, prefix: str):
         return [(f"{prefix}.{n}", getattr(self, n))
@@ -299,7 +298,7 @@ def head_forecast(Z: T.Tensor, stats: InstanceStats, state: ModelState):
     Imputation and anomaly detection use it too, with S = lookback.
     """
     flat = T.reshape(Z, Z.shape[:-2] + (Z.shape[-2] * Z.shape[-1],))
-    pred = T.add(T.matmul(flat, state.head_w), state.head_b)
+    pred = T.linear(flat, state.head_w, state.head_b)
     return revin_denormalize(pred, stats)
 
 
@@ -308,10 +307,7 @@ def head_classify(Z: T.Tensor, state: ModelState):
     if state.config.n_classes < 2:
         raise ConfigError("classification needs at least 2 classes")
     pooled = T.tmean(T.tmean(Z, axis=-2), axis=-2)  # over L then N
-    logits = T.add(T.matmul(T.reshape(pooled, pooled.shape[:-1] + (1, pooled.shape[-1])),
-                            state.head_w), state.head_b)
-    logits = T.reshape(logits, logits.shape[:-2] + (logits.shape[-1],))
-    return T.softmax(logits, axis=-1)
+    return T.softmax(T.linear(pooled, state.head_w, state.head_b), axis=-1)
 
 
 def model_forward(window: np.ndarray, state: ModelState,

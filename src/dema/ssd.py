@@ -91,9 +91,9 @@ class SsdParams:
 def selective_params(u, params: SsdParams) -> SelectiveParams:
     """Token-dependent step sizes and in/out projections from content u."""
     u = T._wrap(u)
-    delta = T.softplus(T.add(T.matmul(u, params.w_delta), params.b_delta))
-    B = T.add(T.matmul(u, params.w_B), params.b_B)
-    C = T.add(T.matmul(u, params.w_C), params.b_C)
+    delta = T.softplus(T.linear(u, params.w_delta, params.b_delta))
+    B = T.linear(u, params.w_B, params.b_B)
+    C = T.linear(u, params.w_C, params.b_C)
     return SelectiveParams(delta=delta, B=B, C=C, A_log=params.A_log)
 
 
@@ -231,10 +231,10 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
 
 def mamba_ssd_forward(x: T.Tensor, params: SsdParams) -> T.Tensor:
     """Full temporal-path module on tokens [..., N, L, D]."""
-    content = T.add(T.matmul(x, params.w_content), params.b_content)
-    gate = T.add(T.matmul(x, params.w_gate), params.b_gate)
+    content = T.linear(x, params.w_content, params.b_content)
+    gate = T.linear(x, params.w_gate, params.b_gate)
     u = T.conv1d(content, params.conv_kernel)
     sel = selective_params(u, params)
     disc = discretize(sel)
     y = ssd_blocked(disc, sel.C, u, params.chunk)
-    return T.add(T.matmul(T.mul(y, T.sigmoid(gate)), params.w_out), params.b_out)
+    return T.gated_linear(y, gate, params.w_out, params.b_out)

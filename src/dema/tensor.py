@@ -12,13 +12,22 @@ keep accumulating across calls until `zero_grad`. The graph itself
 (`_parents`, the closures and the forward values) stays until the loss is
 dropped.
 
-The model's composite ops are one node each, with a VJP written by hand
-from their inputs and a few saved arrays, so the tape keeps no chain of
-intermediates. `layer_norm` saves x_hat and 1/sigma; the causal `conv1d`
-its zero-padded input; `dala.kernel_phi` r = ReLU(x), r^p and the two
-norms; `ssd.ssd_blocked` the cumulative log-decays, the masked decays,
-the intra-chunk matrices and the state each chunk reads. `dala.dala_core`
-and `dala.rope_rotate` are single nodes too.
+The model's dense layers and composite ops are one node each, with a VJP
+written by hand from their inputs and a few saved arrays, so the tape
+keeps no chain of intermediates. What each saves besides its inputs:
+
+- `linear` (x @ w + b): nothing; its VJP is one 2-D GEMM per operand on
+  the flattened rows and one row sum for the bias.
+- `gated_linear` ((y * sigmoid(gate)) @ w + b): sigmoid(gate).
+- `gelu`: nothing; its VJP recomputes the tanh from the input.
+- `layer_norm`: x_hat and 1/sigma.
+- the causal `conv1d`: its zero-padded input.
+- `dala.kernel_phi`: the two norms; its VJP recomputes r = ReLU(x) and r^p.
+- `ssd.ssd_blocked`: the cumulative log-decays, the masked decays, the
+  intra-chunk matrices and the state each chunk reads.
+
+`dala.dala_core` and `dala.rope_rotate` are single nodes too. `matmul`
+is the general batched product; the model itself uses `linear`.
 """
 
 from __future__ import annotations
@@ -197,6 +206,75 @@ def matmul(a, b):
     return _make(data, (a, b), bwd)
 
 
+def _check_linear(name, x, w, b):
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(
+            f"{name}: input {x.shape} does not match weight {w.shape} "
+            "(need x [..., n] and w [n, m])")
+    if b is not None and b.shape != w.shape[1:]:
+        raise DimensionError(
+            f"{name}: bias {b.shape} does not match weight {w.shape}")
+
+
+def _gemm(x, w, b):
+    """x [..., n] @ w [n, m] (+ b) as one 2-D product on the flattened rows."""
+    out = x.reshape(-1, w.shape[0]) @ w
+    if b is not None:
+        out += b
+    return out.reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _gemm_grads(g, x, w, b, want_x):
+    """(gx, gw, gb) of `_gemm(x, w.data, b.data)`; None where not wanted.
+
+    `x` is a plain array; the weight gradient is one x^T @ g product over
+    all rows, not one product per leading index.
+    """
+    n, m = w.shape
+    g2 = g.reshape(-1, m)
+    gx = (g2 @ w.data.T).reshape(x.shape) if want_x else None
+    gw = x.reshape(-1, n).T @ g2 if w.requires_grad else None
+    gb = g2.sum(axis=0) if b is not None and b.requires_grad else None
+    return gx, gw, gb
+
+
+def linear(x, w, b=None):
+    """Dense layer x @ w + b for x [..., n], w [n, m] and b [m]; one node."""
+    x, w = _wrap(x), _wrap(w)
+    b = None if b is None else _wrap(b)
+    _check_linear("linear", x, w, b)
+
+    def bwd(g):
+        gx, gw, gb = _gemm_grads(g, x.data, w, b, x.requires_grad)
+        return (gx, gw) if b is None else (gx, gw, gb)
+
+    return _make(_gemm(x.data, w.data, None if b is None else b.data),
+                 [t for t in (x, w, b) if t is not None], bwd)
+
+
+def gated_linear(y, gate, w, b):
+    """Gated output projection (y * sigmoid(gate)) @ w + b; one node.
+
+    y and gate are [..., n], w [n, m] and b [m]. Saves sigmoid(gate) and
+    recomputes the gated input in the VJP.
+    """
+    y, gate, w, b = _wrap(y), _wrap(gate), _wrap(w), _wrap(b)
+    if y.shape != gate.shape:
+        raise DimensionError(
+            f"gated_linear: input {y.shape} and gate {gate.shape} differ")
+    _check_linear("gated_linear", y, w, b)
+    s = _sigmoid(gate.data, "gated_linear")
+
+    def bwd(g):
+        gh, gw, gb = _gemm_grads(g, y.data * s, w, b,
+                                 y.requires_grad or gate.requires_grad)
+        gy = gh * s if y.requires_grad else None
+        ggate = gh * y.data * s * (1.0 - s) if gate.requires_grad else None
+        return gy, ggate, gw, gb
+
+    return _make(_gemm(y.data * s, w.data, b.data), (y, gate, w, b), bwd)
+
+
 # ----------------------------------------------------------------------
 # elementwise nonlinearities
 # ----------------------------------------------------------------------
@@ -222,12 +300,17 @@ def relu(a):
     return _make(np.where(mask, a.data, 0.0), (a,), bwd)
 
 
+def _sigmoid(x, name):
+    """Logistic of an array without overflow; non-finite input is an error."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError(f"{name}: non-finite input")
+    s = 1.0 / (1.0 + np.exp(-np.abs(x)))
+    return np.where(x >= 0, s, 1.0 - s)
+
+
 def sigmoid(a):
     a = _wrap(a)
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("sigmoid: non-finite input")
-    data = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    data = np.where(a.data >= 0, data, 1.0 - data)
+    data = _sigmoid(a.data, "sigmoid")
 
     def bwd(g):
         return (g * data * (1.0 - data),)
@@ -256,15 +339,18 @@ def tanh(a):
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu_tanh(x):
+    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+
+
 def gelu(a):
     """tanh-approximate GELU with its exact derivative."""
     a = _wrap(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    data = 0.5 * x * (1.0 + _gelu_tanh(x))
 
     def bwd(g):
+        t = _gelu_tanh(x)
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         return (g * d,)

@@ -255,6 +255,50 @@ def test_classify_head_is_distribution(rng):
     assert np.all(probs.data >= 0)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_classify_head_matches_matmul_chain(lead, rng):
+    # the fused head against the reshape -> matmul -> reshape chain it
+    # replaced, on one window and on a batch
+    state = ModelState.init(small_config(task="classify", n_classes=4))
+    Z = rng.standard_normal(lead + (2, 4, 8))
+    cot = rng.standard_normal(lead + (4,))
+
+    def chain(Z):
+        pooled = T.tmean(T.tmean(Z, axis=-2), axis=-2)
+        logits = T.add(T.matmul(T.reshape(pooled, pooled.shape[:-1] + (1, 8)),
+                                state.head_w), state.head_b)
+        return T.softmax(T.reshape(logits, lead + (4,)), axis=-1)
+
+    results = []
+    for head in (chain, lambda Z: head_classify(Z, state)):
+        state.zero_grad()
+        Zt = T.Tensor(Z, requires_grad=True)
+        probs = head(Zt)
+        T.backward(T.tsum(T.mul(probs, cot)))
+        results.append((probs.data, state.head_w.grad, state.head_b.grad,
+                        Zt.grad))
+    for old, new in zip(*results):
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-15)
+
+
+def test_model_tape_has_no_matmul_node(rng):
+    # every dense layer is a fused linear node: no T.matmul closure (and
+    # so no separate bias add) is left on a training tape
+    for task in ("forecast", "classify"):
+        state = ModelState.init(small_config(task=task, n_classes=3))
+        out = model_forward(rng.standard_normal((2, 3, 32)), state)
+        seen, stack, ops = {id(out)}, [out], set()
+        while stack:
+            node = stack.pop()
+            ops.add(node._backward.__qualname__.split(".")[0])
+            for p in node._parents:
+                if p._backward is not None and id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert "matmul" not in ops, task
+        assert {"linear", "gated_linear"} <= ops, task
+
+
 def test_forecast_head_zero_backbone_constant_bias(rng):
     state = ModelState.init(small_config())
     state.head_w.data[:] = 0.0

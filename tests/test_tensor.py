@@ -7,7 +7,7 @@ import pytest
 
 from dema import tensor as T
 from dema.dala import kernel_phi
-from dema.errors import ContractError, DimensionError
+from dema.errors import ContractError, DimensionError, NumericError
 from dema.model import ModelConfig, ModelState, model_forward
 from dema.ssd import DiscreteSSM, ssd_blocked
 
@@ -63,6 +63,57 @@ def test_softplus_at_zero():
 
 def test_sigmoid_at_zero():
     assert T.sigmoid(T.Tensor(0.0)).data == 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sigmoid_and_gated_linear_reject_non_finite_gates(bad):
+    gate = np.zeros((2, 3))
+    gate[1, 2] = bad
+    with pytest.raises(NumericError, match="sigmoid"):
+        T.sigmoid(T.Tensor(gate))
+    with pytest.raises(NumericError, match="gated_linear"):
+        T.gated_linear(T.Tensor(np.ones((2, 3))), T.Tensor(gate),
+                       T.Tensor(np.ones((3, 4))), T.Tensor(np.zeros(4)))
+
+
+def test_gated_linear_matches_unfused_chain(rng):
+    y, gate = rng.standard_normal((2, 3, 5)), 10 * rng.standard_normal((2, 3, 5))
+    w, b = rng.standard_normal((5, 4)), rng.standard_normal(4)
+    out = T.gated_linear(T.Tensor(y), T.Tensor(gate), T.Tensor(w), T.Tensor(b))
+    ref = T.add(T.matmul(T.mul(y, T.sigmoid(T.Tensor(gate))), w), b)
+    np.testing.assert_array_equal(out.data, ref.data)
+
+
+def test_linear_matches_matmul_bit_for_bit(rng):
+    x, w, b = (rng.standard_normal(s) for s in ((4, 7, 12, 16), (16, 8), (8,)))
+    out = T.linear(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
+    np.testing.assert_array_equal(out, x @ w + b)
+    np.testing.assert_array_equal(T.linear(T.Tensor(x), T.Tensor(w)).data,
+                                  x @ w)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+    ((3, 4), (5, 2), None),          # inner extents differ
+    ((3, 4), (4, 2), (3,)),          # bias does not match the output
+    ((3, 4), (4, 2), (1, 2)),
+    ((3, 4), (4,), None),            # weight not 2-D
+    ((3, 4), (2, 4, 2), None),
+    ((), (1, 2), None),              # scalar input
+])
+def test_linear_shape_errors(x_shape, w_shape, b_shape):
+    b = None if b_shape is None else T.Tensor(np.zeros(b_shape))
+    with pytest.raises(DimensionError, match="linear"):
+        T.linear(T.Tensor(np.ones(x_shape)), T.Tensor(np.ones(w_shape)), b)
+    if b is not None:
+        with pytest.raises(DimensionError, match="gated_linear"):
+            T.gated_linear(T.Tensor(np.ones(x_shape)), T.Tensor(np.ones(x_shape)),
+                           T.Tensor(np.ones(w_shape)), b)
+
+
+def test_gated_linear_gate_shape_error():
+    with pytest.raises(DimensionError, match="gate"):
+        T.gated_linear(T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((1, 4))),
+                       T.Tensor(np.ones((4, 2))), T.Tensor(np.zeros(2)))
 
 
 def test_layer_norm_constant_vector():
@@ -258,6 +309,20 @@ def ssd_from_log_decays(log_a, B_bar, C, x, chunk):
     return ssd_blocked(d, C, x, chunk)
 
 
+_CONST_X = np.random.default_rng(1).standard_normal((2, 3, 4))
+_WIDE_GATES = np.array([30.0, -30.0, 0.0, 2.0, -2.0])
+
+
+def linear_const_x(w, b):
+    """linear on a constant input, so only w and b get gradients."""
+    return T.linear(_CONST_X, w, b)
+
+
+def gated_linear_wide(y, gate, w, b):
+    """gated_linear with gates pushed out to +-30 along the last axis."""
+    return T.gated_linear(y, T.add(gate, _WIDE_GATES), w, b)
+
+
 @pytest.mark.parametrize("op,shapes,kwargs", [
     (T.add, [(3, 4), (3, 4)], {}),
     (T.sub, [(3, 4), (4,)], {}),
@@ -286,6 +351,13 @@ def ssd_from_log_decays(log_a, B_bar, C, x, chunk):
      {"chunk": 5, "h": 1e-4}),
     (ssd_from_log_decays, [(2, 7, 2), (2, 7, 2), (2, 7, 2), (2, 7, 3)],
      {"chunk": 9, "h": 1e-4}),
+    (T.linear, [(3, 4), (4, 2)], {}),                   # no bias
+    (T.linear, [(3, 4), (4, 2), (2,)], {}),
+    (T.linear, [(2, 3, 4), (4, 5), (5,)], {}),          # leading axes
+    (T.linear, [(4,), (4, 3), (3,)], {}),               # one row
+    (linear_const_x, [(4, 5), (5,)], {}),
+    (T.gated_linear, [(2, 3, 4), (2, 3, 4), (4, 2), (2,)], {}),
+    (gated_linear_wide, [(3, 5), (3, 5), (5, 2), (2,)], {}),
 ])
 def test_per_op_finite_difference(op, shapes, kwargs, rng):
     _finite_diff_check(op, shapes, rng, **kwargs)
@@ -376,3 +448,23 @@ def test_fused_ops_record_one_node(rng):
     for chunk in (1, 5, 16):
         y = ssd_blocked(d, C, u, chunk)
         assert y._parents == (log_a, B_bar, C, u)
+    w, b, gate = leaf(4, 6), leaf(6), leaf(2, 5, 4)
+    assert T.linear(x, w, b)._parents == (x, w, b)
+    assert T.linear(x, w)._parents == (x, w)
+    assert T.gated_linear(x, gate, w, b)._parents == (x, gate, w, b)
+
+
+def test_linear_skips_gradients_nobody_needs(rng):
+    # a constant input (the patches) gets no gradient, and a frozen
+    # weight or gate none either; the others still get theirs
+    x = T.Tensor(rng.standard_normal((2, 3, 4)))
+    w = T.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    b = T.Tensor(np.zeros(5))
+    grads = T.linear(x, w, b)._backward(np.ones((2, 3, 5)))
+    assert grads[0] is None and grads[2] is None and grads[1].shape == (4, 5)
+    y = T.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    gate = T.Tensor(rng.standard_normal((2, 3, 4)))
+    grads = T.gated_linear(y, gate, T.Tensor(w.data), b)._backward(
+        np.ones((2, 3, 5)))
+    assert grads[0].shape == (2, 3, 4)
+    assert all(g is None for g in grads[1:])
