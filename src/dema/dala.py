@@ -235,6 +235,7 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
     # running key sums of the denominators; past L they hold the total
     K = np.cumsum(np.pad(kr if rotated else phk, [(0, 0)] * (v.ndim - 2) +
                          [(0, top - L), (0, 0)]), axis=-2)
+    K_shape = K.shape                          # the VJP keeps no K
 
     def read(S, sh, q, out):
         # out[a] += sum_b w_ab q_a (S_b less the keys the shift never shows):
@@ -302,7 +303,11 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
                 read(S, sh, q, out)
             else:
                 # none (chunk 0 too): read the zero state, so that every
-                # chunk reads one
+                # chunk reads one. Unlike the SSD's, these reads stay: at
+                # chunk 64 DALA has a single chunk at criterion 8's first
+                # length (48 tokens), where skipping them would leave no
+                # state work at all, and the first doubling would then add
+                # the whole state schedule at once
                 out += q @ zero
             _add_rows(num, sh.a, lo, out)
             if record:
@@ -316,7 +321,8 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
 
     def vjp(gnum, gden):
         gq = np.zeros_like(phq)
-        gkr, gv, gK = (np.zeros_like(x) for x in (kr, v, K))
+        gkr, gv = np.zeros_like(kr), np.zeros_like(v)
+        gK = np.zeros(K_shape)
         gS = np.zeros_like(states[-1])
         gZ = gden * qd
         for sh in shifts:
@@ -329,7 +335,7 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
             if sh.h:
                 gK[..., sh.b, sh.h - 1:sh.h, :] -= gz.sum(axis=-2,
                                                          keepdims=True)
-        gqd = gden * Z
+        del gZ, gz
         for I in reversed(range(nb)):
             rows = slice(I * c, I * c + c)
             if I + 1 < nb:
@@ -353,8 +359,12 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
                 if I * c > sh.h:
                     read_vjp(states[I], sh, q, go, gqr, gS, gkr, gv)
                 _add_rows(gq, sh.a, lo, _rope_apply(gqr, cos[m], -sin[m]))
-        gq += _rope_apply(gqd, cos[:L], -sin[:L]) if rotated else gqd
-        gkd = np.flip(np.cumsum(np.flip(gK, -2), axis=-2), -2)[..., :L, :]
+        gq += _rope_apply(gden * Z, cos[:L], -sin[:L]) if rotated \
+            else gden * Z
+        # the running sums' gradient: a reverse cumulative sum, in place
+        rev = gK[..., ::-1, :]
+        np.cumsum(rev, axis=-2, out=rev)
+        gkd = gK[..., :L, :]
         if rotated:
             gkr += gkd
         gphk = _rope_apply(gkr, cos[:L], -sin[:L])
@@ -408,11 +418,14 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
     y = np.where(keep, num / dd, v.data)
 
     def bwd(g):
-        gk = np.where(keep, g, 0.0)
+        gnum = np.where(keep, g, 0.0)
         gden = np.where(den >= eps,
-                        -np.sum(gk * num, axis=-1, keepdims=True), 0.0)
-        gq, gphk, gv = vjp(gk / dd, gden / dd ** 2)
-        return gq, gphk, gv + np.where(keep, 0.0, g)
+                        -np.sum(gnum * num, axis=-1, keepdims=True), 0.0)
+        gnum /= dd
+        gq, gphk, gv = vjp(gnum, gden / dd ** 2)
+        del gnum
+        gv += np.where(keep, 0.0, g)
+        return gq, gphk, gv
 
     return T._make(y, (phi_q, phi_k, v), bwd)
 

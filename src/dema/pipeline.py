@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .delay import delay_matrix
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError, NumericError
 from .model import (ModelConfig, ModelState, anomaly_score, backbone_forward,
                     model_forward, select_threshold)
 
@@ -66,7 +66,10 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        for name in ("lr", "batch_size", "epochs", "n_variates"):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(
+                f"lr must be a positive finite number, got {self.lr}")
+        for name in ("batch_size", "epochs", "n_variates"):
             if getattr(self, name) <= 0:
                 raise ConfigError(
                     f"{name} must be positive, got {getattr(self, name)}")
@@ -291,7 +294,8 @@ class Adam:
 class TrainResult:
     state: ModelState
     log: list  # per-epoch dicts: losses, wall time, rate, gradient norm;
-               # a diverged run ends with its non-finite-loss event
+               # a diverged run ends with its event: a non-finite loss,
+               # parameter or forward, with where it happened
     best_epoch: int
     diverged: bool = False
 
@@ -366,13 +370,27 @@ def train(config: TrainConfig, spec: DatasetSpec,
         if not windows:
             raise _no_windows(name, splits, cfg)
     priors = choose_priors(splits, cfg, config.global_priors, priors_override)
+    initial = {name: p.data.copy() for name, p in state.parameters()}
     opt = Adam(state.parameters(), lr=config.lr)
     log = []
     best_val = np.inf
     best_params = None
     best_epoch = -1
-    diverged = False
+    diverged = None   # the log entry of the event that ended the run
     n = len(train_windows)
+
+    def forward_or_event(where, fn, *args, **kw):
+        # once Adam has stepped, a NumericError in a forward means finite
+        # weights too large for it (exp(A_log) overflows first), so it ends
+        # the run; before the first step it is the data's or the config's
+        try:
+            return fn(*args, **kw), None
+        except NumericError as exc:
+            if opt.t == 0:
+                raise
+            return None, {**where, "event": "non-finite forward",
+                          "error": str(exc)}
+
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         order = rng.permutation(n)
@@ -383,24 +401,37 @@ def train(config: TrainConfig, spec: DatasetSpec,
             xs = [train_windows[i][0] for i in idx]
             ys = [train_windows[i][1] for i in idx]
             opt.zero_grad()
-            loss = _batch_loss(state, xs, ys, priors,
-                               mask_seed=cfg.seed * 100003 + epoch * 1009 + start,
-                               mask_ratio=spec.mask_ratio)
+            where = {"epoch": epoch, "batch_start": start}
+            loss, diverged = forward_or_event(
+                where, _batch_loss, state, xs, ys, priors,
+                mask_seed=cfg.seed * 100003 + epoch * 1009 + start,
+                mask_ratio=spec.mask_ratio)
+            if diverged:
+                break
             if not np.isfinite(loss.data):
-                diverged = True
-                log.append({"epoch": epoch, "batch_start": start,
-                            "event": "non-finite loss"})
+                diverged = {**where, "event": "non-finite loss"}
                 break
             T.backward(loss)
             grad_norms.append(_grad_norm(opt.params))
             opt.step()
+            if not all(np.all(np.isfinite(p.data)) for _, p in opt.params):
+                diverged = {**where, "event": "non-finite parameters"}
+                break
             train_losses.append(float(loss.data))
+        if not diverged:
+            val_loss, diverged = forward_or_event(
+                {"epoch": epoch, "split": "val"}, _epoch_loss, state,
+                val_windows, priors, config.batch_size, cfg.seed * 7919,
+                spec.mask_ratio)
         if diverged:
-            warnings.warn(f"loss diverged at epoch {epoch}; keeping the "
-                          "last good checkpoint", stacklevel=2)
+            log.append(diverged)
+            kept = "best-validation" if best_params is not None else "initial"
+            warnings.warn(f"training diverged at epoch {epoch} "
+                          f"({diverged['event']}); keeping the {kept} weights",
+                          stacklevel=2)
+            if best_params is None:
+                best_params = initial
             break
-        val_loss = _epoch_loss(state, val_windows, priors, config.batch_size,
-                               cfg.seed * 7919, spec.mask_ratio)
         seconds = time.perf_counter() - t0
         entry = {"epoch": epoch,
                  "train_loss": float(np.mean(train_losses)),
@@ -417,7 +448,7 @@ def train(config: TrainConfig, spec: DatasetSpec,
         for name, p in state.parameters():
             p.data = best_params[name]
     return TrainResult(state=state, log=log, best_epoch=best_epoch,
-                       diverged=diverged)
+                       diverged=diverged is not None)
 
 
 def _grad_norm(params) -> float:

@@ -139,9 +139,12 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     The segsum form of Mamba-2 (Dao & Gu, arXiv:2405.21060): per chunk,
     la = cumsum(log A_bar), the masked decays exp(la_j - la_i) (j >= i)
     give M = C B^T * decay and the intra-chunk output M x; the chunks
-    before come in through one carried [Dh, Du] state per chunk. One tape
-    node, differentiable in log A_bar, B_bar, C and x; its VJP uses la,
-    the decays, M and the states.
+    before come in through one carried [Dh, Du] state. Chunk 0 starts from
+    the zero initial state, so it reads none, and no state is built after
+    the last chunk: nb chunks build and read nb - 1 states, and a single
+    chunk runs no state product at all. One tape node, differentiable in
+    log A_bar, B_bar, C and x; its VJP uses la, the decays, M and the
+    states the chunks after the first read.
     """
     if chunk <= 0:
         raise ConfigError("chunk size must be positive")
@@ -179,49 +182,63 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     CBd *= decay
     M = np.sum(CBd, axis=-1)                       # [..., nb, c, c]
     del CBd
-    ea = np.exp(la)
-    # the state after chunk i is e_i h + w_i^T x_i, with w the decays to
-    # the chunk's end times B_bar
-    U = _swap(np.exp(la[..., -1:, :] - la) * Bb) @ xb      # [..., nb, Dh, Du]
-    H = np.empty(U.shape)                          # the state each chunk reads
-    h = np.zeros(lead + U.shape[-2:])
-    for i in range(nb):
-        # every chunk reads a state, chunk 0 the zero state, and builds
-        # the next, the last one too: the state work grows exactly with
-        # the chunk count, as criterion 8 (time per doubling) needs
-        H[..., i, :, :] = h
-        h = ea[..., i, -1, :, None] * h + U[..., i, :, :]
-    y = M @ xb + (Cb * ea) @ H
+    y = M @ xb
+    H = None     # H[i]: the state chunk i + 1 reads
+    if nb > 1:
+        # the state after chunk i is e_i h + w_i^T x_i, with w the decays
+        # to the chunk's end times B_bar; chunk i + 1 reads it. The state
+        # work grows with nb - 1, which doubles with the window at every
+        # length of criterion 8 (time per doubling), as the SSD has at
+        # least 3 chunks there
+        ea = np.exp(la)
+        U = _swap(np.exp(la[..., :-1, -1:, :] - la[..., :-1, :, :])
+                  * Bb[..., :-1, :, :]) @ xb[..., :-1, :, :]
+        H = np.empty(U.shape)                      # [..., nb - 1, Dh, Du]
+        H[..., 0, :, :] = U[..., 0, :, :]
+        for i in range(1, nb - 1):
+            H[..., i, :, :] = (ea[..., i, -1, :, None] * H[..., i - 1, :, :]
+                               + U[..., i, :, :])
+        del U
+        y[..., 1:, :, :] += (Cb[..., 1:, :, :] * ea[..., 1:, :, :]) @ H
     y = y.reshape(lead + (nb * c, y.shape[-1]))[..., :L, :]
 
     def bwd(g):
         Bb, Cb, xb = (blocks(t.data) for t in inputs[1:])
         gy = blocks(g)
-        ea = np.exp(la)
-        ew = np.exp(la[..., -1:, :] - la)
         # intra-chunk: y = M x with M_ji = sum_h C_jh B_ih decay_jih
         gM = gy @ _swap(xb)
         gx = _swap(M) @ gy
         gC = np.einsum("...ji,...ih,...jih->...jh", gM, Bb, decay)
         gB = np.einsum("...ji,...jh,...jih->...ih", gM, Cb, decay)
-        # the state reads y += (C ea) H
-        gC += (gy @ _swap(H)) * ea
-        gread = _swap(Cb * ea) @ gy
-        # back through h' = e h + U, from the last chunk to the first
-        gU = np.empty(H.shape)
-        carry = np.zeros(lead + H.shape[-2:])
-        for i in reversed(range(nb)):
-            gU[..., i, :, :] = carry
-            carry = gread[..., i, :, :] + ea[..., i, -1, :, None] * carry
-        gx += (ew * Bb) @ gU
-        gBs = (xb @ _swap(gU)) * ew
-        gB += gBs
+        if nb > 1:
+            ea = np.exp(la)
+            # the reads y += (C ea) H of chunks 1 to nb - 1
+            gC[..., 1:, :, :] += (gy[..., 1:, :, :] @ _swap(H)) \
+                * ea[..., 1:, :, :]
+            gread = _swap(Cb[..., 1:, :, :] * ea[..., 1:, :, :]) \
+                @ gy[..., 1:, :, :]
+            # back through h' = e h + U, from the last state to the first:
+            # gU[i] is the gradient of the state chunk i builds
+            gU = np.empty(H.shape)
+            gU[..., -1, :, :] = gread[..., -1, :, :]
+            for i in reversed(range(nb - 2)):
+                gU[..., i, :, :] = (gread[..., i, :, :]
+                                    + ea[..., i + 1, -1, :, None]
+                                    * gU[..., i + 1, :, :])
+            del gread
+            ew = np.exp(la[..., :-1, -1:, :] - la[..., :-1, :, :])
+            gx[..., :-1, :, :] += (ew * Bb[..., :-1, :, :]) @ gU
+            gBs = (xb[..., :-1, :, :] @ _swap(gU)) * ew
+            gB[..., :-1, :, :] += gBs
         # d/d la: each term with C_j carries exp(la_j - ...), each with B_i
         # exp(... - la_i); the chunk's last la also scales the carried
         # state and the decays to the chunk's end
         gla = Cb * gC - Bb * gB
-        gla[..., -1, :] += (np.sum(Bb * gBs, axis=-2)
-                            + np.sum(gU * H, axis=-1) * ea[..., -1, :])
+        if nb > 1:
+            glast = np.sum(Bb[..., :-1, :, :] * gBs, axis=-2)
+            glast[..., 1:, :] += (np.sum(gU[..., 1:, :, :] * H[..., :-1, :, :],
+                                         axis=-1) * ea[..., 1:-1, -1, :])
+            gla[..., :-1, -1, :] += glast
         glog = np.flip(np.cumsum(np.flip(gla, -2), axis=-2), -2)
         return tuple(unblocks(gt, t)
                      for gt, t in zip((glog, gB, gC, gx), inputs))

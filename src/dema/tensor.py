@@ -18,16 +18,31 @@ keeps no chain of intermediates. What each saves besides its inputs:
 
 - `linear` (x @ w + b): nothing; its VJP is one 2-D GEMM per operand on
   the flattened rows and one row sum for the bias.
-- `gated_linear` ((y * sigmoid(gate)) @ w + b): sigmoid(gate).
-- `gelu`: nothing; its VJP recomputes the tanh from the input.
-- `layer_norm`: x_hat and 1/sigma.
-- the causal `conv1d`: its zero-padded input.
-- `dala.kernel_phi`: the two norms; its VJP recomputes r = ReLU(x) and r^p.
+- `gated_linear` ((y * sigmoid(gate)) @ w + b): nothing; its VJP
+  recomputes sigmoid(gate).
+- `gelu`: nothing; its VJP recomputes the tanh from the input. Forward
+  and VJP are in-place chains over a few input-sized buffers.
+- `layer_norm`: the row means and standard deviations ([..., 1]); its VJP
+  recomputes x_hat from x.
+- the causal `conv1d`: nothing; its VJP pads the input again.
+- `relu`: nothing; its VJP recomputes the mask.
+- `dala.kernel_phi`: the two row norms; its VJP recomputes r = ReLU(x)
+  and r^p.
 - `ssd.ssd_blocked`: the cumulative log-decays, the masked decays, the
-  intra-chunk matrices and the state each chunk reads.
+  intra-chunk matrices and the states the chunks after the first read
+  (none at one chunk).
+- `dala.dala_core`: the rotated keys, numerator, denominator and mixed
+  key sums, the running k^T v states and, per shift and chunk, the
+  rotated queries and band scores.
 
-`dala.dala_core` and `dala.rope_rotate` are single nodes too. `matmul`
-is the general batched product; the model itself uses `linear`.
+VJPs read their inputs' `.data` when `backward` runs, not when the op is
+recorded, so nothing may write into an input of a recorded op between
+its forward and the backward: the gradients would silently be those of
+the new values. Write a new array to `.data` instead (as `Adam` does,
+after the backward).
+
+`dala.rope_rotate` is a single node too. `matmul` is the general batched
+product; the model itself uses `linear`.
 """
 
 from __future__ import annotations
@@ -255,24 +270,26 @@ def linear(x, w, b=None):
 def gated_linear(y, gate, w, b):
     """Gated output projection (y * sigmoid(gate)) @ w + b; one node.
 
-    y and gate are [..., n], w [n, m] and b [m]. Saves sigmoid(gate) and
-    recomputes the gated input in the VJP.
+    y and gate are [..., n], w [n, m] and b [m]. The VJP recomputes
+    sigmoid(gate) and the gated input.
     """
     y, gate, w, b = _wrap(y), _wrap(gate), _wrap(w), _wrap(b)
     if y.shape != gate.shape:
         raise DimensionError(
             f"gated_linear: input {y.shape} and gate {gate.shape} differ")
     _check_linear("gated_linear", y, w, b)
-    s = _sigmoid(gate.data, "gated_linear")
+    h = _sigmoid(gate.data, "gated_linear")
+    h *= y.data
 
     def bwd(g):
+        s = _sigmoid(gate.data, "gated_linear")
         gh, gw, gb = _gemm_grads(g, y.data * s, w, b,
                                  y.requires_grad or gate.requires_grad)
         gy = gh * s if y.requires_grad else None
         ggate = gh * y.data * s * (1.0 - s) if gate.requires_grad else None
         return gy, ggate, gw, gb
 
-    return _make(_gemm(y.data * s, w.data, b.data), (y, gate, w, b), bwd)
+    return _make(_gemm(h, w.data, b.data), (y, gate, w, b), bwd)
 
 
 # ----------------------------------------------------------------------
@@ -292,12 +309,11 @@ def tlog(a):
 
 def relu(a):
     a = _wrap(a)
-    mask = a.data > 0
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (a.data > 0),)
 
-    return _make(np.where(mask, a.data, 0.0), (a,), bwd)
+    return _make(np.where(a.data > 0, a.data, 0.0), (a,), bwd)
 
 
 def _sigmoid(x, name):
@@ -340,20 +356,48 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def _gelu_tanh(x):
-    return np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    """tanh(c (x + 0.044715 x^3)) in one buffer."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def gelu(a):
-    """tanh-approximate GELU with its exact derivative."""
+    """tanh-approximate GELU with its exact derivative.
+
+    Forward and VJP are in-place chains over a few input-sized buffers,
+    in the operation order of 0.5 x (1 + t) and its derivative.
+    """
     a = _wrap(a)
     x = a.data
-    data = 0.5 * x * (1.0 + _gelu_tanh(x))
+    t = _gelu_tanh(x)
+    t += 1.0
+    data = 0.5 * x
+    data *= t
+    del t
 
     def bwd(g):
+        # d = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
         t = _gelu_tanh(x)
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * d,)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d2 = 0.5 * x
+        d2 *= d
+        np.multiply(x, x, out=d)
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= _GELU_C
+        d2 *= d
+        del d
+        t += 1.0
+        t *= 0.5
+        t += d2
+        del d2
+        t *= g
+        return (t,)
 
     return _make(data, (a,), bwd)
 
@@ -399,7 +443,11 @@ def swapaxes(a, ax1, ax2):
 # ----------------------------------------------------------------------
 
 def layer_norm(x, gamma=None, beta=None, eps=1e-5):
-    """Normalize over the last axis; optional affine parameters."""
+    """Normalize over the last axis; optional affine parameters.
+
+    Saves the row means and standard deviations; the VJP recomputes x_hat
+    from x with them.
+    """
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
     x = _wrap(x)
@@ -407,20 +455,21 @@ def layer_norm(x, gamma=None, beta=None, eps=1e-5):
         raise NumericError("layer_norm: non-finite input")
     gamma, beta = (None if t is None else _wrap(t) for t in (gamma, beta))
     n = x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
-    sd = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
-    xhat = xc / sd
-    inv = 1.0 / sd
-    y = xhat
+    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    y = x.data - mu
+    sd = np.sqrt((y * y).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+    y /= sd                                     # x_hat
     if gamma is not None:
-        y = y * gamma.data
+        y *= gamma.data
     if beta is not None:
-        y = y + beta.data
+        y += beta.data
 
     def bwd(g):
+        xhat = x.data - mu
+        xhat /= sd
         gh = g if gamma is None else g * gamma.data
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        gx = (1.0 / sd) * (gh - gh.mean(axis=-1, keepdims=True)
+                           - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
         grads = [gx]
         if gamma is not None:
             grads.append(_unbroadcast(g * xhat, gamma.shape)
@@ -437,7 +486,8 @@ def conv1d(x, kernel):
     """Causal depthwise 1-D convolution along the second-to-last axis.
 
     x: [..., L, C]; kernel: [K, C]. Position l sees positions l - K + 1 to
-    l, with zeros before position 0, so it never sees positions > l.
+    l, with zeros before position 0, so it never sees positions > l. The
+    VJP pads x again rather than keeping the padded copy.
     """
     x = _wrap(x)
     kernel = _wrap(kernel)
@@ -445,19 +495,22 @@ def conv1d(x, kernel):
         raise NumericError("conv1d: non-finite input")
     K = kernel.shape[0]
     L = x.shape[-2]
-    xp = np.pad(x.data, [(0, 0)] * (x.ndim - 2) + [(K - 1, 0), (0, 0)])
+    pad = [(0, 0)] * (x.ndim - 2) + [(K - 1, 0), (0, 0)]
+    xp = np.pad(x.data, pad)
     out = xp[..., 0:L, :] * kernel.data[0]
     for k in range(1, K):
-        out = out + xp[..., k:k + L, :] * kernel.data[k]
+        out += xp[..., k:k + L, :] * kernel.data[k]
+    del xp
 
     def bwd(g):
         gx = gk = None
         if x.requires_grad:
-            gxp = np.zeros(xp.shape)
+            gxp = np.zeros(x.shape[:-2] + (L + K - 1, x.shape[-1]))
             for k in range(K):
                 gxp[..., k:k + L, :] += g * kernel.data[k]
             gx = gxp[..., K - 1:, :]
         if kernel.requires_grad:
+            xp = np.pad(x.data, pad)
             lead = tuple(range(g.ndim - 1))
             gk = np.stack([np.sum(g * xp[..., k:k + L, :], axis=lead)
                            for k in range(K)])

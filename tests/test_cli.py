@@ -216,6 +216,18 @@ def test_invalid_config_value_exits_cleanly(tmp_path, capsys, line, field):
     assert err.startswith(f"error: {conf}: {field}")
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_lr_exits_with_one_error_line(tmp_path, capsys, lr):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"epochs = 1\nd_model = 8\nlr = {lr}\n")
+    assert main(["train", "--config", str(conf),
+                 "--data", str(small_csv(tmp_path / "d.csv")),
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {conf}: lr must be a positive finite number, got {lr}"]
+    assert not (tmp_path / "train_log.json").exists()
+
+
 def test_empty_val_split_exits_cleanly(tmp_path, capsys):
     # 160 rows at the default ratios leave a 16-row val split
     conf = tmp_path / "short.conf"

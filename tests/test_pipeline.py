@@ -114,6 +114,8 @@ def test_parse_config_routes_each_key_to_its_class(tmp_path):
     ("task = segment", "task"),
     ("mask_ratio = 1.5", "mask_ratio"),
     ("epochs = 0", "epochs"),
+    ("lr = nan", "lr"),
+    ("lr = inf", "lr"),
 ])
 def test_parse_config_invalid_value_names_file_and_field(tmp_path, line,
                                                          field):
@@ -350,6 +352,52 @@ def test_training_logs_a_non_finite_loss(monkeypatch):
     assert result.log[-1] == {"epoch": 1, "batch_start": 32,
                               "event": "non-finite loss"}
     assert len(result.log) == 2 and "train_loss" in result.log[0]
+
+
+def test_training_logs_a_forward_that_overflows():
+    # lr = 1e3 leaves the weights finite (|w| up to about 1e3) after the
+    # first step, but exp(A_log) overflows in the next forward and
+    # layer_norm rejects what follows; the run ends with the initial weights
+    cfg, spec, _ = tiny_setup()
+    cfg.lr = 1e3
+    splits = coupled_splits(n_steps=400, n_train=250, n_val=80)
+    with pytest.warns(UserWarning, match="diverged at epoch 0 \\(non-finite "
+                      "forward\\); keeping the initial weights"):
+        with np.errstate(all="ignore"):
+            result = train(cfg, spec, splits=splits)
+    assert result.diverged and result.best_epoch == -1
+    assert result.log == [{"epoch": 0, "batch_start": 32,
+                           "event": "non-finite forward",
+                           "error": "layer_norm: non-finite input"}]
+    initial = ModelState.init(cfg.model)
+    for (name, p), (_, p0) in zip(result.state.parameters(),
+                                  initial.parameters()):
+        np.testing.assert_array_equal(p.data, p0.data, err_msg=name)
+
+
+def test_training_logs_non_finite_parameters(monkeypatch):
+    # the third step of epoch 1 (step 11) leaves a weight at inf; the run
+    # ends there with the best-validation weights, which are finite
+    cfg, spec, splits = tiny_setup()
+    step = Adam.step
+    steps = []
+
+    def step_to_inf(self):
+        step(self)
+        steps.append(self.t)
+        if self.t == 11:
+            self.params[0][1].data[0] = np.inf
+
+    monkeypatch.setattr(Adam, "step", step_to_inf)
+    with pytest.warns(UserWarning, match="diverged at epoch 1 \\(non-finite "
+                      "parameters\\); keeping the best-validation weights"):
+        result = train(cfg, spec, splits=splits)
+    assert steps == list(range(1, 12))
+    assert result.diverged and result.best_epoch == 0
+    assert result.log[-1] == {"epoch": 1, "batch_start": 64,
+                              "event": "non-finite parameters"}
+    assert all(np.all(np.isfinite(p.data))
+               for _, p in result.state.parameters())
 
 
 def test_training_empty_split_raises():

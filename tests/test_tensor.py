@@ -1,12 +1,14 @@
 """Tensor engine: arithmetic, FFT, and reverse-mode gradients."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from dema import tensor as T
 from dema.dala import kernel_phi
+from dema.delay import DelayPriors
 from dema.errors import ContractError, DimensionError, NumericError
 from dema.model import ModelConfig, ModelState, model_forward
 from dema.ssd import DiscreteSSM, ssd_blocked
@@ -238,6 +240,57 @@ def test_backward_peak_memory_stays_near_forward_bytes(rng):
     assert peak < 1.5 * held, (peak, held)
 
 
+def _closure_arrays(fn, depth=0):
+    """Arrays a closure holds, directly or in tuples, lists and dicts, and
+    those of the functions it holds, one level down."""
+    out, todo = [], [c.cell_contents for c in fn.__closure__ or ()]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, types.FunctionType) and depth == 0:
+            out.extend(_closure_arrays(obj, depth + 1))
+    return out
+
+
+def test_vjps_keep_only_inputs_and_row_statistics(rng):
+    # one SSD chunk (4 tokens, chunk 16); the shift of -2 pads DALA's key
+    # prefix sums to L + 2 rows of all 3 variates (its queries: 1 variate)
+    cfg = ModelConfig(lookback=32, horizon=8, d_model=16, d_state=3,
+                      n_blocks=2)
+    state = ModelState.init(cfg)
+    L, Dh, Du = cfg.lookback // cfg.patch_len, cfg.d_state, cfg.d_inner
+    delta = np.array([[0, -2, 1], [2, 0, 0], [-1, 0, 0]])
+    priors = DelayPriors(tau=delta * cfg.patch_len, rho=np.full((3, 3), 0.8),
+                         delta_tok=delta, max_lag=16)
+    out = model_forward(rng.standard_normal((2, 3, cfg.lookback)), state,
+                        priors)
+    nodes, stack = {}, [out]
+    while stack:
+        n = stack.pop()
+        if id(n) not in nodes:
+            nodes[id(n)] = n
+            stack.extend(n._parents)
+    tape = {id(n.data) for n in nodes.values()}
+    held = {}
+    for n in nodes.values():
+        if n._backward is not None:
+            name = n._backward.__qualname__.split(".")[0]
+            held.setdefault(name, []).extend(
+                a for a in _closure_arrays(n._backward) if id(a) not in tape)
+    for name in ("gated_linear", "conv1d", "layer_norm"):
+        assert name in held
+        assert all(a.shape[-1] == 1 for a in held[name]), (
+            name, [a.shape for a in held[name]])
+    assert not any(a.shape[-2:] == (Dh, Du) for a in held["ssd_blocked"])
+    assert held["dala_core"]
+    assert not any(a.shape[-3:] == (3, L + 2, Du) for a in held["dala_core"])
+
+
 def test_backward_requires_scalar():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
@@ -351,6 +404,9 @@ def gated_linear_wide(y, gate, w, b):
      {"chunk": 5, "h": 1e-4}),
     (ssd_from_log_decays, [(2, 7, 2), (2, 7, 2), (2, 7, 2), (2, 7, 3)],
      {"chunk": 9, "h": 1e-4}),
+    # two unpadded chunks: chunk 0 builds the one state chunk 1 reads
+    (ssd_from_log_decays, [(2, 8, 2), (2, 8, 2), (2, 8, 2), (2, 8, 3)],
+     {"chunk": 4, "h": 1e-4}),
     (T.linear, [(3, 4), (4, 2)], {}),                   # no bias
     (T.linear, [(3, 4), (4, 2), (2,)], {}),
     (T.linear, [(2, 3, 4), (4, 5), (5,)], {}),          # leading axes
