@@ -377,7 +377,6 @@ def gelu(a):
     t += 1.0
     data = 0.5 * x
     data *= t
-    del t
 
     def bwd(g):
         # d = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
@@ -391,11 +390,9 @@ def gelu(a):
         d += 1.0
         d *= _GELU_C
         d2 *= d
-        del d
         t += 1.0
         t *= 0.5
         t += d2
-        del d2
         t *= g
         return (t,)
 
@@ -500,7 +497,6 @@ def conv1d(x, kernel):
     out = xp[..., 0:L, :] * kernel.data[0]
     for k in range(1, K):
         out += xp[..., k:k + L, :] * kernel.data[k]
-    del xp
 
     def bwd(g):
         gx = gk = None

@@ -354,19 +354,23 @@ def test_training_logs_a_non_finite_loss(monkeypatch):
     assert len(result.log) == 2 and "train_loss" in result.log[0]
 
 
-def test_training_logs_a_forward_that_overflows():
+@pytest.mark.parametrize("batch_size, where", [
+    (32, {"batch_start": 32}),
+    (256, {"split": "val"}),     # one batch per epoch: validation comes next
+])
+def test_training_logs_a_forward_that_overflows(batch_size, where):
     # lr = 1e3 leaves the weights finite (|w| up to about 1e3) after the
     # first step, but exp(A_log) overflows in the next forward and
     # layer_norm rejects what follows; the run ends with the initial weights
     cfg, spec, _ = tiny_setup()
-    cfg.lr = 1e3
+    cfg.lr, cfg.batch_size = 1e3, batch_size
     splits = coupled_splits(n_steps=400, n_train=250, n_val=80)
     with pytest.warns(UserWarning, match="diverged at epoch 0 \\(non-finite "
                       "forward\\); keeping the initial weights"):
         with np.errstate(all="ignore"):
             result = train(cfg, spec, splits=splits)
     assert result.diverged and result.best_epoch == -1
-    assert result.log == [{"epoch": 0, "batch_start": 32,
+    assert result.log == [{"epoch": 0, **where,
                            "event": "non-finite forward",
                            "error": "layer_norm: non-finite input"}]
     initial = ModelState.init(cfg.model)
