@@ -357,7 +357,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def _gelu_tanh(x):
     """tanh(c (x + 0.044715 x^3)) in one buffer."""
-    t = x * x
+    t = np.asarray(x * x)      # a 0-d product is a scalar, not a buffer
     t *= x
     t *= 0.044715
     t += x
@@ -381,7 +381,7 @@ def gelu(a):
     def bwd(g):
         # d = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
         t = _gelu_tanh(x)
-        d = t * t
+        d = np.asarray(t * t)
         np.subtract(1.0, d, out=d)
         d2 = 0.5 * x
         d2 *= d

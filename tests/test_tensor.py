@@ -414,6 +414,7 @@ def gated_linear_wide(y, gate, w, b):
     # two unpadded chunks: chunk 0 builds the one state chunk 1 reads
     (ssd_from_log_decays, [(2, 8, 2), (2, 8, 2), (2, 8, 2), (2, 8, 3)],
      {"chunk": 4, "h": 1e-4}),
+    (T.gelu, [()], {}),                # 0-d: its in-place chains still work
 ])
 def test_per_op_finite_difference(op, shapes, kwargs, rng):
     _finite_diff_check(op, shapes, rng, **kwargs)
