@@ -19,14 +19,17 @@ the state-passing schedule of Mamba-2's SSD (Dao & Gu, arXiv:2405.21060)
 applied to linear attention (Katharopoulos et al., arXiv:2006.16236).
 Query chunk I of shift d holds the rows m in [I c, I c + c), so:
 
-* its band is key chunk I alone: the scores of the shift's query
-  variates against its key variates are one product, masked by the
-  weights rho_ab [delta_ab = d] and by the causal band j <= m;
+* its band is key chunk I alone. The shift's query variates with the
+  same key set form a block, a complete biclique: one product of real
+  pairs only, masked by the weights rho_ab and the causal band j <= m
+  (block-sparse attention as in Child et al., arXiv:1904.10509, with the
+  blocks read off the priors). Rows outside [0, L) are cut off, and the
+  variates are ordered so that a block's variates tend to be runs;
 * the keys of the chunks before I come in through one running k^T v
   state per key variate, shared by all shifts; each key variate's state
   meets the queries that read it in one product, weighted by rho;
-* a negative shift never shows its first -d keys: they are zeroed in the
-  band and taken out of the state read by a product with those keys;
+* a negative shift never shows its first -d keys: they are cut from
+  the band and taken out of the state read by a product with those keys;
 * the denominators of all shifts are one contraction of the queries with
   rho-mixed running key sums.
 
@@ -69,18 +72,17 @@ class RotaryTable:
         half = self.dim // 2
         self.theta = self.base ** (-np.arange(half) * 2.0 / self.dim)
 
-    def cos_sin(self, pos):
+    def rotation(self, pos):
+        """exp(i pos theta): one unit complex number per dimension pair."""
         ang = np.asarray(pos, dtype=np.float64)[..., None] * self.theta
-        return np.cos(ang), np.sin(ang)
+        return np.cos(ang) + 1j * np.sin(ang)
 
 
-def _rope_apply(arr, cos, sin):
-    e = arr[..., 0::2]
-    o = arr[..., 1::2]
-    out = np.empty_like(arr)
-    out[..., 0::2] = e * cos - o * sin
-    out[..., 1::2] = e * sin + o * cos
-    return out
+def _rope_apply(arr, rot):
+    """Rotate each feature pair (x_2i, x_2i+1) of arr by the unit complex
+    rot[..., i]: one complex product on the pairs viewed as numbers."""
+    return (np.ascontiguousarray(arr).view(np.complex128) * rot).view(
+        np.float64)
 
 
 def rope_rotate(x, pos, table: RotaryTable):
@@ -93,12 +95,12 @@ def rope_rotate(x, pos, table: RotaryTable):
     if x.shape[-1] != table.dim:
         raise ConfigError(
             f"rotary table dim {table.dim} does not match input {x.shape[-1]}")
-    cos, sin = table.cos_sin(pos)
+    rot = table.rotation(pos)
 
     def bwd(g):
-        return (_rope_apply(g, cos, -sin),)
+        return (_rope_apply(g, rot.conj()),)
 
-    return T._make(_rope_apply(x.data, cos, sin), (x,), bwd)
+    return T._make(_rope_apply(x.data, rot), (x,), bwd)
 
 
 def kernel_phi(x, p: int = 3):
@@ -106,7 +108,7 @@ def kernel_phi(x, p: int = 3):
 
     Norms are over the last axis. The output norm equals |ReLU(x)| and a
     zero input maps to zero. One tape node for every p; it saves the two
-    norms, and its VJP recomputes r and r^p from x.
+    norms, and its VJP recomputes r, r^(p - 1) and r^p from x.
     """
     if p < 1 or p != int(p):
         raise ConfigError(f"kernel power must be an integer >= 1, got {p}")
@@ -115,19 +117,20 @@ def kernel_phi(x, p: int = 3):
         return T.relu(x)
 
     def powers():
-        r = np.where(x.data > 0, x.data, 0.0)
-        return r, T._int_power(r, p)
+        r = np.maximum(x.data, 0.0)       # NaN stays NaN, never a silent 0
+        rq = T._int_power(r, p - 1)
+        return r, rq, rq * r                       # r, r^(p - 1), r^p
 
-    r, rp = powers()
+    r, _, rp = powers()
     n1 = np.sqrt(np.sum(r * r, axis=-1, keepdims=True) + _PHI_TINY)
     n2 = np.sqrt(np.sum(rp * rp, axis=-1, keepdims=True) + _PHI_TINY)
 
     def bwd(g):
-        r, rp = powers()
+        r, rq, rp = powers()
         gs = np.sum(g * rp, axis=-1, keepdims=True)   # of the scale n1 / n2
         grp = g * (n1 / n2) - (gs * n1 / n2 ** 3) * rp
         # zero where x <= 0: r and r^(p - 1) are 0 there
-        return ((gs / (n1 * n2)) * r + grp * (p * T._int_power(r, p - 1)),)
+        return ((gs / (n1 * n2)) * r + grp * (p * rq),)
 
     return T._make(rp * (n1 / n2), (x,), bwd)
 
@@ -159,88 +162,132 @@ def _flat(x):
     return x.reshape(x.shape[:-3] + (-1, x.shape[-1]))
 
 
-def _rows(x, idx, lo, n, start=0):
-    """x[..., idx, lo:lo + n, :], zero for the rows outside [start, L)."""
-    out = np.zeros(x.shape[:-3] + (len(idx), n, x.shape[-1]))
-    s0, s1 = max(lo, start), min(lo + n, x.shape[-2])
-    if s1 > s0:
-        out[..., s0 - lo:s1 - lo, :] = x[..., idx, s0:s1, :]
-    return out
+def _run(ix):
+    """Indices as a slice when they are consecutive: indexing gives a view."""
+    run = range(ix[0], ix[0] + len(ix))
+    return slice(run.start, run.stop) if list(ix) == list(run) else ix
 
 
-def _add_rows(x, idx, lo, val, start=0):
-    """x[..., idx, lo:lo + n, :] += val, for the rows inside [start, L)."""
-    s0, s1 = max(lo, start), min(lo + val.shape[-2], x.shape[-2])
-    if s1 > s0:
-        x[..., idx, s0:s1, :] += val[..., s0 - lo:s1 - lo, :]
+def _take(x, idx):
+    """x[..., idx, :, :] as a C-ordered array; idx None keeps the order."""
+    x = np.ascontiguousarray(x)
+    return x if idx is None else np.take(x, idx, axis=-3)
+
+
+def _zeros(shape):
+    """Zeros [..., N, L, D] stored variate-major, for :func:`_add`."""
+    return np.moveaxis(np.zeros(shape[-3:-2] + shape[:-3] + shape[-2:]),
+                       0, -3)
+
+
+def _add(x, idx, rows, val):
+    """x[..., idx, rows, :] += val for x from :func:`_zeros`."""
+    n = x.ndim - 3
+    axes = (n, *range(n), n + 1, n + 2)   # variates first: contiguous slabs
+    x.transpose(axes)[idx, ..., rows, :] += val.transpose(axes)
 
 
 @dataclass
 class _Shift:
-    """What the attention needs for one token shift d of the active pairs."""
+    """One token shift d of the active pairs; `a` lists the query variates
+    block by block, a block being those with the same key set at d."""
 
     d: int
     a: np.ndarray     # query variates with a pair at d (in some window)
     b: np.ndarray     # key variates with a pair at d
     w: np.ndarray     # [..., A, B] weights rho_ab [delta_ab = d]
+    blocks: list      # per block: its rows of a (a slice), its key
+                      # variates and their weights [..., A_g, B_g]
     h: int            # keys j < h = max(0, -d) are never shown at d
     chunks: range     # query chunks I: m = l - d in [I c, I c + c)
-    readers: list     # per key variate: (its queries, as indices into a,
-                      # and their weights [..., S])
+    readers: list     # per key variate: (the variate, its queries as
+                      # indices into a, and their weights [..., S])
 
 
 def _plan_shifts(rho, delta, active, L, c):
-    """One :class:`_Shift` per distinct shift of the active pairs (of any
-    window, for priors with a batch axis)."""
+    """A variate order and one :class:`_Shift` per distinct shift of the
+    active pairs (of any window, for priors with a batch axis), numbered
+    in that order. Sorting the variates by their mean shift makes a
+    block's query and key variates tend to be runs of consecutive ones."""
     nb = -(-L // c)
+    n, s = (x.sum(axis=-1).reshape(-1, x.shape[-1]).sum(axis=0)
+            for x in (active, np.where(active, delta, 0)))
+    order = np.argsort(s / np.maximum(n, 1), kind="stable")
+    rho, delta, active = (x[..., order[:, None], order]
+                          for x in (rho, delta, active))
     shifts = []
     for d in np.unique(delta[active]):
         d = int(d)
         sel = active & (delta == d)
-        pairs = sel.reshape((-1,) + sel.shape[-2:]).any(axis=0)
-        a = np.flatnonzero(pairs.any(axis=1))
-        b = np.flatnonzero(pairs.any(axis=0))
+        union = sel.reshape((-1,) + sel.shape[-2:]).any(axis=0)
+        groups = {}
+        for a in np.flatnonzero(union.any(axis=1)):
+            groups.setdefault(union[a].tobytes(), []).append(a)
+        a = np.concatenate(list(groups.values()))
+        b = np.flatnonzero(union.any(axis=0))
         w = np.where(sel, rho, 0.0)[..., a[:, None], b]
+        blocks, start = [], 0
+        for qs in groups.values():
+            kb = np.flatnonzero(union[qs[0], b])     # as indices into b
+            blocks.append((slice(start, start + len(qs)), _run(b[kb]),
+                           w[..., start:start + len(qs), kb]))
+            start += len(qs)
+        # per key variate, for the state reads of the chunks after the first
+        readers = [(k, _run(np.flatnonzero(col)), w[..., col, i]) for i, (
+            k, col) in enumerate(zip(b, union[a][:, b].T))] if nb > 1 else []
         h = max(0, -d)
         # the queries l in [0, L) sit at m in [h, L - d); the last chunk
         # also takes the rows m >= nb c, which see every key
         chunks = range(h // c, min(nb, -(-(L - d) // c)))
-        readers = [(sel, w[..., sel, k]) for k, sel in enumerate(
-            np.flatnonzero(col) for col in pairs[np.ix_(a, b)].T)]
-        shifts.append(_Shift(d, a, b, w, h, chunks, readers))
-    return shifts
+        shifts.append(_Shift(d, _run(a), _run(b), w, blocks, h, chunks,
+                             readers))
+    return order, shifts
 
 
-def _band_mask(w, t, c):
-    """[..., A t, B c]: w_ab [key s <= query row t'] for t query rows."""
-    causal = np.arange(c)[None, :] <= np.arange(t)[:, None]
-    return (w[..., :, None, :, None] * causal[:, None, :]).reshape(
-        w.shape[:-2] + (w.shape[-2] * t, -1))
+def _band_mask(w, band):
+    """[..., A t, B k]: w_ab band[t', j] for block weights w [..., A, B]."""
+    t, k = band.shape
+    return (w[..., :, None, :, None] * band[:, None, :]).reshape(
+        w.shape[:-2] + (w.shape[-2] * t, w.shape[-1] * k))
 
 
-def _attend(phq, phk, v, shifts, table, rotated, c, record):
+def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
     """Numerator [..., N, L, Du] and denominator [..., N, L, 1] of DALA.
 
     Returns them with the VJP that maps their gradients to those of the
-    feature maps phq, phk and the values v (all [..., N, L, Du]). With
-    `record`, the states and every chunk's queries and band scores are kept
-    for the VJP.
+    feature maps phq, phk and the values v (all [..., N, L, Du]), taking
+    the variates in `order` inside. With `record`, the states and every
+    block's band scores are kept for the VJP.
     """
     L, Du = v.shape[-2:]
     nb = -(-L // c)                            # chunks
     top = L + max(sh.h for sh in shifts)       # query rows m < top
+    inv, inputs = np.argsort(order), (phq, v)
+    if np.all(np.diff(order) == 1):
+        order = inv = None                     # the given order: no copies
+    phq, phk, v = (_take(x, order) for x in (phq, phk, v))
 
-    cos, sin = table.cos_sin(np.arange(top))
-    kr = _rope_apply(phk, cos[:L], sin[:L])    # keys at their own positions
+    rot = table.rotation(np.arange(top))
+    kr = _rope_apply(phk, rot[:L])             # keys at their own positions
     # running key sums of the denominators; past L they hold the total
     K = np.cumsum(np.pad(kr if rotated else phk, [(0, 0)] * (v.ndim - 2) +
                          [(0, top - L), (0, 0)]), axis=-2)
     K_shape = K.shape                          # the VJP keeps no K
 
-    def read(S, sh, q, out):
+    def chunk(sh, I, phq):
+        # chunk I's queries m in [m0, m1) (rows l = m + d), rotated once at
+        # m, and the causal band of its keys j in [m0, k1): no query has
+        # l < 0, no key j < h shows
+        m0 = max(I * c, sh.h)
+        m1 = L - sh.d if I + 1 == nb else min(I * c + c, L - sh.d)
+        k1, ls = min(I * c + c, L), slice(m0 + sh.d, m1 + sh.d)
+        return m0, k1, np.tri(m1 - m0, k1 - m0), ls, _rope_apply(
+            phq[..., sh.a, ls, :], rot[m0:m1])
+
+    def read(S, sh, q, v, out):
         # out[a] += sum_b w_ab q_a (S_b less the keys the shift never shows):
         # per key variate, one product of its queries with its state
-        for b, (sel, wb) in zip(sh.b, sh.readers):
+        for b, sel, wb in sh.readers:
             qb = _flat(q[..., sel, :, :])
             r = qb @ S[..., b, :, :]
             if sh.h:
@@ -248,8 +295,8 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
             out[..., sel, :, :] += wb[..., None, None] * r.reshape(
                 q[..., sel, :, :].shape)
 
-    def read_vjp(S, sh, q, go, gq, gS, gkr, gv):
-        for b, (sel, wb) in zip(sh.b, sh.readers):
+    def read_vjp(S, sh, q, v, go, gq, gS, gkr, gv):
+        for b, sel, wb in sh.readers:
             qb = _flat(q[..., sel, :, :])
             gr = _flat(wb[..., None, None] * go[..., sel, :, :])
             gqb = gr @ _swap(S[..., b, :, :])
@@ -262,27 +309,21 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
                 gv[..., b, :sh.h, :] -= _swap(qb @ _swap(hk)) @ gr
             gq[..., sel, :, :] += gqb.reshape(go[..., sel, :, :].shape)
 
-    def key_sums(sh):
-        # [..., B, L, Du]: row l sums the keys j in [h, l - d]
-        z = _rows(K, sh.b, -sh.d, L)
-        return z - K[..., sh.b, sh.h - 1:sh.h, :] if sh.h else z
-
     # den[a, l] = sum_d qd_a(l - d) . z_d[a, l] with the rho-mixed key sums
-    # z_d; qd_a(l - d) . z = qd_a(l) . R(d) z, so one contraction serves all
-    qd = _rope_apply(phq, cos[:L], sin[:L]) if rotated else phq
-    Z = np.zeros_like(phq)
+    # z_d; qd_a(l - d) . z = qd_a(l) . R(d) z, so one contraction serves all.
+    # The mix stays one product per shift: its masked-out pairs cost a c-th
+    # of what they would in the band
+    qd = _rope_apply(phq, rot[:L]) if rotated else phq
+    Z = _zeros(phq.shape)
     for sh in shifts:
-        z = _mix(sh.w, key_sums(sh))
-        Z[..., sh.a, :, :] += _rope_apply(z, *table.cos_sin(sh.d)) \
-            if rotated else z
+        # query row l >= max(d, 0) sums the keys j in [h, l - d]
+        z = K[..., sh.b, sh.h:sh.h + L - max(sh.d, 0), :]
+        z = _mix(sh.w, z - K[..., sh.b, sh.h - 1:sh.h, :] if sh.h else z)
+        _add(Z, sh.a, slice(max(sh.d, 0), L), _rope_apply(
+            z, table.rotation(sh.d)) if rotated else z)
     den = np.sum(qd * Z, axis=-1, keepdims=True)
 
-    def chunk(sh, I):
-        # query rows l = m + d of chunk I, the rows m and the band mask
-        t = c if I + 1 < nb else L - sh.d - I * c
-        return I * c + sh.d, slice(I * c, I * c + t), _band_mask(sh.w, t, c)
-
-    num = np.zeros_like(v)
+    num = _zeros(v.shape)
     zero = np.zeros((Du, Du))
     S = 0.0                                    # k^T v of the chunks before I
     states, saved = [], {}
@@ -291,16 +332,20 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
         for j, sh in enumerate(shifts):
             if I not in sh.chunks:
                 continue
-            lo, m, mask = chunk(sh, I)
-            q = _rope_apply(_rows(phq, sh.a, lo, m.stop - m.start),
-                            cos[m], sin[m])        # rotated at m = l - d
-            # the band: the keys of chunk I, up to the query's own m
-            kb = _rows(kr, sh.b, I * c, c, sh.h)
-            att = (_flat(q) @ _swap(_flat(kb))) * mask
-            out = (att @ _flat(_rows(v, sh.b, I * c, c))).reshape(q.shape)
+            m0, k1, band, ls, q = chunk(sh, I, phq)
+            out = np.empty_like(q)
+            atts = []
+            for qa, b, w in sh.blocks:
+                # the block's band: the keys of chunk I up to the query's m
+                att = _flat(q[..., qa, :, :]) @ _swap(_flat(
+                    kr[..., b, m0:k1, :]))
+                att *= _band_mask(w, band)
+                np.matmul(att, _flat(v[..., b, m0:k1, :]),
+                          out=_flat(out[..., qa, :, :]))
+                atts.append(att)
             if I * c > sh.h:
                 # the keys before chunk I that the shift shows
-                read(S, sh, q, out)
+                read(S, sh, q, v, out)
             else:
                 # none (chunk 0 too): read the zero state, so that every
                 # chunk reads one. Unlike the SSD's, these reads stay: at
@@ -309,9 +354,9 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
                 # state work at all, and the first doubling would then add
                 # the whole state schedule at once
                 out += q @ zero
-            _add_rows(num, sh.a, lo, out)
+            _add(num, sh.a, ls, out)
             if record:
-                saved[I, j] = q, att
+                saved[I, j] = atts              # the VJP rotates q again
         if record:
             states.append(S)
         # every chunk builds its state, the last one too: as every chunk
@@ -320,21 +365,19 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
         S = S + _swap(kr[..., rows, :]) @ v[..., rows, :]
 
     def vjp(gnum, gden):
-        gq = np.zeros_like(phq)
-        gkr, gv = np.zeros_like(kr), np.zeros_like(v)
-        gK = np.zeros(K_shape)
+        phq, v, gnum, gden = (_take(x, order) for x in inputs + (gnum, gden))
+        gq, gkr, gv, gK = map(_zeros, (phq.shape, kr.shape, v.shape, K_shape))
         gS = np.zeros_like(states[-1])
-        gZ = gden * qd
+        gZ = gden * (_rope_apply(phq, rot[:L]) if rotated else phq)
         for sh in shifts:
-            gz = gZ[..., sh.a, :, :]
+            gz = gZ[..., sh.a, max(sh.d, 0):, :]
             if rotated:
-                cd, sd = table.cos_sin(sh.d)
-                gz = _rope_apply(gz, cd, -sd)
+                gz = _rope_apply(gz, table.rotation(-sh.d))
             gz = _mix(_swap(sh.w), gz)
-            _add_rows(gK, sh.b, -sh.d, gz)
+            _add(gK, sh.b, slice(sh.h, sh.h + L - max(sh.d, 0)), gz)
             if sh.h:
-                gK[..., sh.b, sh.h - 1:sh.h, :] -= gz.sum(axis=-2,
-                                                         keepdims=True)
+                _add(gK, sh.b, slice(sh.h - 1, sh.h),
+                     -gz.sum(axis=-2, keepdims=True))
         del gZ, gz
         for I in reversed(range(nb)):
             rows = slice(I * c, I * c + c)
@@ -345,34 +388,38 @@ def _attend(phq, phk, v, shifts, table, rotated, c, record):
             for j, sh in enumerate(shifts):
                 if I not in sh.chunks:
                     continue
-                q, att = saved.pop((I, j))
-                lo, m, mask = chunk(sh, I)
-                go = _rows(gnum, sh.a, lo, q.shape[-2])
-                kb = _rows(kr, sh.b, I * c, c, sh.h)
-                vb = _rows(v, sh.b, I * c, c)
-                gatt = (_flat(go) @ _swap(_flat(vb))) * mask
-                gqr = (gatt @ _flat(kb)).reshape(q.shape)
-                _add_rows(gkr, sh.b, I * c, (_swap(gatt) @ _flat(q)
-                                             ).reshape(kb.shape), sh.h)
-                _add_rows(gv, sh.b, I * c, (_swap(att) @ _flat(go)
-                                            ).reshape(vb.shape))
+                atts = saved.pop((I, j))
+                m0, k1, band, ls, q = chunk(sh, I, phq)
+                go = gnum[..., sh.a, ls, :]
+                gqr = np.empty_like(q)
+                for (qa, b, w), att in zip(sh.blocks, atts):
+                    kb, vb = kr[..., b, m0:k1, :], v[..., b, m0:k1, :]
+                    gob = _flat(go[..., qa, :, :])
+                    gatt = gob @ _swap(_flat(vb))
+                    gatt *= _band_mask(w, band)
+                    np.matmul(gatt, _flat(kb), out=_flat(gqr[..., qa, :, :]))
+                    _add(gkr, b, slice(m0, k1), (_swap(gatt) @ _flat(
+                        q[..., qa, :, :])).reshape(kb.shape))
+                    _add(gv, b, slice(m0, k1),
+                         (_swap(att) @ gob).reshape(vb.shape))
                 if I * c > sh.h:
-                    read_vjp(states[I], sh, q, go, gqr, gS, gkr, gv)
-                _add_rows(gq, sh.a, lo, _rope_apply(gqr, cos[m], -sin[m]))
-        gq += _rope_apply(gden * Z, cos[:L], -sin[:L]) if rotated \
-            else gden * Z
+                    read_vjp(states[I], sh, q, v, go, gqr, gS, gkr, gv)
+                _add(gq, sh.a, ls, _rope_apply(
+                    gqr, rot[m0:m0 + band.shape[0]].conj()))
+        gq = gq + (_rope_apply(gden * Z, rot[:L].conj()) if rotated
+                   else gden * Z)
         # the running sums' gradient: a reverse cumulative sum, in place
         rev = gK[..., ::-1, :]
         np.cumsum(rev, axis=-2, out=rev)
         gkd = gK[..., :L, :]
         if rotated:
             gkr += gkd
-        gphk = _rope_apply(gkr, cos[:L], -sin[:L])
+        gphk = _rope_apply(gkr, rot[:L].conj())
         if not rotated:
             gphk += gkd
-        return gq, gphk, gv
+        return _take(gq, inv), _take(gphk, inv), _take(gv, inv)
 
-    return num, den, vjp
+    return _take(num, inv), _take(den, inv), vjp
 
 
 def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
@@ -405,11 +452,11 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
     c = -(-L // nb)
     phi_q = kernel_phi(q, p)
     phi_k = kernel_phi(k, p)
-    shifts = _plan_shifts(rho, delta, active, L, c)
+    order, shifts = _plan_shifts(rho, delta, active, L, c)
     record = T._grad_enabled and any(
         t.requires_grad for t in (phi_q, phi_k, v))   # as T._make decides
-    num, den, vjp = _attend(phi_q.data, phi_k.data, v.data, shifts, table,
-                            rotated_denominator, c, record)
+    num, den, vjp = _attend(phi_q.data, phi_k.data, v.data, order, shifts,
+                            table, rotated_denominator, c, record)
     # query (a, l) sees a key once l reaches the smallest max(0, delta_ab);
     # tokens with no key in range fall back to their own value
     first = np.where(active, np.maximum(delta, 0), L).min(axis=-1)
@@ -467,15 +514,11 @@ def naive_dala_oracle(inp: DalaInputs, table: RotaryTable | None = None,
     rho = inp.priors.rho_weights()
     delta = inp.priors.delta_tok
 
-    def rot(vec, pos):
-        cos, sin = table.cos_sin(pos)
-        return _rope_apply(vec, cos, sin)
-
     y = np.zeros((L, N, Du))
     for a in range(N):
         for l in range(L):
             pq = _phi_np(q[l, a], inp.p)
-            pq_rot = rot(pq, l)
+            pq_rot = _rope_apply(pq, table.rotation(l))
             num = np.zeros(Du)
             den = 0.0
             n_keys = 0
@@ -489,7 +532,7 @@ def naive_dala_oracle(inp: DalaInputs, table: RotaryTable | None = None,
                         continue
                     n_keys += 1
                     pk = _phi_np(k[j, b], inp.p)
-                    pk_eff = rot(pk, j + d_ab)
+                    pk_eff = _rope_apply(pk, table.rotation(j + d_ab))
                     num += w * (pq_rot @ pk_eff) * v[j, b]
                     if rotated_denominator:
                         den += w * (pq_rot @ pk_eff)
@@ -536,9 +579,7 @@ class DalaParams:
             w_out=lin(Du, D),
             b_out=T.Tensor(np.zeros(D), requires_grad=True),
             kernel_power=kernel_power,
-            rotated_denominator=rotated_denominator,
-            chunk=chunk,
-        )
+            rotated_denominator=rotated_denominator, chunk=chunk)
 
     def parameters(self, prefix: str):
         names = ["w_content", "b_content", "w_gate", "b_gate",

@@ -358,15 +358,28 @@ def load_checkpoint(path) -> ModelState:
         version = int(z["__version__"])
         if version != CHECKPOINT_VERSION:
             raise ContractError(f"unsupported checkpoint version {version}")
-        cfg = ModelConfig(**json.loads(bytes(z["__config__"]).decode()))
-        state = ModelState.init(cfg)
+        try:
+            cfg = json.loads(bytes(z["__config__"]).decode())
+        except ValueError as e:   # bad UTF-8 or JSON
+            raise ContractError(f"checkpoint {path}: __config__ is not "
+                                f"valid JSON ({e})") from None
+        unknown = sorted(set(cfg) - set(ModelConfig.__dataclass_fields__)) \
+            if isinstance(cfg, dict) else "(not a JSON object)"
+        if unknown:
+            raise ContractError(f"checkpoint {path}: __config__ has unknown "
+                                f"field(s) {unknown}")
+        state = ModelState.init(ModelConfig(**cfg))
         for name, p in state.parameters():
             key = f"param/{name}"
             if key not in z:
-                raise ContractError(f"checkpoint missing parameter {name}")
+                raise ContractError(
+                    f"checkpoint {path} is missing parameter {name}")
             if z[key].shape != p.shape:
                 raise ContractError(
-                    f"checkpoint parameter {name} has shape {z[key].shape}, "
-                    f"its config gives {p.shape}")
+                    f"checkpoint {path}: parameter {name} has shape "
+                    f"{z[key].shape}, its config gives {p.shape}")
             p.data = np.array(z[key], dtype=np.float64)
+            if not np.all(np.isfinite(p.data)):
+                raise ContractError(f"checkpoint {path}: parameter {name} "
+                                    "has non-finite values")
     return state

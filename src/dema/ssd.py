@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 @dataclass
@@ -99,7 +99,11 @@ def selective_params(u, params: SsdParams) -> SelectiveParams:
 
 def discretize(params: SelectiveParams) -> DiscreteSSM:
     """A_bar = exp(delta * A) with A = -exp(A_log); B_bar = (1 - A_bar) * B."""
-    A = T.neg(T.texp(params.A_log))
+    with np.errstate(over="ignore"):   # a diverging run overflows here first
+        A = T.neg(T.texp(params.A_log))
+    if not np.all(np.isfinite(A.data)):
+        raise NumericError(f"discretize: exp(A_log) is not finite (A_log "
+                           f"max {np.max(params.A_log.data):.4g})")
     log_A_bar = T.mul(params.delta, A)
     A_bar = T.texp(log_A_bar)
     B_bar = T.mul(T.sub(1.0, A_bar), params.B)

@@ -32,8 +32,8 @@ keeps no chain of intermediates. What each saves besides its inputs:
   intra-chunk matrices and the states the chunks after the first read
   (none at one chunk).
 - `dala.dala_core`: the rotated keys, numerator, denominator and mixed
-  key sums, the running k^T v states and, per shift and chunk, the
-  rotated queries and band scores.
+  key sums, the running k^T v states and, per block, the band scores of
+  real pairs only; its VJP rotates the queries again.
 
 VJPs read their inputs' `.data` when `backward` runs, not when the op is
 recorded, so nothing may write into an input of a recorded op between
@@ -41,8 +41,7 @@ its forward and the backward: the gradients would silently be those of
 the new values. Write a new array to `.data` instead (as `Adam` does,
 after the backward).
 
-`dala.rope_rotate` is a single node too. `matmul` is the general batched
-product; the model itself uses `linear`.
+`dala.rope_rotate` is a single node too.
 """
 
 from __future__ import annotations
@@ -180,47 +179,6 @@ def _int_power(x, n):
     return out
 
 
-def power(a, p):
-    a = _wrap(a)
-    p = float(p)
-    if p in (2.0, 3.0, 4.0):
-        # float pow is far slower than a few multiplies
-        n = int(p)
-        data = _int_power(a.data, n)
-
-        def bwd(g):
-            return (g * p * _int_power(a.data, n - 1),)
-    else:
-        data = a.data ** p
-
-        def bwd(g):
-            return (g * p * a.data ** (p - 1.0),)
-
-    return _make(data, (a,), bwd)
-
-
-def matmul(a, b):
-    """Batched matrix product over the last two axes."""
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul operands must be at least 2-D")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"matmul inner extents differ: {a.shape} @ {b.shape}"
-        )
-    data = a.data @ b.data
-
-    def bwd(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
-
-    return _make(data, (a, b), bwd)
-
-
 def _check_linear(name, x, w, b):
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
         raise DimensionError(
@@ -324,16 +282,6 @@ def _sigmoid(x, name):
     return np.where(x >= 0, s, 1.0 - s)
 
 
-def sigmoid(a):
-    a = _wrap(a)
-    data = _sigmoid(a.data, "sigmoid")
-
-    def bwd(g):
-        return (g * data * (1.0 - data),)
-
-    return _make(data, (a,), bwd)
-
-
 def softplus(a):
     a = _wrap(a)
     if not np.all(np.isfinite(a.data)):
@@ -344,12 +292,6 @@ def softplus(a):
         return (g / (1.0 + np.exp(-a.data)),)
 
     return _make(data, (a,), bwd)
-
-
-def tanh(a):
-    a = _wrap(a)
-    data = np.tanh(a.data)
-    return _make(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)

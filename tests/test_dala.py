@@ -110,6 +110,12 @@ def test_phi_rejects_bad_power():
         kernel_phi(T.Tensor(np.ones(4)), p=0)
 
 
+def test_phi_propagates_nan():
+    # a NaN input is not zeroed into a plausible feature
+    out = kernel_phi(T.Tensor([[np.nan, 1.0], [2.0, 1.0]])).data
+    assert np.all(np.isnan(out[0])) and np.all(np.isfinite(out[1]))
+
+
 def test_phi_nonnegative(rng):
     out = kernel_phi(T.Tensor(rng.standard_normal((20, 8))), p=3)
     assert np.all(out.data >= 0)
@@ -461,8 +467,8 @@ def test_shared_priors_keep_unbatched_weights(rng, monkeypatch):
     masks = []
     band_mask = dala._band_mask
 
-    def recorded(w, t, c):
-        masks.append(band_mask(w, t, c))
+    def recorded(w, band):
+        masks.append(band_mask(w, band))
         return masks[-1]
 
     monkeypatch.setattr(dala, "_band_mask", recorded)
@@ -473,9 +479,149 @@ def test_shared_priors_keep_unbatched_weights(rng, monkeypatch):
     assert masks and all(m.ndim == 2 for m in masks)
     rho = priors.rho_weights()
     active = (rho > 0) & (np.abs(priors.delta_tok) < 6)
-    for sh in dala._plan_shifts(rho, priors.delta_tok, active, 6, 2):
-        assert sh.w.shape == (len(sh.a), len(sh.b))
-        assert all(wb.ndim == 1 for _, wb in sh.readers)
+    _, shifts = dala._plan_shifts(rho, priors.delta_tok, active, 6, 2)
+    for sh in shifts:
+        assert sh.w.ndim == 2 and all(w.ndim == 2 for _, _, w in sh.blocks)
+        assert all(wb.ndim == 1 for _, _, wb in sh.readers)
+
+
+def block_pairs(shifts):
+    """Sum over the blocks of |A_g| |B_g|, and the blocks' (shift, query,
+    key) triples in the planner's variate numbering."""
+    n, triples = 0, set()
+    for sh in shifts:
+        a = np.arange(64)[sh.a]
+        for qa, b, _ in sh.blocks:
+            qs, ks = a[qa], np.arange(64)[b]
+            n += len(qs) * len(ks)
+            triples |= {(sh.d, x, y) for x in qs for y in ks}
+    return n, triples
+
+
+def test_blocks_hold_exactly_the_active_pairs(rng):
+    # shared priors: the blocks tile the active pairs, each block a
+    # complete biclique of pairs with a positive weight at its shift
+    N, L = 7, 6
+    delta = rng.integers(-7, 8, (N, N))
+    rho = np.where(rng.random((N, N)) < 0.2, 0.0, rng.uniform(0.1, 1, (N, N)))
+    active = (rho > 0) & (np.abs(delta) < L)
+    order, shifts = dala._plan_shifts(rho, delta, active, L, 4)
+    n, triples = block_pairs(shifts)
+    d, r = delta[np.ix_(order, order)], rho[np.ix_(order, order)]
+    assert n == active.sum() == len(triples)
+    assert all(d[a, b] == s and r[a, b] > 0 for s, a, b in triples)
+    for sh in shifts:
+        for _, _, w in sh.blocks:
+            assert np.all(w > 0)
+
+
+def test_blocks_hold_the_union_of_windows_pairs():
+    # batched priors: a block pair is active in some window, and the
+    # blocks hold each such (shift, query, key) once
+    priors = window_priors()
+    rho, delta = priors.rho_weights(), priors.delta_tok
+    active = (rho > 0) & (np.abs(delta) < 7)
+    order, shifts = dala._plan_shifts(rho, delta, active, 7, 3)
+    n, triples = block_pairs(shifts)
+    sel = active[:, order[:, None], order]
+    union = {(int(delta[g, order[a], order[b]]), a, b)
+             for g, a, b in zip(*np.nonzero(sel))}
+    assert n == len(union) == len(triples) and triples == union
+
+
+@pytest.mark.parametrize("ix", [[0, 2, 1, 3], [3, 2, 1, 0], [1, 2, 3], [4],
+                                [0, 1, 3], [2, 0, 1]])
+def test_run_is_a_view_only_of_consecutive_indices(ix):
+    # a shift lists its query variates block by block, e.g. [0, 2, 1, 3]:
+    # first and last lie as far apart as in a run, but it is none
+    ix = np.array(ix)
+    got = dala._run(ix)
+    np.testing.assert_array_equal(np.arange(8)[got], ix)
+    assert isinstance(got, slice) == bool(np.all(np.diff(ix) == 1))
+
+
+def edge_cases():
+    """(name, L, chunk, lead, delta, rho) for the planner's edge cases."""
+    # windows that give query variate 0 the key set {1} at shift 1 in the
+    # first window and {1, 2} in the second
+    two = (np.array([[[0, 1, 3], [0, 0, 0], [0, 0, 0]],
+                     [[0, 1, 1], [0, 0, -1], [2, 1, 0]]]),
+           np.array([[[1.0, 0.5, 0.4], [0.3, 1.0, 0.2], [0.1, 0.6, 1.0]],
+                     [[1.0, 0.8, 0.9], [0.2, 1.0, 0.7], [0.5, 0.4, 1.0]]]))
+    return [
+        ("windows differ", 7, 3, (2,)) + two,
+        ("zero weights", 6, 4, (),
+         np.array([[0, 1, -1], [1, 0, 2], [-2, 1, 0]]),
+         np.array([[1.0, 0.0, 0.6], [0.0, 1.0, 0.0], [0.4, 0.0, 1.0]])),
+        ("shifts >= L", 5, 2, (),
+         np.array([[0, 5, -7], [2, 0, 9], [-5, 1, 0]]),
+         np.array([[1.0, 0.9, 0.8], [0.7, 1.0, 0.6], [0.5, 0.4, 1.0]])),
+        ("one variate", 6, 4, (3,), np.array([[0]]), np.array([[1.0]])),
+        ("L not a multiple", 11, 4, (),
+         np.array([[0, 2, 1], [-1, 0, 3], [1, -2, 0]]),
+         np.array([[1.0, 0.5, 0.3], [0.6, 1.0, 0.2], [0.4, 0.7, 1.0]])),
+        ("chunks, negative shifts", 13, 3, (2,),
+         np.array([[0, -5, -4, 2], [-5, 0, 1, -7], [3, -4, 0, -2],
+                   [-5, 4, -4, 0]]),
+         np.array([[1.0, 0.6, 0.3, 0.5], [0.5, 1.0, 0.4, 0.9],
+                   [0.7, 0.9, 1.0, 0.6], [0.4, 0.5, 0.6, 1.0]])),
+    ]
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("case", edge_cases(), ids=lambda c: c[0])
+def test_block_edge_cases_match_oracle(case, rotated):
+    _, L, chunk, lead, delta, rho = case
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    N = delta.shape[-1]
+    rng = np.random.default_rng(3)
+    q, k, v = (rng.standard_normal(lead + (N, L, 4)) + 0.5 for _ in range(3))
+    out = dala_core(q, k, v, priors, rotated_denominator=rotated,
+                    chunk=chunk).data
+    for idx in np.ndindex(*lead):
+        pri = one_window(priors, idx[0]) if delta.ndim == 3 else priors
+        ref = naive_dala_oracle(
+            DalaInputs(*(np.swapaxes(x[idx], 0, 1) for x in (q, k, v)),
+                       priors=pri), rotated_denominator=rotated)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(np.swapaxes(out[idx], 0, 1) - ref)) <= \
+            1e-8 * scale
+
+
+def test_gradient_finite_difference_several_blocks_per_shift():
+    # at shift 1, queries {0, 1} read keys {2, 3} and queries {2, 3} read
+    # key {0}: two blocks with overlapping rows; shift -2 has two more, and
+    # chunks of 3 over L = 8 bring in the state reads
+    L, N, Du = 8, 4, 4
+    delta = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [1, -2, 0, -2],
+                      [1, -2, -2, 0]])
+    rho = np.array([[1.0, 0.0, 0.6, 0.3], [0.0, 1.0, 0.5, 0.8],
+                    [0.7, 0.4, 1.0, 0.9], [0.2, 0.6, 0.5, 1.0]])
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    rho_w = priors.rho_weights()
+    active = (rho_w > 0) & (np.abs(delta) < L)
+    _, shifts = dala._plan_shifts(rho_w, delta, active, L, 3)
+    assert max(len(sh.blocks) for sh in shifts) >= 2
+    rng = np.random.default_rng(9)
+    datas = [rng.standard_normal((N, L, Du)) * 0.5 + 1.0 for _ in range(3)]
+    w = rng.standard_normal((N, L, Du))
+
+    def value(q, k, v):
+        return dala_core(q, k, v, priors, chunk=3)
+
+    args = [T.Tensor(d, requires_grad=True) for d in datas]
+    T.backward(T.tsum(T.mul(value(*args), w)))
+    h = 1e-6
+    for i, arg in enumerate(args):
+        for j in range(arg.data.size):
+            bumped = []
+            for step in (h, -h):
+                ds = [d.copy() for d in datas]
+                ds[i].ravel()[j] += step
+                bumped.append(float(np.sum(value(*ds).data * w)))
+            fd = (bumped[0] - bumped[1]) / (2 * h)
+            g = arg.grad.ravel()[j]
+            assert abs(g - fd) <= 1e-5 * max(abs(fd), abs(g), 1e-3), (i, j)
 
 
 # ----------------------------------------------------------------------

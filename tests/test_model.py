@@ -1,5 +1,8 @@
 """Dual-path blocks, backbone, heads, anomaly scoring, and checkpoints."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from dema import model
 from dema import tensor as T
 from dema.delay import DelayPriors
 from dema.embedding import InstanceStats
-from dema.errors import ConfigError, ContractError
+from dema.errors import ConfigError, ContractError, NumericError
 from dema.model import (BackboneOutput, DuoMNetBlockParams, ModelConfig,
                         ModelState, anomaly_score, backbone_forward,
                         duomnet_block, head_classify, head_forecast,
@@ -257,7 +260,7 @@ def test_classify_head_is_distribution(rng):
 
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_classify_head_matches_matmul_chain(lead, rng):
-    # the fused head against the reshape -> matmul -> reshape chain it
+    # the fused head against the reshape -> product -> reshape chain it
     # replaced, on one window and on a batch
     state = ModelState.init(small_config(task="classify", n_classes=4))
     Z = rng.standard_normal(lead + (2, 4, 8))
@@ -265,7 +268,7 @@ def test_classify_head_matches_matmul_chain(lead, rng):
 
     def chain(Z):
         pooled = T.tmean(T.tmean(Z, axis=-2), axis=-2)
-        logits = T.add(T.matmul(T.reshape(pooled, pooled.shape[:-1] + (1, 8)),
+        logits = T.add(T.linear(T.reshape(pooled, pooled.shape[:-1] + (1, 8)),
                                 state.head_w), state.head_b)
         return T.softmax(T.reshape(logits, lead + (4,)), axis=-1)
 
@@ -282,8 +285,8 @@ def test_classify_head_matches_matmul_chain(lead, rng):
 
 
 def test_model_tape_has_no_matmul_node(rng):
-    # every dense layer is a fused linear node: no T.matmul closure (and
-    # so no separate bias add) is left on a training tape
+    # every dense layer is a fused linear node: no matmul closure (and so
+    # no separate bias add) is left on a training tape
     for task in ("forecast", "classify"):
         state = ModelState.init(small_config(task=task, n_classes=3))
         out = model_forward(rng.standard_normal((2, 3, 32)), state)
@@ -383,3 +386,66 @@ def test_checkpoint_rejects_wrong_shape(tmp_path):
     np.savez(path, **data)
     with pytest.raises(ContractError, match="head.b"):
         load_checkpoint(path)
+
+
+def test_checkpoint_errors_name_the_file(tmp_path):
+    state = ModelState.init(small_config())
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(state, path)
+    data = dict(np.load(path))
+    for change in ({"param/head.b": np.zeros(1)}, {"param/head.b": None}):
+        broken = {**data, **change}
+        np.savez(path, **{k: v for k, v in broken.items() if v is not None})
+        with pytest.raises(ContractError,
+                           match=f"{re.escape(str(path))}.*head.b"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_finite_parameter(tmp_path):
+    state = ModelState.init(small_config())
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(state, path)
+    data = dict(np.load(path))
+    data["param/encoder_time.weight"][0, 0] = np.inf
+    np.savez(path, **data)
+    name = re.escape(str(path))
+    with pytest.raises(ContractError,
+                       match=f"{name}.*encoder_time.weight.*non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_config_field(tmp_path):
+    state = ModelState.init(small_config())
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(state, path)
+    data = dict(np.load(path))
+    cfg = json.loads(bytes(data["__config__"]).decode())
+    data["__config__"] = np.frombuffer(
+        json.dumps({**cfg, "n_layers": 3}).encode(), dtype=np.uint8)
+    np.savez(path, **data)
+    with pytest.raises(ContractError,
+                       match=f"{re.escape(str(path))}.*n_layers"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("raw", [b'{"lookback": 32,', b"\xff\xfe", b"[1, 2]"])
+def test_checkpoint_rejects_bad_config_json(tmp_path, raw):
+    state = ModelState.init(small_config())
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(state, path)
+    data = dict(np.load(path))
+    data["__config__"] = np.frombuffer(raw, dtype=np.uint8)
+    np.savez(path, **data)
+    with pytest.raises(ContractError,
+                       match=f"{re.escape(str(path))}.*__config__"):
+        load_checkpoint(path)
+
+
+def test_overflowing_a_log_is_named_in_discretize(rng):
+    # exp(1e3) overflows: the error names the op and the parameter where
+    # it starts, not a later op that meets the non-finite values
+    state = ModelState.init(small_config())
+    state.blocks[0].ssd.A_log.data = np.full_like(
+        state.blocks[0].ssd.A_log.data, 1e3)
+    with pytest.raises(NumericError, match="discretize: exp\\(A_log\\)"):
+        model_forward(rng.standard_normal((2, 3, 32)), state)

@@ -360,8 +360,9 @@ def test_training_logs_a_non_finite_loss(monkeypatch):
 ])
 def test_training_logs_a_forward_that_overflows(batch_size, where):
     # lr = 1e3 leaves the weights finite (|w| up to about 1e3) after the
-    # first step, but exp(A_log) overflows in the next forward and
-    # layer_norm rejects what follows; the run ends with the initial weights
+    # first step, but exp(A_log) overflows in the next forward, and the
+    # error names discretize, where it starts; the run ends with the
+    # initial weights
     cfg, spec, _ = tiny_setup()
     cfg.lr, cfg.batch_size = 1e3, batch_size
     splits = coupled_splits(n_steps=400, n_train=250, n_val=80)
@@ -372,7 +373,8 @@ def test_training_logs_a_forward_that_overflows(batch_size, where):
     assert result.diverged and result.best_epoch == -1
     assert result.log == [{"epoch": 0, **where,
                            "event": "non-finite forward",
-                           "error": "layer_norm: non-finite input"}]
+                           "error": "discretize: exp(A_log) is not finite "
+                                    "(A_log max 1002)"}]
     initial = ModelState.init(cfg.model)
     for (name, p), (_, p0) in zip(result.state.parameters(),
                                   initial.parameters()):
