@@ -11,12 +11,12 @@ import numpy as np
 
 from . import tensor as T
 from .delay import default_max_lag, delay_matrix
-from .errors import ContractError, DemaError
+from .errors import ConfigError, ContractError, DemaError
 from .model import load_checkpoint, model_forward, save_checkpoint
 from .pipeline import (DatasetSpec, TrainConfig, bench_scaling, choose_priors,
-                       evaluate, load_csv_dataset, parse_config_file, train,
-                       write_bench, write_json, write_metrics,
-                       write_predictions)
+                       evaluate, load_csv_dataset, parse_config_file,
+                       tiled_windows, train, write_bench, write_json,
+                       write_metrics, write_predictions)
 from .spectral import decompose
 
 
@@ -120,10 +120,8 @@ def _predict_task(args, task):
     # evaluate rejects a test split shorter than one window
     metrics = evaluate(state, spec, splits=splits, config=cfg)
     priors = choose_priors(splits, state.config, cfg.global_priors)
-    L = state.config.lookback
     # every non-overlapping test window in one batched forward
-    windows = np.stack([splits.test[:, s:s + L]
-                        for s in range(0, splits.test.shape[1] - L + 1, L)])
+    windows = tiled_windows(splits.test, state.config.lookback)
     with T.no_grad():
         pred = model_forward(windows, state, priors).data
     os.makedirs(args.out, exist_ok=True)
@@ -157,7 +155,11 @@ def cmd_classify(args):
 
 def cmd_bench(args):
     cfg, _ = _load_configs(args)
-    lengths = [int(x) for x in args.lengths.split(",")]
+    try:
+        lengths = [int(x) for x in args.lengths.split(",")]
+    except ValueError:
+        raise ConfigError(f"--lengths must be comma-separated integers, "
+                          f"got {args.lengths!r}") from None
     rows = bench_scaling(lengths, cfg)
     os.makedirs(args.out, exist_ok=True)
     write_bench(rows, os.path.join(args.out, "bench.csv"))

@@ -559,42 +559,30 @@ class DalaParams:
     w_out: T.Tensor      # [Du, D]
     b_out: T.Tensor
     kernel_power: int = 3
-    eps: float = ATTN_EPS
     rotated_denominator: bool = False
-    chunk: int = 64
 
     @staticmethod
     def init(D: int, Du: int, rng: np.random.Generator, kernel_power: int = 3,
-             rotated_denominator: bool = False, chunk: int = 64) -> "DalaParams":
-        def lin(n_in, n_out):
-            return T.Tensor(rng.normal(0, 1 / np.sqrt(n_in), (n_in, n_out)),
-                            requires_grad=True)
-
+             rotated_denominator: bool = False) -> "DalaParams":
         return DalaParams(
-            w_content=lin(D, Du),
+            w_content=T.dense(rng, D, Du),
             b_content=T.Tensor(np.zeros(Du), requires_grad=True),
-            w_gate=lin(D, Du),
+            w_gate=T.dense(rng, D, Du),
             b_gate=T.Tensor(np.zeros(Du), requires_grad=True),
-            w_q=lin(Du, Du), w_k=lin(Du, Du), w_v=lin(Du, Du),
-            w_out=lin(Du, D),
+            w_q=T.dense(rng, Du, Du), w_k=T.dense(rng, Du, Du),
+            w_v=T.dense(rng, Du, Du), w_out=T.dense(rng, Du, D),
             b_out=T.Tensor(np.zeros(D), requires_grad=True),
             kernel_power=kernel_power,
-            rotated_denominator=rotated_denominator, chunk=chunk)
-
-    def parameters(self, prefix: str):
-        names = ["w_content", "b_content", "w_gate", "b_gate",
-                 "w_q", "w_k", "w_v", "w_out", "b_out"]
-        return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
+            rotated_denominator=rotated_denominator)
 
 
-def mamba_dala_forward(x: T.Tensor, priors: DelayPriors, params: DalaParams,
-                       table: RotaryTable | None = None) -> T.Tensor:
+def mamba_dala_forward(x: T.Tensor, priors: DelayPriors,
+                       params: DalaParams) -> T.Tensor:
     """Full variate-path module on tokens [..., N, L, D]."""
     content = T.linear(x, params.w_content, params.b_content)
     gate = T.linear(x, params.w_gate, params.b_gate)
     y = dala_core(T.linear(content, params.w_q), T.linear(content, params.w_k),
                   T.linear(content, params.w_v), priors,
-                  p=params.kernel_power, table=table, eps=params.eps,
-                  rotated_denominator=params.rotated_denominator,
-                  chunk=params.chunk)
+                  p=params.kernel_power,
+                  rotated_denominator=params.rotated_denominator)
     return T.gated_linear(y, gate, params.w_out, params.b_out)

@@ -78,14 +78,8 @@ class PatchEncoder:
 
     @staticmethod
     def init(P: int, D: int, rng: np.random.Generator) -> "PatchEncoder":
-        w = rng.normal(0.0, 1.0 / np.sqrt(P), size=(P, D))
-        return PatchEncoder(
-            weight=T.Tensor(w, requires_grad=True),
-            bias=T.Tensor(np.zeros(D), requires_grad=True),
-        )
-
-    def parameters(self, prefix: str):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
+        return PatchEncoder(weight=T.dense(rng, P, D),
+                            bias=T.Tensor(np.zeros(D), requires_grad=True))
 
 
 def embed_patches(patches: np.ndarray, encoder: PatchEncoder) -> T.Tensor:

@@ -18,7 +18,7 @@ class ContractError(DemaError, ValueError):
 
 
 class FormatError(DemaError, ValueError):
-    """An input file does not conform to the expected format."""
+    """An input file is missing, unreadable or not in the expected format."""
 
 
 class NumericError(DemaError, ArithmeticError):

@@ -10,17 +10,18 @@ The backbone output is the sum of block representations.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .dala import DalaParams, RotaryTable, mamba_dala_forward
+from .dala import DalaParams, mamba_dala_forward
 from .delay import DelayPriors, default_max_lag, delay_matrix
 from .embedding import (InstanceStats, PatchEncoder, embed_patches,
                         patch_count, patchify, revin_denormalize,
                         revin_normalize)
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, FormatError
 from .spectral import decompose
 from .ssd import SsdParams, mamba_ssd_forward
 
@@ -107,9 +108,6 @@ class LayerNormParams:
     def __call__(self, x):
         return T.layer_norm(x, self.gamma, self.beta)
 
-    def parameters(self, prefix: str):
-        return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]
-
 
 @dataclass
 class FfnParams:
@@ -122,20 +120,14 @@ class FfnParams:
     def init(D: int, rng: np.random.Generator) -> "FfnParams":
         hidden = 4 * D
         return FfnParams(
-            w1=T.Tensor(rng.normal(0, 1 / np.sqrt(D), (D, hidden)),
-                        requires_grad=True),
+            w1=T.dense(rng, D, hidden),
             b1=T.Tensor(np.zeros(hidden), requires_grad=True),
-            w2=T.Tensor(rng.normal(0, 1 / np.sqrt(hidden), (hidden, D)),
-                        requires_grad=True),
+            w2=T.dense(rng, hidden, D),
             b2=T.Tensor(np.zeros(D), requires_grad=True),
         )
 
     def __call__(self, x):
         return T.linear(T.gelu(T.linear(x, self.w1, self.b1)), self.w2, self.b2)
-
-    def parameters(self, prefix: str):
-        return [(f"{prefix}.{n}", getattr(self, n))
-                for n in ("w1", "b1", "w2", "b2")]
 
 
 @dataclass
@@ -165,26 +157,15 @@ class DuoMNetBlockParams:
             beta=cfg.beta,
         )
 
-    def parameters(self, prefix: str):
-        out = []
-        out += self.ssd.parameters(f"{prefix}.ssd")
-        out += self.dala.parameters(f"{prefix}.dala")
-        out += self.ln_time.parameters(f"{prefix}.ln_time")
-        out += self.ln_var.parameters(f"{prefix}.ln_var")
-        out += self.ln_out.parameters(f"{prefix}.ln_out")
-        out += self.ffn.parameters(f"{prefix}.ffn")
-        return out
-
 
 def duomnet_block(x_time: T.Tensor, x_var: T.Tensor, priors: DelayPriors,
-                  params: DuoMNetBlockParams,
-                  table: RotaryTable | None = None):
+                  params: DuoMNetBlockParams):
     """One dual-path layer on tokens [..., N, L, D].
 
     Returns (next cross-time tokens, next cross-variate tokens, Z_b).
     """
     y_time = mamba_ssd_forward(x_time, params.ssd)
-    y_var = mamba_dala_forward(x_var, priors, params.dala, table=table)
+    y_var = mamba_dala_forward(x_var, priors, params.dala)
     mixed = T.add(T.mul(params.ln_time(y_time), params.alpha),
                   T.mul(params.ln_var(y_var), params.beta))
     z_b = params.ln_out(T.add(mixed, params.ffn(mixed)))
@@ -220,19 +201,17 @@ class ModelState:
             encoder_var=PatchEncoder.init(config.patch_len, D, rng),
             blocks=[DuoMNetBlockParams.init(config, rng)
                     for _ in range(config.n_blocks)],
-            head_w=T.Tensor(rng.normal(0, 1 / np.sqrt(n_in), (n_in, n_out)),
-                            requires_grad=True),
+            head_w=T.dense(rng, n_in, n_out),
             head_b=T.Tensor(np.zeros(n_out), requires_grad=True),
         )
 
     def parameters(self):
-        out = []
-        out += self.encoder_time.parameters("encoder_time")
-        out += self.encoder_var.parameters("encoder_var")
-        for i, blk in enumerate(self.blocks):
-            out += blk.parameters(f"block{i}")
-        out += [("head.w", self.head_w), ("head.b", self.head_b)]
-        return out
+        """(name, Tensor) in checkpoint order: each module's field paths."""
+        return [*T.parameters(self.encoder_time, "encoder_time"),
+                *T.parameters(self.encoder_var, "encoder_var"),
+                *(p for i, blk in enumerate(self.blocks)
+                  for p in T.parameters(blk, f"block{i}")),
+                ("head.w", self.head_w), ("head.b", self.head_b)]
 
     def zero_grad(self):
         for _, p in self.parameters():
@@ -276,11 +255,10 @@ def backbone_forward(window: np.ndarray, state: ModelState,
     if priors is None:
         priors = delay_matrix(window, cfg.lag_bound(), cfg.patch_len)
     x_time, x_var, stats = _tokenize(window, state)
-    table = RotaryTable(dim=cfg.d_inner)
     z_sum = None
     per_block = [] if trace else None
     for blk in state.blocks:
-        x_time, x_var, z_b = duomnet_block(x_time, x_var, priors, blk, table)
+        x_time, x_var, z_b = duomnet_block(x_time, x_var, priors, blk)
         z_sum = z_b if z_sum is None else T.add(z_sum, z_b)
         if trace:
             per_block.append(z_b)
@@ -304,8 +282,6 @@ def head_forecast(Z: T.Tensor, stats: InstanceStats, state: ModelState):
 
 def head_classify(Z: T.Tensor, state: ModelState):
     """[..., N, L, D] -> class probabilities [..., C]."""
-    if state.config.n_classes < 2:
-        raise ConfigError("classification needs at least 2 classes")
     pooled = T.tmean(T.tmean(Z, axis=-2), axis=-2)  # over L then N
     return T.softmax(T.linear(pooled, state.head_w, state.head_b), axis=-1)
 
@@ -354,10 +330,23 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    with np.load(path) as z:
+    try:
+        z = np.load(path)
+    except OSError as exc:
+        raise FormatError(f"checkpoint {path}: cannot read "
+                          f"({exc.strerror})") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):  # numpy's format guess
+        z = None
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise FormatError(f"checkpoint {path}: not an .npz file")
+    with z:
+        for key in ("__version__", "__config__"):
+            if key not in z:
+                raise FormatError(f"checkpoint {path}: no {key} entry")
         version = int(z["__version__"])
         if version != CHECKPOINT_VERSION:
-            raise ContractError(f"unsupported checkpoint version {version}")
+            raise ContractError(f"checkpoint {path}: unsupported version "
+                                f"{version}")
         try:
             cfg = json.loads(bytes(z["__config__"]).decode())
         except ValueError as e:   # bad UTF-8 or JSON

@@ -89,7 +89,7 @@ def parse_config_file(path) -> tuple[TrainConfig, DatasetSpec]:
     owner = {f.name: cls for cls in classes for f in fields(cls)
              if f.name != "model"}
     kwargs = {cls: {} for cls in classes}
-    with open(path) as fh:
+    with _open(path, "config file") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -109,6 +109,15 @@ def parse_config_file(path) -> tuple[TrainConfig, DatasetSpec]:
                 DatasetSpec(**kwargs[DatasetSpec]))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _open(path, what, **kw):
+    """open(path), with a missing or unreadable file as a FormatError."""
+    try:
+        return open(path, **kw)
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read {what} ({exc.strerror})") \
+            from None
 
 
 def _coerce(value: str, cls, key, where):
@@ -147,7 +156,9 @@ class DatasetSplits:
 
 def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
     """Load, validate, chronologically split and z-score a variate CSV."""
-    with open(spec.path, newline="") as fh:
+    if not spec.path:
+        raise ConfigError("no dataset: pass --data or set path in the config")
+    with _open(spec.path, "dataset", newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
     if not rows:
@@ -177,8 +188,11 @@ def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
                     f"row {r}, col {c}")
             parsed.append(x)
         if has_labels:
-            labels.append(int(parsed[-1]))
-            parsed = parsed[:-1]
+            label = parsed.pop()
+            if label != int(label):
+                raise FormatError(f"{spec.path}: label {row[-1].strip()!r} "
+                                  f"at row {r}, col {width} is not an integer")
+            labels.append(int(label))
         values.append(parsed)
     data = np.asarray(values, dtype=np.float64).T  # [N, T]
     if data.shape[0] < 1:
@@ -232,14 +246,33 @@ def make_windows(split: np.ndarray, lookback: int, horizon: int, task: str,
     return out
 
 
-def _no_windows(name: str, splits: DatasetSplits, cfg: ModelConfig):
-    """The error for a split that is shorter than one window."""
-    need, span = ((cfg.lookback + cfg.horizon, "lookback + horizon")
-                  if cfg.task == "forecast" else (cfg.lookback, "lookback"))
-    return ContractError(
-        f"{name} split yields no windows: it has "
-        f"{getattr(splits, name).shape[1]} rows and a window needs "
-        f"{span} = {need}")
+def _split_windows(name: str, splits: DatasetSplits, cfg: ModelConfig):
+    """`make_windows` of one split, rejecting a split shorter than one
+    window and, for classification, a label outside [0, n_classes)."""
+    labels = (splits.labels or {}).get(name)
+    if cfg.task == "classify" and labels is not None:
+        bad = labels[(labels < 0) | (labels >= cfg.n_classes)]
+        if bad.size:
+            raise ContractError(f"{name} split has class label {bad[0]}, "
+                                f"outside [0, {cfg.n_classes})")
+    split = getattr(splits, name)
+    windows = make_windows(split, cfg.lookback, cfg.horizon, cfg.task, labels)
+    if not windows:
+        need, span = ((cfg.lookback + cfg.horizon, "lookback + horizon")
+                      if cfg.task == "forecast" else (cfg.lookback, "lookback"))
+        raise ContractError(f"{name} split yields no windows: it has "
+                            f"{split.shape[1]} rows and a window needs "
+                            f"{span} = {need}")
+    return windows
+
+
+def tiled_windows(split: np.ndarray, lookback: int) -> np.ndarray:
+    """The non-overlapping lookback windows [G, N, lookback] of a split,
+    from its start; a ContractError when it is shorter than one."""
+    starts = range(0, split.shape[1] - lookback + 1, lookback)
+    if not starts:
+        raise ContractError("split shorter than one lookback window")
+    return np.stack([split[:, s:s + lookback] for s in starts])
 
 
 def apply_mask(window: np.ndarray, ratio: float, seed: int):
@@ -300,10 +333,13 @@ class TrainResult:
     diverged: bool = False
 
 
-def _batches(windows, size):
-    """(start, inputs, targets) for consecutive batches of (x, y) pairs."""
+def _batches(windows, size, order=None):
+    """(start, inputs, targets) for consecutive batches of (x, y) pairs,
+    taken in `order` (window indices) when given."""
+    if order is None:
+        order = range(len(windows))
     for start in range(0, len(windows), size):
-        batch = windows[start:start + size]
+        batch = [windows[i] for i in order[start:start + size]]
         yield start, [w[0] for w in batch], [w[1] for w in batch]
 
 
@@ -361,14 +397,8 @@ def train(config: TrainConfig, spec: DatasetSpec,
     cfg = config.model
     state = ModelState.init(cfg)
     rng = np.random.default_rng(cfg.seed)
-    labels = splits.labels or {}
-    train_windows = make_windows(splits.train, cfg.lookback, cfg.horizon,
-                                 cfg.task, labels.get("train"))
-    val_windows = make_windows(splits.val, cfg.lookback, cfg.horizon,
-                               cfg.task, labels.get("val"))
-    for name, windows in (("train", train_windows), ("val", val_windows)):
-        if not windows:
-            raise _no_windows(name, splits, cfg)
+    train_windows = _split_windows("train", splits, cfg)
+    val_windows = _split_windows("val", splits, cfg)
     priors = choose_priors(splits, cfg, config.global_priors, priors_override)
     initial = {name: p.data.copy() for name, p in state.parameters()}
     opt = Adam(state.parameters(), lr=config.lr)
@@ -396,10 +426,7 @@ def train(config: TrainConfig, spec: DatasetSpec,
         order = rng.permutation(n)
         train_losses = []
         grad_norms = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xs = [train_windows[i][0] for i in idx]
-            ys = [train_windows[i][1] for i in idx]
+        for start, xs, ys in _batches(train_windows, config.batch_size, order):
             opt.zero_grad()
             where = {"epoch": epoch, "batch_start": start}
             loss, diverged = forward_or_event(
@@ -482,10 +509,7 @@ def evaluate(state: ModelState, spec: DatasetSpec,
     cfg = state.config
     labels = splits.labels or {}
     priors = choose_priors(splits, cfg, config.global_priors, priors_override)
-    test_windows = make_windows(splits.test, cfg.lookback, cfg.horizon,
-                                cfg.task, labels.get("test"))
-    if not test_windows:
-        raise _no_windows("test", splits, cfg)
+    test_windows = _split_windows("test", splits, cfg)
     with T.no_grad():
         if cfg.task == "anomaly":
             # threshold from train-split scores, F1 on the test split
@@ -528,11 +552,7 @@ def evaluate(state: ModelState, spec: DatasetSpec,
 def _reconstruction_scores(state, split, priors, batch_size):
     """Anomaly scores over a split via non-overlapping lookback windows,
     one batched forward per `batch_size` windows."""
-    Tw = state.config.lookback
-    starts = range(0, split.shape[1] - Tw + 1, Tw)
-    if not starts:
-        raise ContractError("split shorter than one lookback window")
-    windows = np.stack([split[:, s:s + Tw] for s in starts])
+    windows = tiled_windows(split, state.config.lookback)
     return np.concatenate([
         anomaly_score(x, model_forward(x, state, priors).data).ravel()
         for x in (windows[i:i + batch_size]

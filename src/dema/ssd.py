@@ -58,34 +58,22 @@ class SsdParams:
     @staticmethod
     def init(D: int, Du: int, Dh: int, rng: np.random.Generator,
              conv_size: int = 4, chunk: int = 16) -> "SsdParams":
-        def lin(n_in, n_out):
-            return T.Tensor(rng.normal(0, 1 / np.sqrt(n_in), (n_in, n_out)),
-                            requires_grad=True)
-
         def vec(n):
             return T.Tensor(np.zeros(n), requires_grad=True)
 
         # decay rates spread over [1, 16] keeps A_bar well inside (0, 1)
         a_log = np.log(np.linspace(1.0, 16.0, Dh))
         return SsdParams(
-            w_content=lin(D, Du), b_content=vec(Du),
-            w_gate=lin(D, Du), b_gate=vec(Du),
-            conv_kernel=T.Tensor(
-                rng.normal(0, 1 / np.sqrt(conv_size), (conv_size, Du)),
-                requires_grad=True),
-            w_delta=lin(Du, Dh), b_delta=vec(Dh),
-            w_B=lin(Du, Dh), b_B=vec(Dh),
-            w_C=lin(Du, Dh), b_C=vec(Dh),
+            w_content=T.dense(rng, D, Du), b_content=vec(Du),
+            w_gate=T.dense(rng, D, Du), b_gate=vec(Du),
+            conv_kernel=T.dense(rng, conv_size, Du),
+            w_delta=T.dense(rng, Du, Dh), b_delta=vec(Dh),
+            w_B=T.dense(rng, Du, Dh), b_B=vec(Dh),
+            w_C=T.dense(rng, Du, Dh), b_C=vec(Dh),
             A_log=T.Tensor(a_log, requires_grad=True),
-            w_out=lin(Du, D), b_out=vec(D),
+            w_out=T.dense(rng, Du, D), b_out=vec(D),
             chunk=chunk,
         )
-
-    def parameters(self, prefix: str):
-        names = ["w_content", "b_content", "w_gate", "b_gate", "conv_kernel",
-                 "w_delta", "b_delta", "w_B", "b_B", "w_C", "b_C", "A_log",
-                 "w_out", "b_out"]
-        return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
 
 
 def selective_params(u, params: SsdParams) -> SelectiveParams:

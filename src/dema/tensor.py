@@ -42,11 +42,16 @@ the new values. Write a new array to `.data` instead (as `Adam` does,
 after the backward).
 
 `dala.rope_rotate` is a single node too.
+
+Weights are the Tensor fields of dataclasses: :func:`dense` draws every
+dense weight and :func:`parameters` names each by its field path, the
+names that checkpoints store.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 
 import numpy as np
 
@@ -90,6 +95,23 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def dense(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
+    """A trainable [n_in, n_out] weight drawn from N(0, 1/n_in)."""
+    return Tensor(rng.normal(0, 1 / np.sqrt(n_in), (n_in, n_out)),
+                  requires_grad=True)
+
+
+def parameters(params, prefix: str):
+    """(prefix.field, Tensor) per Tensor field of a dataclass, in field
+    order, recursing into dataclass fields and skipping settings."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            yield f"{prefix}.{f.name}", value
+        elif dataclasses.is_dataclass(value):
+            yield from parameters(value, f"{prefix}.{f.name}")
 
 
 def _wrap(x) -> Tensor:

@@ -242,6 +242,27 @@ def test_empty_val_split_exits_cleanly(tmp_path, capsys):
     assert not (tmp_path / "train_log.json").exists()
 
 
+@pytest.mark.parametrize("args, named", [
+    (["train", "--config", "ok.conf"], "--data"),
+    (["train", "--config", "missing.conf", "--data", "d.csv"], "missing.conf"),
+    (["evaluate", "--checkpoint", "missing.npz"], "missing.npz"),
+    (["evaluate", "--checkpoint", "d.csv"], "d.csv"),
+    (["evaluate", "--checkpoint", "other.npz"], "other.npz"),
+    (["bench", "--lengths", "384,abc"], "--lengths"),
+], ids=["no --data", "missing --config", "missing checkpoint",
+        "non-npz checkpoint", "npz without __version__", "bad --lengths"])
+def test_bad_file_or_flag_exits_with_one_error_line(tmp_path, capsys,
+                                                    monkeypatch, args, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.conf").write_text("epochs = 1\nd_model = 8\n")
+    small_csv(tmp_path / "d.csv")
+    np.savez(tmp_path / "other.npz", weights=np.zeros(3))
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert named in err[0]
+
+
 def test_task_command_rejects_other_task_checkpoint(workspace, capsys):
     ckpt = workspace / "run_forecast" / "checkpoint.npz"
     if not ckpt.exists():

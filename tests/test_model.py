@@ -366,6 +366,32 @@ def test_checkpoint_roundtrip(tmp_path, rng):
                                   model_forward(window, loaded).data)
 
 
+# checkpoint names are the dataclass field paths; renaming a field breaks
+# every saved checkpoint
+BLOCK_PARAMETERS = [
+    "ssd.w_content", "ssd.b_content", "ssd.w_gate", "ssd.b_gate",
+    "ssd.conv_kernel", "ssd.w_delta", "ssd.b_delta", "ssd.w_B", "ssd.b_B",
+    "ssd.w_C", "ssd.b_C", "ssd.A_log", "ssd.w_out", "ssd.b_out",
+    "dala.w_content", "dala.b_content", "dala.w_gate", "dala.b_gate",
+    "dala.w_q", "dala.w_k", "dala.w_v", "dala.w_out", "dala.b_out",
+    "ln_time.gamma", "ln_time.beta", "ln_var.gamma", "ln_var.beta",
+    "ln_out.gamma", "ln_out.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"]
+
+
+@pytest.mark.parametrize("task", ["forecast", "classify"])
+def test_checkpoint_parameter_names(task):
+    state = ModelState.init(small_config(task=task, n_classes=3))
+    names = [name for name, _ in state.parameters()]
+    assert len(BLOCK_PARAMETERS) == 33 and len(names) == 72
+    assert names == (["encoder_time.weight", "encoder_time.bias",
+                      "encoder_var.weight", "encoder_var.bias"]
+                     + [f"block{i}.{n}" for i in range(2)
+                        for n in BLOCK_PARAMETERS]
+                     + ["head.w", "head.b"])
+    assert state.parameters()[-2][1] is state.head_w
+    assert state.parameters()[4][1] is state.blocks[0].ssd.w_content
+
+
 def test_checkpoint_rejects_bad_version(tmp_path):
     state = ModelState.init(small_config())
     path = tmp_path / "ckpt.npz"

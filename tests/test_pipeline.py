@@ -226,6 +226,28 @@ def test_load_label_column(tmp_path):
     assert splits.columns == ["a"]
 
 
+@pytest.mark.parametrize("cell", ["1.5", "-0.25"])
+def test_load_rejects_non_integer_label(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    rows = [["ts", "a", "label"]] + [[t, float(t), t % 2] for t in range(20)]
+    rows[6][2] = cell
+    write_csv(p, rows)
+    with pytest.raises(FormatError,
+                       match=f"label '{cell}' at row 7, col 3 is not an "
+                             "integer"):
+        load_csv_dataset(DatasetSpec(path=str(p)))
+
+
+def test_load_missing_file_names_it(tmp_path):
+    missing = tmp_path / "nope.csv"
+    with pytest.raises(FormatError, match=re.escape(str(missing))):
+        load_csv_dataset(DatasetSpec(path=str(missing)))
+    with pytest.raises(ConfigError, match="--data"):
+        load_csv_dataset(DatasetSpec())
+    with pytest.raises(FormatError, match=re.escape(str(missing))):
+        parse_config_file(missing)
+
+
 # ----------------------------------------------------------------------
 # windowing and masking
 # ----------------------------------------------------------------------
@@ -429,6 +451,24 @@ def test_evaluate_empty_test_split_names_rows_and_need():
         f"lookback + horizon = {need}")
 
 
+@pytest.mark.parametrize("split, label", [("train", 3), ("val", -1),
+                                          ("test", 2)])
+def test_class_labels_outside_range_name_split_and_value(split, label):
+    cfg, spec, splits = tiny_setup(task="classify", n_classes=2)
+    cfg.epochs = 1
+    splits.labels = {k: np.arange(getattr(splits, k).shape[1]) % 2
+                     for k in ("train", "val", "test")}
+    state = ModelState.init(cfg.model)
+    splits.labels[split][50] = label
+    with pytest.raises(ContractError,
+                       match=fr"{split} split has class label {label}, "
+                             r"outside \[0, 2\)"):
+        if split == "test":
+            evaluate(state, spec, splits=splits, config=cfg)
+        else:
+            train(cfg, spec, splits=splits)
+
+
 def test_evaluate_forecast_metrics():
     cfg, spec, splits = tiny_setup()
     result = train(cfg, spec, splits=splits)
@@ -516,6 +556,23 @@ def test_write_bench(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "T,ms,bytes"
     assert lines[1] == "384,12.500,1000"
+
+
+def test_batches_follow_the_order():
+    windows = [(i, -i) for i in range(5)]
+    assert list(pipeline._batches(windows, 2)) == [
+        (0, [0, 1], [0, -1]), (2, [2, 3], [-2, -3]), (4, [4], [-4])]
+    assert list(pipeline._batches(windows, 3, np.array([4, 0, 3, 1, 2]))) == [
+        (0, [4, 0, 3], [-4, 0, -3]), (3, [1, 2], [-1, -2])]
+
+
+def test_tiled_windows(rng):
+    split = rng.standard_normal((2, 70))
+    windows = pipeline.tiled_windows(split, 32)
+    assert windows.shape == (2, 2, 32)
+    np.testing.assert_array_equal(windows[1], split[:, 32:64])
+    with pytest.raises(ContractError, match="shorter than one lookback"):
+        pipeline.tiled_windows(split[:, :31], 32)
 
 
 @pytest.mark.parametrize("shared", [True, False])

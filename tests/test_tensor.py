@@ -2,6 +2,7 @@
 
 import tracemalloc
 import types
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,39 @@ from dema.delay import DelayPriors
 from dema.errors import ContractError, DimensionError, NumericError
 from dema.model import ModelConfig, ModelState, model_forward
 from dema.ssd import DiscreteSSM, ssd_blocked
+
+
+# ----------------------------------------------------------------------
+# parameter helpers
+# ----------------------------------------------------------------------
+
+def test_parameters_walk_tensor_fields_in_order():
+    @dataclass
+    class Inner:
+        z: T.Tensor
+        chunk: int
+        a: T.Tensor
+
+    @dataclass
+    class Outer:
+        w: T.Tensor
+        inner: Inner
+        alpha: float
+        name: str
+        b: T.Tensor
+
+    w, z, a, b = (T.Tensor(np.zeros(1)) for _ in range(4))
+    outer = Outer(w=w, inner=Inner(z=z, chunk=4, a=a), alpha=0.5, name="x",
+                  b=b)
+    assert list(T.parameters(outer, "m")) == [
+        ("m.w", w), ("m.inner.z", z), ("m.inner.a", a), ("m.b", b)]
+
+
+def test_dense_draws_scaled_normal_weights():
+    w = T.dense(np.random.default_rng(3), 400, 300)
+    ref = np.random.default_rng(3).normal(0, 1 / 20, (400, 300))
+    assert w.requires_grad
+    np.testing.assert_array_equal(w.data, ref)
 
 
 # ----------------------------------------------------------------------
