@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -28,7 +29,7 @@ def _load_configs(args) -> tuple[TrainConfig, DatasetSpec]:
     if args.data:
         spec.path = args.data
     if args.seed is not None:
-        cfg.model.seed = args.seed
+        cfg.model = dataclasses.replace(cfg.model, seed=args.seed)
     return cfg, spec
 
 
@@ -68,9 +69,7 @@ def cmd_priors(args):
     for name, mat in (("tau", priors.tau), ("rho", priors.rho),
                       ("delta", priors.delta_tok)):
         with open(os.path.join(args.out, f"{name}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in mat:
-                writer.writerow(list(row))
+            csv.writer(fh).writerows(mat)
     print(f"wrote tau.csv, rho.csv, delta.csv to {args.out}")
 
 

@@ -208,13 +208,22 @@ def _plan_shifts(rho, delta, active, L, c):
     """A variate order and one :class:`_Shift` per distinct shift of the
     active pairs (of any window, for priors with a batch axis), numbered
     in that order. Sorting the variates by their mean shift makes a
-    block's query and key variates tend to be runs of consecutive ones."""
-    nb = -(-L // c)
+    block's variates tend to be runs of consecutive ones; as a permuted
+    order costs copies, it is kept only if it makes more key sets runs."""
     n, s = (x.sum(axis=-1).reshape(-1, x.shape[-1]).sum(axis=0)
             for x in (active, np.where(active, delta, 0)))
-    order = np.argsort(s / np.maximum(n, 1), kind="stable")
-    rho, delta, active = (x[..., order[:, None], order]
-                          for x in (rho, delta, active))
+    plans = []
+    for order in (np.arange(len(n)),
+                  np.argsort(s / np.maximum(n, 1), kind="stable")):
+        pri = (x[..., order[:, None], order] for x in (rho, delta, active))
+        plans.append((order, _shifts(*pri, L, c)))
+    return max(plans, key=lambda plan: sum(    # a tie keeps the first
+        isinstance(b, slice) for sh in plan[1] for _, b, _ in sh.blocks))
+
+
+def _shifts(rho, delta, active, L, c):
+    """The :class:`_Shift`s of priors whose variates are in plan order."""
+    nb = -(-L // c)
     shifts = []
     for d in np.unique(delta[active]):
         d = int(d)
@@ -241,7 +250,7 @@ def _plan_shifts(rho, delta, active, L, c):
         chunks = range(h // c, min(nb, -(-(L - d) // c)))
         shifts.append(_Shift(d, _run(a), _run(b), w, blocks, h, chunks,
                              readers))
-    return order, shifts
+    return shifts
 
 
 def _band_mask(w, band):
@@ -256,8 +265,9 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
 
     Returns them with the VJP that maps their gradients to those of the
     feature maps phq, phk and the values v (all [..., N, L, Du]), taking
-    the variates in `order` inside. With `record`, the states and every
-    block's band scores are kept for the VJP.
+    the variates in `order` inside (by copies, unless it is the given
+    order). With `record`, the states and every block's band scores are
+    kept for the VJP.
     """
     L, Du = v.shape[-2:]
     nb = -(-L // c)                            # chunks
@@ -404,10 +414,10 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
                          (_swap(att) @ gob).reshape(vb.shape))
                 if I * c > sh.h:
                     read_vjp(states[I], sh, q, v, go, gqr, gS, gkr, gv)
-                _add(gq, sh.a, ls, _rope_apply(
-                    gqr, rot[m0:m0 + band.shape[0]].conj()))
-        gq = gq + (_rope_apply(gden * Z, rot[:L].conj()) if rotated
-                   else gden * Z)
+                gqr.view(np.complex128)[...] *= rot[m0:m0 + len(band)].conj()
+                _add(gq, sh.a, ls, gqr)
+        gq += (_rope_apply(gden * Z, rot[:L].conj()) if rotated
+               else gden * Z)
         # the running sums' gradient: a reverse cumulative sum, in place
         rev = gK[..., ::-1, :]
         np.cumsum(rev, axis=-2, out=rev)
@@ -417,6 +427,7 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         gphk = _rope_apply(gkr, rot[:L].conj())
         if not rotated:
             gphk += gkd
+        del gK, gkd, gkr                       # before the permuted copies
         return _take(gq, inv), _take(gphk, inv), _take(gv, inv)
 
     return _take(num, inv), _take(den, inv), vjp
@@ -471,7 +482,7 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
         gnum /= dd
         gq, gphk, gv = vjp(gnum, gden / dd ** 2)
         del gnum
-        gv += np.where(keep, 0.0, g)
+        np.add(gv, g, out=gv, where=~keep)
         return gq, gphk, gv
 
     return T._make(y, (phi_q, phi_k, v), bwd)
@@ -505,9 +516,7 @@ def naive_dala_oracle(inp: DalaInputs, table: RotaryTable | None = None,
 
     Quadratic in N*L; small instances only. Unbatched inputs [L, N, Du].
     """
-    q = inp.q.data if isinstance(inp.q, T.Tensor) else np.asarray(inp.q)
-    k = inp.k.data if isinstance(inp.k, T.Tensor) else np.asarray(inp.k)
-    v = inp.v.data if isinstance(inp.v, T.Tensor) else np.asarray(inp.v)
+    q, k, v = (T._wrap(x).data for x in (inp.q, inp.k, inp.v))
     L, N, Du = q.shape
     if table is None:
         table = RotaryTable(dim=Du)
@@ -565,14 +574,11 @@ class DalaParams:
     def init(D: int, Du: int, rng: np.random.Generator, kernel_power: int = 3,
              rotated_denominator: bool = False) -> "DalaParams":
         return DalaParams(
-            w_content=T.dense(rng, D, Du),
-            b_content=T.Tensor(np.zeros(Du), requires_grad=True),
-            w_gate=T.dense(rng, D, Du),
-            b_gate=T.Tensor(np.zeros(Du), requires_grad=True),
+            w_content=T.dense(rng, D, Du), b_content=T.bias(Du),
+            w_gate=T.dense(rng, D, Du), b_gate=T.bias(Du),
             w_q=T.dense(rng, Du, Du), w_k=T.dense(rng, Du, Du),
             w_v=T.dense(rng, Du, Du), w_out=T.dense(rng, Du, D),
-            b_out=T.Tensor(np.zeros(D), requires_grad=True),
-            kernel_power=kernel_power,
+            b_out=T.bias(D), kernel_power=kernel_power,
             rotated_denominator=rotated_denominator)
 
 

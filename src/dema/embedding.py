@@ -78,8 +78,7 @@ class PatchEncoder:
 
     @staticmethod
     def init(P: int, D: int, rng: np.random.Generator) -> "PatchEncoder":
-        return PatchEncoder(weight=T.dense(rng, P, D),
-                            bias=T.Tensor(np.zeros(D), requires_grad=True))
+        return PatchEncoder(weight=T.dense(rng, P, D), bias=T.bias(D))
 
 
 def embed_patches(patches: np.ndarray, encoder: PatchEncoder) -> T.Tensor:

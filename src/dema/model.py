@@ -76,6 +76,8 @@ class ModelConfig:
         if self.d_inner % 2:
             raise ConfigError(f"d_inner = expand * d_model must be even "
                               f"for the rotary encoding, got {self.d_inner}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_lag < 0:
             raise ConfigError(f"max_lag must be >= 0 (0 means lookback // 4), "
                               f"got {self.max_lag}")
@@ -103,7 +105,7 @@ class LayerNormParams:
     @staticmethod
     def init(D: int) -> "LayerNormParams":
         return LayerNormParams(T.Tensor(np.ones(D), requires_grad=True),
-                               T.Tensor(np.zeros(D), requires_grad=True))
+                               T.bias(D))
 
     def __call__(self, x):
         return T.layer_norm(x, self.gamma, self.beta)
@@ -118,16 +120,11 @@ class FfnParams:
 
     @staticmethod
     def init(D: int, rng: np.random.Generator) -> "FfnParams":
-        hidden = 4 * D
-        return FfnParams(
-            w1=T.dense(rng, D, hidden),
-            b1=T.Tensor(np.zeros(hidden), requires_grad=True),
-            w2=T.dense(rng, hidden, D),
-            b2=T.Tensor(np.zeros(D), requires_grad=True),
-        )
+        return FfnParams(w1=T.dense(rng, D, 4 * D), b1=T.bias(4 * D),
+                         w2=T.dense(rng, 4 * D, D), b2=T.bias(D))
 
     def __call__(self, x):
-        return T.linear(T.gelu(T.linear(x, self.w1, self.b1)), self.w2, self.b2)
+        return T.ffn(x, self.w1, self.b1, self.w2, self.b2)
 
 
 @dataclass
@@ -185,16 +182,10 @@ class ModelState:
     def init(config: ModelConfig) -> "ModelState":
         rng = np.random.default_rng(config.seed)
         D = config.d_model
-        L = config.n_tokens
-        if config.task == "forecast":
-            n_out = config.horizon
-            n_in = L * D
-        elif config.task in ("impute", "anomaly"):
-            n_out = config.lookback
-            n_in = L * D
-        else:
-            n_out = config.n_classes
-            n_in = D
+        # the forecast head reads every token, the classify head their mean
+        n_in = D if config.task == "classify" else config.n_tokens * D
+        n_out = {"forecast": config.horizon, "classify": config.n_classes}.get(
+            config.task, config.lookback)           # impute and anomaly
         return ModelState(
             config=config,
             encoder_time=PatchEncoder.init(config.patch_len, D, rng),
@@ -202,7 +193,7 @@ class ModelState:
             blocks=[DuoMNetBlockParams.init(config, rng)
                     for _ in range(config.n_blocks)],
             head_w=T.dense(rng, n_in, n_out),
-            head_b=T.Tensor(np.zeros(n_out), requires_grad=True),
+            head_b=T.bias(n_out),
         )
 
     def parameters(self):

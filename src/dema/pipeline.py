@@ -561,20 +561,9 @@ def _reconstruction_scores(state, split, priors, batch_size):
 
 def _point_adjust(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Mark a whole true anomaly segment detected if any point inside is."""
-    flags = flags.copy()
-    i = 0
-    n = truth.size
-    while i < n:
-        if truth[i]:
-            j = i
-            while j < n and truth[j]:
-                j += 1
-            if flags[i:j].any():
-                flags[i:j] = True
-            i = j
-        else:
-            i += 1
-    return flags
+    seg = np.cumsum(np.diff(truth, prepend=False) & truth)  # 1, 2, ... inside
+    hit = np.bincount(seg[flags & truth], minlength=seg.max() + 1) > 0
+    return flags | (truth & hit[seg])
 
 
 def _prf(flags: np.ndarray, truth: np.ndarray) -> dict:

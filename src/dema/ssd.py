@@ -58,20 +58,17 @@ class SsdParams:
     @staticmethod
     def init(D: int, Du: int, Dh: int, rng: np.random.Generator,
              conv_size: int = 4, chunk: int = 16) -> "SsdParams":
-        def vec(n):
-            return T.Tensor(np.zeros(n), requires_grad=True)
-
         # decay rates spread over [1, 16] keeps A_bar well inside (0, 1)
         a_log = np.log(np.linspace(1.0, 16.0, Dh))
         return SsdParams(
-            w_content=T.dense(rng, D, Du), b_content=vec(Du),
-            w_gate=T.dense(rng, D, Du), b_gate=vec(Du),
+            w_content=T.dense(rng, D, Du), b_content=T.bias(Du),
+            w_gate=T.dense(rng, D, Du), b_gate=T.bias(Du),
             conv_kernel=T.dense(rng, conv_size, Du),
-            w_delta=T.dense(rng, Du, Dh), b_delta=vec(Dh),
-            w_B=T.dense(rng, Du, Dh), b_B=vec(Dh),
-            w_C=T.dense(rng, Du, Dh), b_C=vec(Dh),
+            w_delta=T.dense(rng, Du, Dh), b_delta=T.bias(Dh),
+            w_B=T.dense(rng, Du, Dh), b_B=T.bias(Dh),
+            w_C=T.dense(rng, Du, Dh), b_C=T.bias(Dh),
             A_log=T.Tensor(a_log, requires_grad=True),
-            w_out=T.dense(rng, Du, D), b_out=vec(D),
+            w_out=T.dense(rng, Du, D), b_out=T.bias(D),
             chunk=chunk,
         )
 
@@ -104,10 +101,7 @@ def ssm_scan_reference(d: DiscreteSSM, C, x) -> np.ndarray:
     h_t = A_bar_t * h_{t-1} + outer(B_bar_t, x_t); y_t = C_t^T h_t.
     The hidden state starts at zero for every sequence.
     """
-    A_bar = d.A_bar.data if isinstance(d.A_bar, T.Tensor) else np.asarray(d.A_bar)
-    B_bar = d.B_bar.data if isinstance(d.B_bar, T.Tensor) else np.asarray(d.B_bar)
-    C = C.data if isinstance(C, T.Tensor) else np.asarray(C)
-    x = x.data if isinstance(x, T.Tensor) else np.asarray(x)
+    A_bar, B_bar, C, x = (T._wrap(t).data for t in (d.A_bar, d.B_bar, C, x))
     L = x.shape[-2]
     Dh = A_bar.shape[-1]
     Du = x.shape[-1]
@@ -135,8 +129,8 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     the zero initial state, so it reads none, and no state is built after
     the last chunk: nb chunks build and read nb - 1 states, and a single
     chunk runs no state product at all. One tape node, differentiable in
-    log A_bar, B_bar, C and x; its VJP uses la, the decays, M and the
-    states the chunks after the first read.
+    log A_bar, B_bar, C and x; its VJP uses la, M and the states the
+    chunks after the first read, and builds the decays from la again.
     """
     if chunk <= 0:
         raise ConfigError("chunk size must be positive")
@@ -164,14 +158,18 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
 
     la = np.cumsum(blocks(log_a.data), axis=-2)    # [..., nb, c, Dh]
     Bb, Cb, xb = (blocks(t.data) for t in inputs[1:])
-    # decay_jih = A_{j:i} = exp(la_j - la_i) on the triangle j >= i, built
-    # in place: each [..., nb, c, c, Dh] temporary costs fresh pages
-    decay = la[..., :, None, :] - la[..., None, :, :]
-    decay *= mask
-    np.exp(decay, out=decay)
-    decay *= mask
+
+    def decays():
+        # decay_jih = exp(la_j - la_i) on the triangle j >= i, in place (a
+        # [..., c, c, Dh] temporary costs fresh pages); the VJP rebuilds it
+        decay = la[..., :, None, :] - la[..., None, :, :]
+        decay *= mask
+        np.exp(decay, out=decay)
+        decay *= mask
+        return decay
+
     CBd = Cb[..., :, None, :] * Bb[..., None, :, :]
-    CBd *= decay
+    CBd *= decays()
     M = np.sum(CBd, axis=-1)                       # [..., nb, c, c]
     del CBd
     y = M @ xb
@@ -200,8 +198,10 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
         # intra-chunk: y = M x with M_ji = sum_h C_jh B_ih decay_jih
         gM = gy @ _swap(xb)
         gx = _swap(M) @ gy
+        decay = decays()
         gC = np.einsum("...ji,...ih,...jih->...jh", gM, Bb, decay)
         gB = np.einsum("...ji,...jh,...jih->...ih", gM, Cb, decay)
+        del decay
         if nb > 1:
             ea = np.exp(la)
             # the reads y += (C ea) H of chunks 1 to nb - 1

@@ -20,17 +20,17 @@ keeps no chain of intermediates. What each saves besides its inputs:
   the flattened rows and one row sum for the bias.
 - `gated_linear` ((y * sigmoid(gate)) @ w + b): nothing; its VJP
   recomputes sigmoid(gate).
-- `gelu`: nothing; its VJP recomputes the tanh from the input. Forward
-  and VJP are in-place chains over a few input-sized buffers.
+- `ffn` (gelu(x @ w1 + b1) @ w2 + b2): nothing of the hidden width; its
+  VJP recomputes x @ w1 + b1 and the tanh once, in in-place chains.
 - `layer_norm`: the row means and standard deviations ([..., 1]); its VJP
   recomputes x_hat from x.
 - the causal `conv1d`: nothing; its VJP pads the input again.
 - `relu`: nothing; its VJP recomputes the mask.
 - `dala.kernel_phi`: the two row norms; its VJP recomputes r = ReLU(x)
   and r^p.
-- `ssd.ssd_blocked`: the cumulative log-decays, the masked decays, the
-  intra-chunk matrices and the states the chunks after the first read
-  (none at one chunk).
+- `ssd.ssd_blocked`: the cumulative log-decays, the intra-chunk matrices
+  and the states the chunks after the first read (none at one chunk);
+  its VJP rebuilds the masked [..., c, c, Dh] decays from the log-decays.
 - `dala.dala_core`: the rotated keys, numerator, denominator and mixed
   key sums, the running k^T v states and, per block, the band scores of
   real pairs only; its VJP rotates the queries again.
@@ -101,6 +101,11 @@ def dense(rng: np.random.Generator, n_in: int, n_out: int) -> Tensor:
     """A trainable [n_in, n_out] weight drawn from N(0, 1/n_in)."""
     return Tensor(rng.normal(0, 1 / np.sqrt(n_in), (n_in, n_out)),
                   requires_grad=True)
+
+
+def bias(n: int) -> Tensor:
+    """A trainable [n] vector of zeros."""
+    return Tensor(np.zeros(n), requires_grad=True)
 
 
 def parameters(params, prefix: str):
@@ -266,8 +271,11 @@ def gated_linear(y, gate, w, b):
         gh, gw, gb = _gemm_grads(g, y.data * s, w, b,
                                  y.requires_grad or gate.requires_grad)
         gy = gh * s if y.requires_grad else None
-        ggate = gh * y.data * s * (1.0 - s) if gate.requires_grad else None
-        return gy, ggate, gw, gb
+        if gate.requires_grad:                  # gh y s (1 - s), in place
+            gh *= y.data
+            gh *= s
+            gh *= np.subtract(1.0, s, out=s)
+        return gy, gh if gate.requires_grad else None, gw, gb
 
     return _make(_gemm(h, w.data, b.data), (y, gate, w, b), bwd)
 
@@ -300,8 +308,10 @@ def _sigmoid(x, name):
     """Logistic of an array without overflow; non-finite input is an error."""
     if not np.all(np.isfinite(x)):
         raise NumericError(f"{name}: non-finite input")
-    s = 1.0 / (1.0 + np.exp(-np.abs(x)))
-    return np.where(x >= 0, s, 1.0 - s)
+    s = np.abs(x, out=np.empty(np.shape(x)))   # 1 / (1 + exp(-|x|)) in s
+    np.exp(np.negative(s, out=s), out=s)
+    np.divide(1.0, np.add(s, 1.0, out=s), out=s)
+    return np.subtract(1.0, s, out=s, where=x < 0)
 
 
 def softplus(a):
@@ -321,7 +331,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def _gelu_tanh(x):
     """tanh(c (x + 0.044715 x^3)) in one buffer."""
-    t = np.asarray(x * x)      # a 0-d product is a scalar, not a buffer
+    t = x * x
     t *= x
     t *= 0.044715
     t += x
@@ -329,38 +339,46 @@ def _gelu_tanh(x):
     return np.tanh(t, out=t)
 
 
-def gelu(a):
-    """tanh-approximate GELU with its exact derivative.
+def ffn(x, w1, b1, w2, b2):
+    """Feed-forward layer gelu(x @ w1 + b1) @ w2 + b2, tanh GELU; one node.
 
-    Forward and VJP are in-place chains over a few input-sized buffers,
-    in the operation order of 0.5 x (1 + t) and its derivative.
-    """
-    a = _wrap(a)
-    x = a.data
-    t = _gelu_tanh(x)
-    t += 1.0
-    data = 0.5 * x
-    data *= t
+    x is [..., n], w1 [n, h], w2 [h, m]. Nothing of width h is kept: the VJP
+    recomputes x @ w1 + b1 and the tanh once, in the forward's order."""
+    x, w1, b1, w2, b2 = map(_wrap, (x, w1, b1, w2, b2))
+    _check_linear("ffn", x, w1, b1)
+    _check_linear("ffn", w1, w2, b2)            # w1's columns feed w2
+
+    def hidden(grad):
+        # gelu(u) = 0.5 u (1 + t), 1 + t and, with grad, the derivative's
+        # term d2 = 0.5 u (1 - t^2) c (1 + 3 * 0.044715 u^2); u = x @ w1 + b1
+        u = _gemm(x.data, w1.data, b1.data)
+        t, d2 = _gelu_tanh(u), None
+        if grad:
+            d = t * t
+            np.subtract(1.0, d, out=d)
+            d2 = 0.5 * u
+            d2 *= d
+            np.multiply(u, u, out=d)
+            d *= 3 * 0.044715
+            d += 1.0
+            d *= _GELU_C
+            d2 *= d
+        t += 1.0
+        u *= 0.5
+        u *= t
+        return u, t, d2
 
     def bwd(g):
-        # d = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
-        t = _gelu_tanh(x)
-        d = np.asarray(t * t)
-        np.subtract(1.0, d, out=d)
-        d2 = 0.5 * x
-        d2 *= d
-        np.multiply(x, x, out=d)
-        d *= 3 * 0.044715
-        d += 1.0
-        d *= _GELU_C
-        d2 *= d
-        t += 1.0
+        h, t, d2 = hidden(True)
+        gh, gw2, gb2 = _gemm_grads(g, h, w2, b2, True)
+        del h
         t *= 0.5
-        t += d2
-        t *= g
-        return (t,)
+        t += d2                                 # d gelu / du
+        t *= gh
+        return (*_gemm_grads(t, x.data, w1, b1, x.requires_grad), gw2, gb2)
 
-    return _make(data, (a,), bwd)
+    return _make(_gemm(hidden(False)[0], w2.data, b2.data),
+                 (x, w1, b1, w2, b2), bwd)
 
 
 # ----------------------------------------------------------------------
@@ -372,9 +390,7 @@ def tsum(a, axis=None, keepdims=False):
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 

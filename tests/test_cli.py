@@ -249,8 +249,11 @@ def test_empty_val_split_exits_cleanly(tmp_path, capsys):
     (["evaluate", "--checkpoint", "d.csv"], "d.csv"),
     (["evaluate", "--checkpoint", "other.npz"], "other.npz"),
     (["bench", "--lengths", "384,abc"], "--lengths"),
+    (["train", "--config", "ok.conf", "--data", "d.csv", "--seed", "-1"],
+     "seed"),
 ], ids=["no --data", "missing --config", "missing checkpoint",
-        "non-npz checkpoint", "npz without __version__", "bad --lengths"])
+        "non-npz checkpoint", "npz without __version__", "bad --lengths",
+        "negative --seed"])
 def test_bad_file_or_flag_exits_with_one_error_line(tmp_path, capsys,
                                                     monkeypatch, args, named):
     monkeypatch.chdir(tmp_path)

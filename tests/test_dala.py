@@ -529,6 +529,37 @@ def test_blocks_hold_the_union_of_windows_pairs():
     assert n == len(union) == len(triples) and triples == union
 
 
+@pytest.mark.parametrize("sort, delta, rho", [
+    # in the given order the key sets {0, 2} and {1, 3} are no runs; the
+    # order by mean shift (1, 0, 2, 3) turns {0, 2} into the run {1, 2}
+    (True, [[0, 1, 0, -1], [-1, 0, -2, -2], [-2, 2, 0, 2], [0, 1, 2, 0]],
+     [[1.0, 0.5, 0.5, 0.0], [0.5, 1.0, 0.5, 0.0], [0.5, 0.5, 1.0, 0.5],
+      [0.0, 0.0, 0.5, 1.0]]),
+    # the given order has the runs {0, 1}, {1, 2} and {2, 3}; the order by
+    # mean shift (0, 2, 1, 3) keeps two of them
+    (False, [[0, 1, 1, -1], [0, 0, 2, 2], [-1, 1, 0, 1], [2, 1, 1, 0]],
+     [[1.0, 0.5, 0.5, 0.5], [0.5, 1.0, 0.5, 0.5], [0.5, 0.5, 1.0, 0.5],
+      [0.5, 0.5, 0.0, 1.0]]),
+], ids=["sorted", "given order"])
+def test_plan_sorts_variates_only_when_it_makes_more_runs(sort, delta, rho):
+    delta, rho = np.array(delta), np.array(rho)
+    N, L = delta.shape[0], 6
+    active = (rho > 0) & (np.abs(delta) < L)
+    by_shift = np.argsort(np.where(active, delta, 0).sum(axis=1)
+                          / active.sum(axis=1), kind="stable")
+    assert not np.array_equal(by_shift, np.arange(N))
+    order, _ = dala._plan_shifts(rho, delta, active, L, 3)
+    np.testing.assert_array_equal(order, by_shift if sort else np.arange(N))
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    rng = np.random.default_rng(5)
+    q, k, v = (rng.standard_normal((N, L, 4)) + 0.5 for _ in range(3))
+    out = dala_core(q, k, v, priors, chunk=3).data
+    ref = naive_dala_oracle(DalaInputs(*(np.swapaxes(x, 0, 1)
+                                         for x in (q, k, v)), priors=priors))
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(np.swapaxes(out, 0, 1) - ref)) <= 1e-8 * scale
+
+
 @pytest.mark.parametrize("ix", [[0, 2, 1, 3], [3, 2, 1, 0], [1, 2, 3], [4],
                                 [0, 1, 3], [2, 0, 1]])
 def test_run_is_a_view_only_of_consecutive_indices(ix):

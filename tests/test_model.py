@@ -66,6 +66,7 @@ def test_config_fusion_weights_bounded():
     ("theta", dict(theta=1.5)),
     ("beta", dict(beta=-0.1)),
     ("max_lag", dict(max_lag=-3)),
+    ("seed", dict(seed=-1)),
 ])
 def test_config_rejects_bad_sizes(field, kw):
     with pytest.raises(ConfigError, match=field):

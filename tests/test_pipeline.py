@@ -14,10 +14,11 @@ from dema import tensor as T
 from dema.delay import DelayPriors
 from dema.errors import ConfigError, ContractError, FormatError
 from dema.model import ModelConfig, ModelState, anomaly_score, model_forward
-from dema.pipeline import (Adam, DatasetSpec, TrainConfig, _prf, apply_mask,
-                           evaluate, load_csv_dataset, make_windows,
-                           parse_config_file, shared_priors, train,
-                           write_bench, write_metrics, write_predictions)
+from dema.pipeline import (Adam, DatasetSpec, TrainConfig, _point_adjust,
+                           _prf, apply_mask, evaluate, load_csv_dataset,
+                           make_windows, parse_config_file, shared_priors,
+                           train, write_bench, write_metrics,
+                           write_predictions)
 
 
 def write_csv(path, rows):
@@ -527,6 +528,22 @@ def test_prf_perfect_detector():
 def test_prf_no_positives():
     metrics = _prf(np.zeros(10, dtype=bool), np.zeros(10, dtype=bool))
     assert metrics["f1"] == 0.0
+
+
+def test_point_adjust_marks_whole_segments(rng):
+    truth = np.array([0, 1, 1, 1, 0, 1, 1, 0, 1], dtype=bool)
+    flags = np.array([1, 0, 1, 0, 0, 0, 0, 0, 1], dtype=bool)
+    np.testing.assert_array_equal(
+        _point_adjust(flags, truth),
+        np.array([1, 1, 1, 1, 0, 0, 0, 0, 1], dtype=bool))
+    for _ in range(200):
+        truth, flags = rng.random((2, 25)) < rng.random((2, 1))
+        want = flags.copy()
+        for start in range(25):       # each segment, from its first point
+            if truth[start] and (start == 0 or not truth[start - 1]):
+                end = start + np.argmin(np.append(truth[start:], False))
+                want[start:end] |= flags[start:end].any()
+        np.testing.assert_array_equal(_point_adjust(flags, truth), want)
 
 
 # ----------------------------------------------------------------------

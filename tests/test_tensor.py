@@ -102,6 +102,16 @@ def test_sigmoid_at_zero():
     assert T._sigmoid(np.zeros(()), "sigmoid") == 0.5
 
 
+def test_sigmoid_matches_branch_select_bit_for_bit(rng):
+    # the in-place form gives the bits of where(x >= 0, s, 1 - s)
+    x = np.concatenate([rng.standard_normal(200) * 10,
+                        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0,
+                         -800.0]])
+    s = 1.0 / (1.0 + np.exp(-np.abs(x)))
+    np.testing.assert_array_equal(T._sigmoid(x, "sigmoid"),
+                                  np.where(x >= 0, s, 1.0 - s))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sigmoid_and_gated_linear_reject_non_finite_gates(bad):
     gate = np.zeros((2, 3))
@@ -225,7 +235,7 @@ def test_backward_frees_interior_gradients_keeps_graph(rng):
     W = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = T.Tensor(np.zeros(3), requires_grad=True)
     x = T.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-    h = T.gelu(T.linear(x, W, b))
+    h = T.softplus(T.linear(x, W, b))
     loss = T.tsum(T.mul(h, h))
     before = _reachable(loss)
     T.backward(loss)
@@ -264,10 +274,18 @@ def test_backward_peak_memory_stays_near_forward_bytes(rng):
     state = ModelState.init(cfg)
     x = rng.standard_normal((4, 3, cfg.lookback))
     y = rng.standard_normal((4, 3, cfg.horizon))
+
+    def mse():
+        diff = T.sub(model_forward(x, state), y)
+        return T.tmean(T.mul(diff, diff))
+
+    # one untraced step first, so that allocations made once per process
+    # (caches, first calls) do not count as held bytes: the ratio then
+    # reads the same alone and after other tests
+    T.backward(mse())
     tracemalloc.start()
     try:
-        diff = T.sub(model_forward(x, state), y)
-        loss = T.tmean(T.mul(diff, diff))
+        loss = mse()
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         T.backward(loss)
@@ -325,7 +343,15 @@ def test_vjps_keep_only_inputs_and_row_statistics(rng):
         assert name in held
         assert all(a.shape[-1] == 1 for a in held[name]), (
             name, [a.shape for a in held[name]])
+    # the FFN's hidden layer [..., L, 4D] is neither a tape value nor
+    # kept by its node, and the SSD keeps no decays [..., c, c, Dh]
+    hidden = (L, 4 * cfg.d_model)
+    assert "ffn" in held
+    assert not any(n.data.shape[-2:] == hidden for n in nodes.values())
+    assert not any(a.shape[-2:] == hidden for a in held["ffn"])
     assert not any(a.shape[-2:] == (Dh, Du) for a in held["ssd_blocked"])
+    c = min(cfg.chunk, L)
+    assert not any(a.shape[-3:] == (c, c, Dh) for a in held["ssd_blocked"])
     assert held["dala_core"]
     assert not any(a.shape[-3:] == (3, L + 2, Du) for a in held["dala_core"])
 
@@ -410,6 +436,11 @@ def linear_const_x(w, b):
     return T.linear(_CONST_X, w, b)
 
 
+def ffn_const_x(w1, b1, w2, b2):
+    """ffn on a constant input, so only the weights get gradients."""
+    return T.ffn(_CONST_X, w1, b1, w2, b2)
+
+
 def gated_linear_wide(y, gate, w, b):
     """gated_linear with gates pushed out to +-30 along the last axis."""
     return T.gated_linear(y, T.add(gate, _WIDE_GATES), w, b)
@@ -425,7 +456,7 @@ def gated_linear_wide(y, gate, w, b):
     (T.swapaxes, [(2, 3, 4)], {"ax1": 0, "ax2": -1}),
     (T.softplus, [(3, 4)], {}),
     (T.reshape, [(3, 4)], {"shape": (2, 6)}),
-    (T.gelu, [(3, 4)], {}),
+    (T.ffn, [(3, 4), (4, 6), (6,), (6, 2), (2,)], {}),
     (T.tsum, [(3, 4)], {"axis": -1}),
     (T.tmean, [(3, 4)], {"axis": 0}),
     (T.layer_norm, [(2, 3, 4), (4,), (4,)], {}),   # with gamma and beta
@@ -453,7 +484,9 @@ def gated_linear_wide(y, gate, w, b):
     # two unpadded chunks: chunk 0 builds the one state chunk 1 reads
     (ssd_from_log_decays, [(2, 8, 2), (2, 8, 2), (2, 8, 2), (2, 8, 3)],
      {"chunk": 4, "h": 1e-4}),
-    (T.gelu, [()], {}),                # 0-d: its in-place chains still work
+    (T.ffn, [(2, 3, 4), (4, 16), (16,), (16, 4), (4,)], {}),  # leading axes
+    (T.ffn, [(4,), (4, 5), (5,), (5, 3), (3,)], {}),   # one row: 1-d hidden
+    (ffn_const_x, [(4, 6), (6,), (6, 2), (2,)], {}),
 ])
 def test_per_op_finite_difference(op, shapes, kwargs, rng):
     _finite_diff_check(op, shapes, rng, **kwargs)
@@ -539,6 +572,28 @@ def test_fused_ops_record_one_node(rng):
     assert T.linear(x, w, b)._parents == (x, w, b)
     assert T.linear(x, w)._parents == (x, w)
     assert T.gated_linear(x, gate, w, b)._parents == (x, gate, w, b)
+    w2, b2 = leaf(6, 3), leaf(3)
+    assert T.ffn(x, w, b, w2, b2)._parents == (x, w, b, w2, b2)
+
+
+def test_ffn_is_the_tanh_gelu_layer(rng):
+    x, w1, b1, w2, b2 = (rng.standard_normal(s) for s in (
+        (2, 5, 4), (4, 16), (16,), (16, 3), (3,)))
+    h = x @ w1 + b1
+    gelu = 0.5 * h * (1 + np.tanh(np.sqrt(2 / np.pi) * (h + 0.044715 * h**3)))
+    out = T.ffn(*map(T.Tensor, (x, w1, b1, w2, b2))).data
+    np.testing.assert_allclose(out, gelu @ w2 + b2, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("x_shape,w2_shape,b2_shape", [
+    ((), (16, 3), (3,)),                # a 0-d input has no feature axis
+    ((2, 4), (8, 3), (3,)),             # w2 does not take w1's columns
+    ((2, 4), (16, 3), (2,)),            # b2 does not match w2
+])
+def test_ffn_shape_errors(x_shape, w2_shape, b2_shape):
+    with pytest.raises(DimensionError, match="ffn"):
+        T.ffn(*(T.Tensor(np.ones(s)) for s in (
+            x_shape, (4, 16), (16,), w2_shape, b2_shape)))
 
 
 def test_linear_skips_gradients_nobody_needs(rng):
