@@ -15,7 +15,7 @@ from .delay import default_max_lag, delay_matrix
 from .errors import ConfigError, ContractError, DemaError
 from .model import load_checkpoint, model_forward, save_checkpoint
 from .pipeline import (DatasetSpec, TrainConfig, bench_scaling, choose_priors,
-                       evaluate, load_csv_dataset, parse_config_file,
+                       detect, evaluate, load_csv_dataset, parse_config_file,
                        tiled_windows, train, write_bench, write_json,
                        write_metrics, write_predictions)
 from .spectral import decompose
@@ -116,13 +116,18 @@ def _predict_task(args, task):
     cfg, spec = _load_configs(args)
     state = _load_state(args, cfg, task)
     splits = load_csv_dataset(spec)
-    # evaluate rejects a test split shorter than one window
-    metrics = evaluate(state, spec, splits=splits, config=cfg)
     priors = choose_priors(splits, state.config, cfg.global_priors)
-    # every non-overlapping test window in one batched forward
-    windows = tiled_windows(splits.test, state.config.lookback)
-    with T.no_grad():
-        pred = model_forward(windows, state, priors).data
+    if task == "anomaly":
+        # the test windows' reconstructions are what the metrics score
+        metrics, pred = detect(state, spec, splits, cfg, priors)
+    else:
+        # evaluate rejects a test split shorter than one window
+        metrics = evaluate(state, spec, splits=splits, config=cfg,
+                           priors_override=priors)
+        # every non-overlapping test window in one batched forward
+        windows = tiled_windows(splits.test, state.config.lookback)
+        with T.no_grad():
+            pred = model_forward(windows, state, priors).data
     os.makedirs(args.out, exist_ok=True)
     write_predictions(np.concatenate(list(pred), axis=1),
                       os.path.join(args.out, "predictions.csv"), splits.columns)

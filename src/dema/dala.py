@@ -204,6 +204,22 @@ class _Shift:
                       # indices into a, and their weights [..., S])
 
 
+_PLANS = {}        # (priors' values, L, c) -> plan, in order of last use
+_PLANS_KEPT = 8
+
+
+def _plan(rho, delta, active, L, c):
+    """:func:`_plan_shifts`, cached on the priors' values: training passes
+    the same shared priors at every call, and a plan is only read."""
+    key = (rho.shape, rho.tobytes(), delta.shape, delta.dtype.str,
+           delta.tobytes(), L, c)
+    plan = _PLANS.pop(key, None) or _plan_shifts(rho, delta, active, L, c)
+    _PLANS[key] = plan
+    if len(_PLANS) > _PLANS_KEPT:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
 def _plan_shifts(rho, delta, active, L, c):
     """A variate order and one :class:`_Shift` per distinct shift of the
     active pairs (of any window, for priors with a batch axis), numbered
@@ -463,7 +479,7 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
     c = -(-L // nb)
     phi_q = kernel_phi(q, p)
     phi_k = kernel_phi(k, p)
-    order, shifts = _plan_shifts(rho, delta, active, L, c)
+    order, shifts = _plan(rho, delta, active, L, c)
     record = T._grad_enabled and any(
         t.requires_grad for t in (phi_q, phi_k, v))   # as T._make decides
     num, den, vjp = _attend(phi_q.data, phi_k.data, v.data, order, shifts,

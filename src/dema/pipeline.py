@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .delay import delay_matrix
+from .delay import MIN_OVERLAP, delay_matrix
 from .errors import ConfigError, ContractError, FormatError, NumericError
 from .model import (ModelConfig, ModelState, anomaly_score, backbone_forward,
                     model_forward, select_threshold)
@@ -374,7 +374,7 @@ def _batch_loss(state: ModelState, xs, ys, priors, mask_seed=None,
 def shared_priors(splits: DatasetSplits, cfg: ModelConfig):
     """Delay priors estimated once from the train split (global cache)."""
     window = splits.train[:, -cfg.lookback * 4:]
-    max_lag = min(cfg.lag_bound(), window.shape[1] - 4)
+    max_lag = min(cfg.lag_bound(), window.shape[1] - MIN_OVERLAP)
     return delay_matrix(window, max_lag, cfg.patch_len)
 
 
@@ -507,27 +507,11 @@ def evaluate(state: ModelState, spec: DatasetSpec,
         splits = load_csv_dataset(spec)
     config = config or TrainConfig()
     cfg = state.config
-    labels = splits.labels or {}
     priors = choose_priors(splits, cfg, config.global_priors, priors_override)
+    if cfg.task == "anomaly":
+        return detect(state, spec, splits, config, priors)[0]
     test_windows = _split_windows("test", splits, cfg)
     with T.no_grad():
-        if cfg.task == "anomaly":
-            # threshold from train-split scores, F1 on the test split
-            threshold = select_threshold(
-                _reconstruction_scores(state, splits.train, priors,
-                                       config.batch_size),
-                spec.anomaly_ratio)
-            test_scores = _reconstruction_scores(state, splits.test, priors,
-                                                 config.batch_size)
-            flags = test_scores > threshold
-            out = {"threshold": threshold,
-                   "flagged_fraction": float(flags.mean())}
-            if labels.get("test") is not None:
-                truth = labels["test"][:flags.size].astype(bool)
-                if config.point_adjust:
-                    flags = _point_adjust(flags, truth)
-                out.update(_prf(flags, truth))
-            return out
         err_sq, err_abs, count, correct = 0.0, 0.0, 0, 0
         for start, xs, ys in _batches(test_windows, config.batch_size):
             if cfg.task == "impute":
@@ -549,14 +533,46 @@ def evaluate(state: ModelState, spec: DatasetSpec,
     return {"mse": err_sq / max(count, 1), "mae": err_abs / max(count, 1)}
 
 
-def _reconstruction_scores(state, split, priors, batch_size):
-    """Anomaly scores over a split via non-overlapping lookback windows,
-    one batched forward per `batch_size` windows."""
-    windows = tiled_windows(split, state.config.lookback)
+def detect(state: ModelState, spec: DatasetSpec, splits: DatasetSplits,
+           config: TrainConfig, priors) -> tuple[dict, np.ndarray]:
+    """Anomaly metrics, and the reconstructions [G, N, lookback] of the
+    non-overlapping test windows that they score.
+
+    The threshold is the (1 - `spec.anomaly_ratio`)-quantile of the
+    train-split scores; flags, and F1 where there are labels, are on the
+    test split.
+    """
+    _split_windows("test", splits, state.config)   # long enough for one
+    windows = tiled_windows(splits.test, state.config.lookback)
+    with T.no_grad():
+        threshold = select_threshold(_reconstruction_scores(
+            state, splits.train, priors, config.batch_size),
+            spec.anomaly_ratio)
+        recon = _reconstruct(state, windows, priors, config.batch_size)
+    flags = anomaly_score(windows, recon).ravel() > threshold
+    out = {"threshold": threshold, "flagged_fraction": float(flags.mean())}
+    truth = (splits.labels or {}).get("test")
+    if truth is not None:
+        truth = truth[:flags.size].astype(bool)
+        if config.point_adjust:
+            flags = _point_adjust(flags, truth)
+        out.update(_prf(flags, truth))
+    return out, recon
+
+
+def _reconstruct(state, windows, priors, batch_size):
+    """Reconstructions of windows [G, N, lookback], one batched forward
+    per `batch_size` windows."""
     return np.concatenate([
-        anomaly_score(x, model_forward(x, state, priors).data).ravel()
-        for x in (windows[i:i + batch_size]
-                  for i in range(0, len(windows), batch_size))])
+        model_forward(windows[i:i + batch_size], state, priors).data
+        for i in range(0, len(windows), batch_size)])
+
+
+def _reconstruction_scores(state, split, priors, batch_size):
+    """Anomaly scores over a split via non-overlapping lookback windows."""
+    windows = tiled_windows(split, state.config.lookback)
+    return anomaly_score(windows, _reconstruct(state, windows, priors,
+                                               batch_size)).ravel()
 
 
 def _point_adjust(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -600,7 +616,8 @@ def bench_scaling(lengths, config: TrainConfig, repeats: int = 5):
                       horizon=config.model.patch_len, task="forecast")
         window = rng.standard_normal((config.n_variates, T_len))
         max_lag = cfg.max_lag if cfg.max_lag > 0 else cfg.patch_len * 12
-        priors = delay_matrix(window, min(max_lag, T_len - 4), cfg.patch_len)
+        priors = delay_matrix(window, min(max_lag, T_len - MIN_OVERLAP),
+                              cfg.patch_len)
         runs.append((T_len, ModelState.init(cfg), window, priors))
     times = [[] for _ in runs]
     rows = []

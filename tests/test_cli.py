@@ -2,17 +2,19 @@
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import coupled_series
-from dema import cli
+from dema import cli, model, pipeline
 from dema import tensor as T
 from dema.cli import main
-from dema.model import load_checkpoint, model_forward
+from dema.model import (ModelState, load_checkpoint, model_forward,
+                        save_checkpoint)
 from dema.pipeline import (DatasetSpec, choose_priors, load_csv_dataset,
-                           parse_config_file)
+                           make_windows, parse_config_file)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,55 @@ def test_forecast_predictions_match_window_by_window(workspace, monkeypatch,
              for s in range(0, splits.test.shape[1] - L + 1, L)], axis=1)
     assert len(written) == 1 and written[0].shape == ref.shape
     np.testing.assert_allclose(written[0], ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("command, conf, data", [
+    ("forecast", "forecast.conf", "plain.csv"),
+    ("detect", "anomaly.conf", "labeled.csv"),
+])
+def test_prediction_command_estimates_priors_once_and_forwards_once(
+        workspace, monkeypatch, command, conf, data):
+    # the shared priors are estimated once per command, and detect writes
+    # the reconstructions its metrics scored instead of forwarding the test
+    # windows again
+    cfg, spec = parse_config_file(workspace / conf)
+    ckpt = workspace / f"{command}_counted.npz"
+    save_checkpoint(ModelState.init(cfg.model), ckpt)
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (pipeline, model):
+        count(module, "delay_matrix")
+    for module in (pipeline, cli):
+        count(module, "model_forward")
+    written = []
+    monkeypatch.setattr(cli, "write_predictions",
+                        lambda pred, *_: written.append(pred))
+    run([command, "--config", workspace / conf, "--data", workspace / data,
+         "--out", workspace / f"run_{command}_counted", "--checkpoint", ckpt])
+    spec.path = str(workspace / data)
+    splits = load_csv_dataset(spec)
+    L, H, batch = cfg.model.lookback, cfg.model.horizon, cfg.batch_size
+    tiles = splits.test.shape[1] // L
+    if command == "forecast":
+        # the test windows in batches, then the tiled ones in one forward
+        n = len(make_windows(splits.test, L, H, "forecast"))
+        forwards, width = -(-n // batch) + 1, tiles * H
+    else:
+        # the tiled train windows, then the tiled test windows, in batches
+        forwards = sum(-(-n // batch)
+                       for n in (splits.train.shape[1] // L, tiles))
+        width = tiles * L
+    assert calls == {"delay_matrix": 1, "model_forward": forwards}
+    assert len(written) == 1 and written[0].shape == (2, width)
 
 
 def test_impute_roundtrip(workspace):

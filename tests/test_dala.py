@@ -701,3 +701,42 @@ def test_forward_batched_matches_unbatched(rng):
     for g in range(3):
         single = mamba_dala_forward(T.Tensor(tokens[g]), priors, params).data
         np.testing.assert_allclose(batched[g], single, atol=1e-12)
+
+
+def test_shift_plan_is_cached_on_the_priors_values(rng, monkeypatch):
+    # the same priors are planned once and a cached plan gives the same
+    # outputs and gradients bit for bit; priors changed in place, which
+    # keep their identity, are planned anew
+    calls = []
+    plan = dala._plan_shifts
+    monkeypatch.setattr(dala, "_plan_shifts",
+                        lambda *args: calls.append(1) or plan(*args))
+    monkeypatch.setattr(dala, "_PLANS", {})
+    priors = make_priors(rng, 4)
+    q, k, v = (rng.standard_normal((2, 4, 6, 4)) for _ in range(3))
+
+    def run():
+        ts = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
+        y = dala_core(*ts, priors, chunk=2)
+        T.backward(T.tsum(T.mul(y, y)))
+        return [y.data] + [t.grad for t in ts]
+
+    first, again = run(), run()
+    assert len(calls) == 1
+    for x, y in zip(first, again):
+        np.testing.assert_array_equal(x, y)
+    priors.delta_tok[0, 1] += 1
+    changed = run()
+    assert len(calls) == 2
+    assert not np.array_equal(changed[0], first[0])
+    monkeypatch.setattr(dala, "_PLANS", {})
+    for x, y in zip(changed, run()):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_shift_plan_cache_is_bounded(rng, monkeypatch):
+    monkeypatch.setattr(dala, "_PLANS", {})
+    x = rng.standard_normal((3, 4, 2))
+    for _ in range(3 * dala._PLANS_KEPT):
+        dala_core(x, x, x, make_priors(rng, 3), chunk=2)
+    assert len(dala._PLANS) == dala._PLANS_KEPT

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chirp
+from dema import delay
 from dema.delay import (MIN_OVERLAP, DelayPriors, default_max_lag,
                         delay_matrix, token_shift, xcorr_delay)
-from dema.errors import ContractError
+from dema.errors import ContractError, NumericError
 
 
 def brute_force_lag(a, b, max_lag):
@@ -216,6 +217,154 @@ def test_delay_matrix_matches_pairwise_oracle_property(case):
         for name in ("tau", "rho", "delta_tok"):
             np.testing.assert_array_equal(getattr(many, name)[g],
                                           getattr(one, name))
+
+
+def assert_oracle_priors(window, max_lag, P=8):
+    """delay_matrix of a window [N, T] or a batch [G, N, T] gives each pair
+    the oracle's lag and rho (to 1e-15) and its token shift."""
+    got = delay_matrix(window, max_lag, P)
+    batch = np.reshape(window, (-1,) + np.shape(window)[-2:])
+    tau, rho, delta = (np.reshape(x, (len(batch),) + x.shape[-2:])
+                       for x in (got.tau, got.rho, got.delta_tok))
+    for g, w in enumerate(batch):
+        for a in range(len(w)):
+            for b in range(len(w)):
+                if a == b:
+                    assert (tau[g, a, a], rho[g, a, a]) == (0, 1.0)
+                    continue
+                est = xcorr_delay(w[a], w[b], max_lag)
+                assert tau[g, a, b] == est.tau, (g, a, b)
+                assert abs(rho[g, a, b] - est.rho) <= 1e-15, (g, a, b)
+                assert delta[g, a, b] == token_shift(est.tau, P), (g, a, b)
+
+
+def lagged_copies(rng, n, length, lags, noise=0.3):
+    """[n, length]: noisy copies of one smooth base, variate i lagged by
+    lags[i] steps."""
+    pad = max(abs(t) for t in lags)
+    base = np.convolve(rng.standard_normal(length + 2 * pad + 8),
+                       np.ones(9) / 9, mode="valid")
+    return np.stack([base[pad - t:pad - t + length] for t in lags]) \
+        + noise * rng.standard_normal((n, length))
+
+
+def test_screen_with_cancelling_prefix_sums(rng):
+    # 1e8 + 1e-6 noise: the prefix sums of the raw values would cancel
+    # all but a few digits; the oracle's own means are off by far more
+    # than the FFT's rounding, so most lags stay candidates
+    assert_oracle_priors(1e8 + 1e-6 * lagged_copies(rng, 3, 60, [0, 2, -3]),
+                         12)
+    # without the oracle's mean error in the bound, two pairs of these
+    # windows would get another lag than the oracle's
+    noise = np.random.default_rng(2).standard_normal((60, 3, 64))
+    assert_oracle_priors(1e8 + 1e-6 * noise, 8)
+
+
+def test_screen_with_overlaps_constant_at_some_lags_only(rng):
+    # constant but for one point: the overlaps that miss the point are
+    # constant and skipped, the others have a small spread
+    spike = np.full(40, 0.1)
+    spike[3] = 2.0
+    late = np.full(40, -0.3)
+    late[36] = 0.7
+    window = np.stack([spike, late, rng.standard_normal(40), spike[::-1]])
+    assert_oracle_priors(window, 36)
+    assert_oracle_priors(window, 10)
+
+
+@pytest.mark.parametrize("period", [2, 3])
+def test_screen_ties_periodic_rows_like_the_oracle(rng, period):
+    # each pair's |rho| ties at every lag of a period: all stay candidates
+    # and the oracle's order picks among them
+    cycle = rng.standard_normal(period)
+    window = np.stack([np.resize(np.roll(cycle, s), 50) * f
+                       for s, f in ((0, 1.0), (1, -1.0), (period - 1, 2.0))])
+    window = np.concatenate([window, rng.standard_normal((1, 50))])
+    assert_oracle_priors(window, 20)
+
+
+@pytest.mark.parametrize("length", [MIN_OVERLAP, 9, 33])
+def test_screen_at_the_extreme_lag_bounds(rng, length):
+    window = np.concatenate([lagged_copies(rng, 3, length, [0, 1, -2]),
+                             np.round(rng.standard_normal((2, length)))])
+    assert_oracle_priors(window, length - MIN_OVERLAP)
+    assert_oracle_priors(window, 0)
+
+
+def test_screen_batch_with_different_candidates_per_window(rng):
+    # noise (one candidate per pair), periodic rows (ties at many lags) and
+    # a large offset (most lags) in one batch: each window as on its own
+    noise = rng.standard_normal((4, 48))
+    periodic = np.stack([np.resize(rng.standard_normal(3), 48)
+                         for _ in range(4)])
+    offset = 1e8 + 1e-6 * rng.standard_normal((4, 48))
+    batch = np.stack([noise, periodic, offset])
+    lags = np.arange(-12, 13)
+    valid, r, w = delay._screen(batch, lags)
+    lo = np.where(valid, r - w, -np.inf)
+    cands = (valid & (r + w >= lo.max(axis=-1, keepdims=True))).sum(
+        axis=(1, 2, 3))
+    assert cands[0] == 12 < cands[1] < cands[2]
+    assert_oracle_priors(batch, 12)
+
+
+def test_screen_at_long_window_shape(rng):
+    # the lookback 720 and lag bound 180 of long-horizon inference
+    window = lagged_copies(rng, 7, 720, [0, 5, -12, 40, -90, 170, 3])
+    window[3] *= -1
+    assert_oracle_priors(window, 180)
+
+
+def test_delay_matrix_overflow_and_underflow_like_the_oracle(rng):
+    # 1e200 squared overflows: where both overlaps hold a 1e200 (lag 0
+    # only) rho is inf / inf = NaN, and the oracle keeps that first lag, as
+    # nothing compares greater than NaN; 1e-170 squared underflows to 0, so
+    # every rho of that row is 0 and the first lag wins
+    window = rng.standard_normal((4, 30))
+    window[:2, 0] = 1e200
+    window[2] *= 1e-170
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = delay_matrix(window, 8, 4)
+        for a in range(4):
+            for b in range(4):
+                if a != b:
+                    est = xcorr_delay(window[a], window[b], 8)
+                    assert got.tau[a, b] == est.tau, (a, b)
+                    np.testing.assert_array_equal(got.rho[a, b], est.rho)
+    assert np.isnan(got.rho[0, 1]) and got.tau[0, 1] == 0
+    assert got.rho[2, 3] == 0.0 and got.tau[2, 3] == 0
+
+
+def test_screen_interval_holds_the_oracle_rho(rng):
+    # the bound in delay._screen's docstring: the oracle's |rho| at every
+    # valid lag lies within the width of the screen's value
+    windows = [rng.standard_normal((3, 70)),
+               1e8 + 1e-6 * rng.standard_normal((3, 70)),
+               1e5 * np.cumsum(rng.standard_normal((3, 70)), axis=-1),
+               np.round(3 * rng.standard_normal((3, 70))),
+               1e-3 * rng.standard_normal((3, 70)) + 1e4]
+    lags = np.arange(-30, 31)
+    for window in windows:
+        valid, r, w = delay._screen(window[None], lags)
+        for _, a, b, i in zip(*np.nonzero(valid)):
+            t = lags[i]
+            xa, xb = ((window[a, :70 - t], window[b, t:]) if t >= 0
+                      else (window[a, -t:], window[b, :70 + t]))
+            assert abs(abs(delay._pearson(xa, xb)) - r[0, a, b, i]) \
+                <= w[0, a, b, i]
+
+
+def test_delay_matrix_names_a_non_finite_cell(rng):
+    # one NaN would spread over every lag of its row in the FFT
+    batch = rng.standard_normal((3, 4, 40))
+    batch[2, 1, 17] = np.nan
+    with pytest.raises(NumericError,
+                       match="window 2, variate 1, time step 17"):
+        delay_matrix(batch, 6, 8)
+    batch[2, 1, 17] = -np.inf
+    with pytest.raises(NumericError,
+                       match="window 0, variate 1, time step 17"):
+        delay_matrix(batch[2], 6, 8)
 
 
 def test_delay_matrix_batch_shapes(rng):

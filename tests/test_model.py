@@ -476,3 +476,18 @@ def test_overflowing_a_log_is_named_in_discretize(rng):
         state.blocks[0].ssd.A_log.data, 1e3)
     with pytest.raises(NumericError, match="discretize: exp\\(A_log\\)"):
         model_forward(rng.standard_normal((2, 3, 32)), state)
+
+
+def test_non_finite_window_is_named_where_priors_are_estimated(rng):
+    # without priors, each window's priors come from its raw values: a NaN
+    # there is named by window, variate and time step, not two stages later
+    # by the temporal path's conv1d
+    state = ModelState.init(small_config())
+    batch = rng.standard_normal((3, 2, 32))
+    batch[1, 0, 5] = np.nan
+    with pytest.raises(NumericError,
+                       match="window 1, variate 0, time step 5"):
+        backbone_forward(batch, state, priors=None)
+    with pytest.raises(NumericError,
+                       match="window 1, variate 0, time step 5"):
+        model_forward(batch, state)
