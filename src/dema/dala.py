@@ -54,7 +54,6 @@ from . import tensor as T
 from .delay import DelayPriors
 from .errors import ConfigError, ContractError
 
-_PHI_TINY = 1e-30
 ATTN_EPS = 1e-6
 
 
@@ -85,36 +84,20 @@ def _rope_apply(arr, rot):
         np.float64)
 
 
-def rope_rotate(x, pos, table: RotaryTable):
-    """Rotate feature pairs of x by pos * theta_i.
-
-    `x` is [..., D] with D even; `pos` is an int or an array broadcasting
-    against the token axes. Norm-preserving; position 0 is the identity.
-    """
-    x = T._wrap(x)
-    if x.shape[-1] != table.dim:
-        raise ConfigError(
-            f"rotary table dim {table.dim} does not match input {x.shape[-1]}")
-    rot = table.rotation(pos)
-
-    def bwd(g):
-        return (_rope_apply(g, rot.conj()),)
-
-    return T._make(_rope_apply(x.data, rot), (x,), bwd)
-
-
 def kernel_phi(x, p: int = 3):
     """Nonnegative feature map: f(ReLU(x)) with f(r) = (|r|/|r^p|) r^p.
 
-    Norms are over the last axis. The output norm equals |ReLU(x)| and a
-    zero input maps to zero. One tape node for every p; it saves the two
-    norms, and its VJP recomputes r, r^(p - 1) and r^p from x.
+    The focused function of FLatten Transformer (Han et al.,
+    arXiv:2308.00442) with exact norms over the last axis, so the output
+    norm equals |ReLU(x)|. A row with |r^p| = 0 maps to zero with a zero
+    gradient; a NaN input stays NaN. At p = 1 the map is ReLU(x) itself,
+    and its VJP's factor p r^(p - 1) is the step 1[x > 0]. One tape node
+    for every p; it saves the two norms, and its VJP recomputes r,
+    r^(p - 1) and r^p from x.
     """
     if p < 1 or p != int(p):
         raise ConfigError(f"kernel power must be an integer >= 1, got {p}")
     x = T._wrap(x)
-    if p == 1:
-        return T.relu(x)
 
     def powers():
         r = np.maximum(x.data, 0.0)       # NaN stays NaN, never a silent 0
@@ -122,8 +105,13 @@ def kernel_phi(x, p: int = 3):
         return r, rq, rq * r                       # r, r^(p - 1), r^p
 
     r, _, rp = powers()
-    n1 = np.sqrt(np.sum(r * r, axis=-1, keepdims=True) + _PHI_TINY)
-    n2 = np.sqrt(np.sum(rp * rp, axis=-1, keepdims=True) + _PHI_TINY)
+    n1 = np.sqrt(np.sum(r * r, axis=-1, keepdims=True))
+    n2 = np.sqrt(np.sum(rp * rp, axis=-1, keepdims=True))
+    # rows with |r^p| = 0 take n1 = 1 and n2 = inf, so that their scale
+    # n1 / n2 and every term of the VJP are 0; a NaN row fails n2 == 0
+    zero = n2 == 0
+    n1 = np.where(zero, 1.0, n1)
+    n2 = np.where(zero, np.inf, n2)
 
     def bwd(g):
         r, rq, rp = powers()

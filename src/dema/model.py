@@ -26,6 +26,8 @@ from .spectral import decompose
 from .ssd import SsdParams, mamba_ssd_forward
 
 CHECKPOINT_VERSION = 1
+# JSON values each ModelConfig field type accepts (bools only as "bool")
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 TASKS = ("forecast", "impute", "anomaly", "classify")
 
@@ -348,6 +350,12 @@ def load_checkpoint(path) -> ModelState:
         if unknown:
             raise ContractError(f"checkpoint {path}: __config__ has unknown "
                                 f"field(s) {unknown}")
+        for name, value in cfg.items():
+            kind = ModelConfig.__dataclass_fields__[name].type
+            if not isinstance(value, _JSON_TYPES[kind]) or (
+                    isinstance(value, bool) and kind != "bool"):
+                raise ContractError(f"checkpoint {path}: __config__ field "
+                                    f"{name} must be {kind}, got {value!r}")
         state = ModelState.init(ModelConfig(**cfg))
         for name, p in state.parameters():
             key = f"param/{name}"

@@ -25,7 +25,6 @@ keeps no chain of intermediates. What each saves besides its inputs:
 - `layer_norm`: the row means and standard deviations ([..., 1]); its VJP
   recomputes x_hat from x.
 - the causal `conv1d`: nothing; its VJP pads the input again.
-- `relu`: nothing; its VJP recomputes the mask.
 - `dala.kernel_phi`: the two row norms; its VJP recomputes r = ReLU(x)
   and r^p.
 - `ssd.ssd_blocked`: the cumulative log-decays, the intra-chunk matrices
@@ -40,8 +39,6 @@ recorded, so nothing may write into an input of a recorded op between
 its forward and the backward: the gradients would silently be those of
 the new values. Write a new array to `.data` instead (as `Adam` does,
 after the backward).
-
-`dala.rope_rotate` is a single node too.
 
 Weights are the Tensor fields of dataclasses: :func:`dense` draws every
 dense weight and :func:`parameters` names each by its field path, the
@@ -199,8 +196,12 @@ def div(a, b):
 
 
 def _int_power(x, n):
-    """x ** n for an integer n >= 1 by repeated multiplication."""
-    out = x
+    """x ** n for an integer n >= 0 by repeated multiplication.
+
+    x ** 0 is the step 1[x > 0], so that on x = ReLU(y) these are the
+    truncated powers y_+^n, whose derivative is n y_+^(n - 1) also at n = 1.
+    """
+    out = x if n else (x > 0) * 1.0
     for _ in range(n - 1):
         out = out * x
     return out
@@ -293,15 +294,6 @@ def texp(a):
 def tlog(a):
     a = _wrap(a)
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def relu(a):
-    a = _wrap(a)
-
-    def bwd(g):
-        return (g * (a.data > 0),)
-
-    return _make(np.where(a.data > 0, a.data, 0.0), (a,), bwd)
 
 
 def _sigmoid(x, name):

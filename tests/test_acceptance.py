@@ -12,8 +12,8 @@ import pytest
 
 from conftest import chirp, coupled_splits
 from dema import tensor as T
-from dema.dala import (DalaInputs, RotaryTable, dala_attention,
-                       naive_dala_oracle, rope_rotate)
+from dema.dala import (DalaInputs, RotaryTable, _rope_apply, dala_attention,
+                       naive_dala_oracle)
 from dema.delay import DelayPriors, token_shift, xcorr_delay
 from dema.model import ModelConfig, ModelState, model_forward
 from dema.pipeline import (DatasetSpec, TrainConfig, bench_scaling, evaluate,
@@ -200,13 +200,13 @@ def test_criterion_6_rope_relative_property():
         off = int(rng.integers(1, 500))
 
         def logit(x, y, px, py):
-            rx = rope_rotate(T.Tensor(x[None, :]), px, table).data[0]
-            ry = rope_rotate(T.Tensor(y[None, :]), py, table).data[0]
+            rx = _rope_apply(x, table.rotation(px))
+            ry = _rope_apply(y, table.rotation(py))
             return float(rx @ ry)
 
         worst_rel = max(worst_rel, abs(logit(u, v, pu, pv)
                                        - logit(u, v, pu + off, pv + off)))
-        ident = rope_rotate(T.Tensor(u[None, :]), 0, table).data[0]
+        ident = _rope_apply(u, table.rotation(0))
         worst_id = max(worst_id, float(np.max(np.abs(ident - u))))
     report("criterion 6: rotary offset invariance and identity at 0",
            worst_rel <= 1e-10 and worst_id <= 1e-12,

@@ -455,6 +455,25 @@ def test_checkpoint_rejects_unknown_config_field(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("kernel_power", 3.0), ("d_model", 8.0), ("rotated_denominator", "yes"),
+    ("n_blocks", True)])
+def test_checkpoint_rejects_config_value_of_wrong_type(tmp_path, field, value):
+    # a float where an int belongs failed at the first forward, and a
+    # string where a bool belongs loaded as true
+    state = ModelState.init(small_config())
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(state, path)
+    data = dict(np.load(path))
+    cfg = json.loads(bytes(data["__config__"]).decode())
+    data["__config__"] = np.frombuffer(
+        json.dumps({**cfg, field: value}).encode(), dtype=np.uint8)
+    np.savez(path, **data)
+    with pytest.raises(ContractError,
+                       match=f"{re.escape(str(path))}.*{field}"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("raw", [b'{"lookback": 32,', b"\xff\xfe", b"[1, 2]"])
 def test_checkpoint_rejects_bad_config_json(tmp_path, raw):
     state = ModelState.init(small_config())

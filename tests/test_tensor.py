@@ -500,6 +500,12 @@ def test_power_integer_matches_float_pow(p, rng):
                                atol=0)
 
 
+def test_power_zero_is_step(rng):
+    # r ** 0 is 1[r > 0], so p r^(p - 1) is ReLU's derivative at p = 1
+    r = np.maximum(rng.standard_normal((3, 4)), 0.0)
+    np.testing.assert_array_equal(T._int_power(r, 0), r > 0)
+
+
 def test_div_sqrt_log_positive_domain(rng):
     # ops with restricted domains, checked on shifted-positive inputs
     for op in (T.tlog,):
