@@ -38,10 +38,12 @@ of windows plans the union of its windows' shifts, and each shift's
 weights and band masks carry the batch axis, zero where a window has no
 pair at that shift.
 
-The whole attention is one tape node whose VJP retraces this schedule
-backwards. No (N*L) x (N*L) matrix, no per-pair stream and no per-pair
-state is formed. A literal double-sum transcription is kept as the test
-oracle.
+The kernel maps and the whole attention are one tape node from q, k and
+v, so phi(k) is never kept: the node keeps phi(q) and the rotated keys.
+Its VJP retraces this schedule backwards block by block, each block's
+query rows gathered and rotated alone, and runs the kernel map's VJP in
+place. No (N*L) x (N*L) matrix, no per-pair stream and no per-pair state
+is formed. A literal double-sum transcription is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -84,6 +86,37 @@ def _rope_apply(arr, rot):
         np.float64)
 
 
+def _phi(x, p):
+    """kernel_phi's map of an array, with the row norms its VJP reads."""
+    if p < 1 or p != int(p):
+        raise ConfigError(f"kernel power must be an integer >= 1, got {p}")
+    r = np.maximum(x, 0.0)               # NaN stays NaN, never a silent 0
+    rp = T._int_power(r, p - 1) * r
+    n1 = np.sqrt(np.sum(r * r, axis=-1, keepdims=True))
+    n2 = np.sqrt(np.sum(rp * rp, axis=-1, keepdims=True))
+    # rows with |r^p| = 0 take n1 = 1 and n2 = inf, so that their scale
+    # n1 / n2 and every term of the VJP are 0; a NaN row fails n2 == 0
+    zero = n2 == 0
+    n1 = np.where(zero, 1.0, n1)
+    n2 = np.where(zero, np.inf, n2)
+    rp *= n1 / n2
+    return rp, (n1, n2)
+
+
+def _phi_vjp(g, x, p, n1, n2):
+    """kernel_phi's VJP at x, written over the output gradient g."""
+    r = np.maximum(x, 0.0)
+    rp = T._int_power(r, p - 1) * r
+    gs = np.sum(g * rp, axis=-1, keepdims=True)       # of the scale n1 / n2
+    g *= n1 / n2
+    rp *= gs * n1 / n2 ** 3
+    g -= rp                                           # the gradient of r^p
+    g *= p * T._int_power(r, p - 1)
+    r *= gs / (n1 * n2)
+    g += r              # zero where x <= 0: r and r^(p - 1) are 0 there
+    return g
+
+
 def kernel_phi(x, p: int = 3):
     """Nonnegative feature map: f(ReLU(x)) with f(r) = (|r|/|r^p|) r^p.
 
@@ -93,34 +126,13 @@ def kernel_phi(x, p: int = 3):
     gradient; a NaN input stays NaN. At p = 1 the map is ReLU(x) itself,
     and its VJP's factor p r^(p - 1) is the step 1[x > 0]. One tape node
     for every p; it saves the two norms, and its VJP recomputes r,
-    r^(p - 1) and r^p from x.
+    r^(p - 1) and r^p from x. :func:`dala_core` runs the same map and VJP
+    inside its own node.
     """
-    if p < 1 or p != int(p):
-        raise ConfigError(f"kernel power must be an integer >= 1, got {p}")
     x = T._wrap(x)
-
-    def powers():
-        r = np.maximum(x.data, 0.0)       # NaN stays NaN, never a silent 0
-        rq = T._int_power(r, p - 1)
-        return r, rq, rq * r                       # r, r^(p - 1), r^p
-
-    r, _, rp = powers()
-    n1 = np.sqrt(np.sum(r * r, axis=-1, keepdims=True))
-    n2 = np.sqrt(np.sum(rp * rp, axis=-1, keepdims=True))
-    # rows with |r^p| = 0 take n1 = 1 and n2 = inf, so that their scale
-    # n1 / n2 and every term of the VJP are 0; a NaN row fails n2 == 0
-    zero = n2 == 0
-    n1 = np.where(zero, 1.0, n1)
-    n2 = np.where(zero, np.inf, n2)
-
-    def bwd(g):
-        r, rq, rp = powers()
-        gs = np.sum(g * rp, axis=-1, keepdims=True)   # of the scale n1 / n2
-        grp = g * (n1 / n2) - (gs * n1 / n2 ** 3) * rp
-        # zero where x <= 0: r and r^(p - 1) are 0 there
-        return ((gs / (n1 * n2)) * r + grp * (p * rq),)
-
-    return T._make(rp * (n1 / n2), (x,), bwd)
+    phi, norms = _phi(x.data, p)
+    return T._make(phi, (x,),
+                   lambda g: (_phi_vjp(g.copy(), x.data, p, *norms),))
 
 
 @dataclass
@@ -158,8 +170,7 @@ def _run(ix):
 
 def _take(x, idx):
     """x[..., idx, :, :] as a C-ordered array; idx None keeps the order."""
-    x = np.ascontiguousarray(x)
-    return x if idx is None else np.take(x, idx, axis=-3)
+    return np.ascontiguousarray(x) if idx is None else np.take(x, idx, axis=-3)
 
 
 def _zeros(shape):
@@ -184,12 +195,12 @@ class _Shift:
     a: np.ndarray     # query variates with a pair at d (in some window)
     b: np.ndarray     # key variates with a pair at d
     w: np.ndarray     # [..., A, B] weights rho_ab [delta_ab = d]
-    blocks: list      # per block: its rows of a (a slice), its key
-                      # variates and their weights [..., A_g, B_g]
+    blocks: list      # per block: its query variates, its key variates
+                      # and their weights [..., A_g, B_g]
     h: int            # keys j < h = max(0, -d) are never shown at d
     chunks: range     # query chunks I: m = l - d in [I c, I c + c)
-    readers: list     # per key variate: (the variate, its queries as
-                      # indices into a, and their weights [..., S])
+    readers: list     # per key variate: (the variate, the query variates
+                      # that read its state, their weights [..., S])
 
 
 _PLANS = {}        # (priors' values, L, c) -> plan, in order of last use
@@ -242,11 +253,11 @@ def _shifts(rho, delta, active, L, c):
         blocks, start = [], 0
         for qs in groups.values():
             kb = np.flatnonzero(union[qs[0], b])     # as indices into b
-            blocks.append((slice(start, start + len(qs)), _run(b[kb]),
+            blocks.append((_run(a[start:start + len(qs)]), _run(b[kb]),
                            w[..., start:start + len(qs), kb]))
             start += len(qs)
         # per key variate, for the state reads of the chunks after the first
-        readers = [(k, _run(np.flatnonzero(col)), w[..., col, i]) for i, (
+        readers = [(k, _run(a[col]), w[..., col, i]) for i, (
             k, col) in enumerate(zip(b, union[a][:, b].T))] if nb > 1 else []
         h = max(0, -d)
         # the queries l in [0, L) sit at m in [h, L - d); the last chunk
@@ -271,12 +282,14 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
     feature maps phq, phk and the values v (all [..., N, L, Du]), taking
     the variates in `order` inside (by copies, unless it is the given
     order). With `record`, the states and every block's band scores are
-    kept for the VJP.
+    kept for the VJP. The VJP holds only what its current stage reads: it
+    takes the blocks, then the state reads per key variate, then the
+    denominators one shift at a time, and un-permutes one output at a time.
     """
     L, Du = v.shape[-2:]
     nb = -(-L // c)                            # chunks
     top = L + max(sh.h for sh in shifts)       # query rows m < top
-    inv, inputs = np.argsort(order), (phq, v)
+    inv, v_given = np.argsort(order), v
     if np.all(np.diff(order) == 1):
         order = inv = None                     # the given order: no copies
     phq, phk, v = (_take(x, order) for x in (phq, phk, v))
@@ -288,46 +301,28 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
                          [(0, top - L), (0, 0)]), axis=-2)
     K_shape = K.shape                          # the VJP keeps no K
 
-    def chunk(sh, I, phq):
-        # chunk I's queries m in [m0, m1) (rows l = m + d), rotated once at
-        # m, and the causal band of its keys j in [m0, k1): no query has
-        # l < 0, no key j < h shows
+    def span(sh, I):
+        # chunk I's queries m in [m0, m1) (rows l = m + d in ls) and the
+        # causal band of its keys j in [m0, k1): no query has l < 0, no
+        # key j < h shows
         m0 = max(I * c, sh.h)
         m1 = L - sh.d if I + 1 == nb else min(I * c + c, L - sh.d)
-        k1, ls = min(I * c + c, L), slice(m0 + sh.d, m1 + sh.d)
-        return m0, k1, np.tri(m1 - m0, k1 - m0), ls, _rope_apply(
-            phq[..., sh.a, ls, :], rot[m0:m1])
+        k1 = min(I * c + c, L)
+        return m0, k1, np.tri(m1 - m0, k1 - m0), slice(m0 + sh.d, m1 + sh.d)
 
-    def read(S, sh, q, v, out):
-        # out[a] += sum_b w_ab q_a (S_b less the keys the shift never shows):
-        # per key variate, one product of its queries with its state
-        for b, sel, wb in sh.readers:
-            qb = _flat(q[..., sel, :, :])
-            r = qb @ S[..., b, :, :]
-            if sh.h:
-                r -= (qb @ _swap(kr[..., b, :sh.h, :])) @ v[..., b, :sh.h, :]
-            out[..., sel, :, :] += wb[..., None, None] * r.reshape(
-                q[..., sel, :, :].shape)
+    def queries(x, a, ls, m0):
+        # the rows ls of the variates a, rotated once at m = l - d
+        return _rope_apply(x[..., a, ls, :], rot[m0:m0 + ls.stop - ls.start])
 
-    def read_vjp(S, sh, q, v, go, gq, gS, gkr, gv):
-        for b, sel, wb in sh.readers:
-            qb = _flat(q[..., sel, :, :])
-            gr = _flat(wb[..., None, None] * go[..., sel, :, :])
-            gqb = gr @ _swap(S[..., b, :, :])
-            gS[..., b, :, :] += _swap(qb) @ gr
-            if sh.h:
-                hk, hv = kr[..., b, :sh.h, :], v[..., b, :sh.h, :]
-                gp = gr @ _swap(hv)
-                gqb -= gp @ hk
-                gkr[..., b, :sh.h, :] -= _swap(gp) @ qb
-                gv[..., b, :sh.h, :] -= _swap(qb @ _swap(hk)) @ gr
-            gq[..., sel, :, :] += gqb.reshape(go[..., sel, :, :].shape)
+    def add_queries(gx, a, ls, m0, g):
+        # gx[..., a, ls, :] += g, a gradient of queries(x, a, ls, m0)
+        g.view(np.complex128)[...] *= rot[m0:m0 + ls.stop - ls.start].conj()
+        _add(gx, a, ls, g)
 
     # den[a, l] = sum_d qd_a(l - d) . z_d[a, l] with the rho-mixed key sums
     # z_d; qd_a(l - d) . z = qd_a(l) . R(d) z, so one contraction serves all.
     # The mix stays one product per shift: its masked-out pairs cost a c-th
     # of what they would in the band
-    qd = _rope_apply(phq, rot[:L]) if rotated else phq
     Z = _zeros(phq.shape)
     for sh in shifts:
         # query row l >= max(d, 0) sums the keys j in [h, l - d]
@@ -335,7 +330,8 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         z = _mix(sh.w, z - K[..., sh.b, sh.h - 1:sh.h, :] if sh.h else z)
         _add(Z, sh.a, slice(max(sh.d, 0), L), _rope_apply(
             z, table.rotation(sh.d)) if rotated else z)
-    den = np.sum(qd * Z, axis=-1, keepdims=True)
+    den = np.sum((_rope_apply(phq, rot[:L]) if rotated else phq) * Z,
+                 axis=-1, keepdims=True)
 
     num = _zeros(v.shape)
     zero = np.zeros((Du, Du))
@@ -346,29 +342,36 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         for j, sh in enumerate(shifts):
             if I not in sh.chunks:
                 continue
-            m0, k1, band, ls, q = chunk(sh, I, phq)
-            out = np.empty_like(q)
+            m0, k1, band, ls = span(sh, I)
             atts = []
-            for qa, b, w in sh.blocks:
+            for a, b, w in sh.blocks:
                 # the block's band: the keys of chunk I up to the query's m
-                att = _flat(q[..., qa, :, :]) @ _swap(_flat(
-                    kr[..., b, m0:k1, :]))
+                q = queries(phq, a, ls, m0)
+                att = _flat(q) @ _swap(_flat(kr[..., b, m0:k1, :]))
                 att *= _band_mask(w, band)
-                np.matmul(att, _flat(v[..., b, m0:k1, :]),
-                          out=_flat(out[..., qa, :, :]))
+                out = (att @ _flat(v[..., b, m0:k1, :])).reshape(q.shape)
+                if I * c <= sh.h:
+                    # no key before chunk I shows (chunk 0 too): read the
+                    # zero state, so that every chunk reads one. Unlike the
+                    # SSD's, these reads stay: at chunk 64 DALA has a single
+                    # chunk at criterion 8's first length (48 tokens), where
+                    # skipping them would leave no state work at all, and
+                    # the first doubling would then add the whole state
+                    # schedule at once
+                    out += q @ zero
+                _add(num, a, ls, out)
                 atts.append(att)
             if I * c > sh.h:
-                # the keys before chunk I that the shift shows
-                read(S, sh, q, v, out)
-            else:
-                # none (chunk 0 too): read the zero state, so that every
-                # chunk reads one. Unlike the SSD's, these reads stay: at
-                # chunk 64 DALA has a single chunk at criterion 8's first
-                # length (48 tokens), where skipping them would leave no
-                # state work at all, and the first doubling would then add
-                # the whole state schedule at once
-                out += q @ zero
-            _add(num, sh.a, ls, out)
+                # the keys before chunk I that the shift shows: per key
+                # variate, its state (less the keys the shift never shows)
+                # meets the queries that read it in one product
+                for b, a, wb in sh.readers:
+                    q = queries(phq, a, ls, m0)
+                    r = _flat(q) @ S[..., b, :, :]
+                    if sh.h:
+                        r -= (_flat(q) @ _swap(kr[..., b, :sh.h, :])) @ v[
+                            ..., b, :sh.h, :]
+                    _add(num, a, ls, wb[..., None, None] * r.reshape(q.shape))
             if record:
                 saved[I, j] = atts              # the VJP rotates q again
         if record:
@@ -379,20 +382,10 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         S = S + _swap(kr[..., rows, :]) @ v[..., rows, :]
 
     def vjp(gnum, gden):
-        phq, v, gnum, gden = (_take(x, order) for x in inputs + (gnum, gden))
-        gq, gkr, gv, gK = map(_zeros, (phq.shape, kr.shape, v.shape, K_shape))
+        # the caller hands gnum and gden over: a permuted copy replaces them
+        gnum, gden, v = (_take(x, order) for x in (gnum, gden, v_given))
+        gq, gkr, gv = map(_zeros, (phq.shape, kr.shape, v.shape))
         gS = np.zeros_like(states[-1])
-        gZ = gden * (_rope_apply(phq, rot[:L]) if rotated else phq)
-        for sh in shifts:
-            gz = gZ[..., sh.a, max(sh.d, 0):, :]
-            if rotated:
-                gz = _rope_apply(gz, table.rotation(-sh.d))
-            gz = _mix(_swap(sh.w), gz)
-            _add(gK, sh.b, slice(sh.h, sh.h + L - max(sh.d, 0)), gz)
-            if sh.h:
-                _add(gK, sh.b, slice(sh.h - 1, sh.h),
-                     -gz.sum(axis=-2, keepdims=True))
-        del gZ, gz
         for I in reversed(range(nb)):
             rows = slice(I * c, I * c + c)
             if I + 1 < nb:
@@ -402,24 +395,49 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
             for j, sh in enumerate(shifts):
                 if I not in sh.chunks:
                     continue
-                atts = saved.pop((I, j))
-                m0, k1, band, ls, q = chunk(sh, I, phq)
-                go = gnum[..., sh.a, ls, :]
-                gqr = np.empty_like(q)
-                for (qa, b, w), att in zip(sh.blocks, atts):
+                m0, k1, band, ls = span(sh, I)
+                for (a, b, w), att in zip(sh.blocks, saved.pop((I, j))):
                     kb, vb = kr[..., b, m0:k1, :], v[..., b, m0:k1, :]
-                    gob = _flat(go[..., qa, :, :])
-                    gatt = gob @ _swap(_flat(vb))
+                    q = queries(phq, a, ls, m0)
+                    go = _flat(gnum[..., a, ls, :])
+                    gatt = go @ _swap(_flat(vb))
                     gatt *= _band_mask(w, band)
-                    np.matmul(gatt, _flat(kb), out=_flat(gqr[..., qa, :, :]))
                     _add(gkr, b, slice(m0, k1), (_swap(gatt) @ _flat(
-                        q[..., qa, :, :])).reshape(kb.shape))
+                        q)).reshape(kb.shape))
                     _add(gv, b, slice(m0, k1),
-                         (_swap(att) @ gob).reshape(vb.shape))
-                if I * c > sh.h:
-                    read_vjp(states[I], sh, q, v, go, gqr, gS, gkr, gv)
-                gqr.view(np.complex128)[...] *= rot[m0:m0 + len(band)].conj()
-                _add(gq, sh.a, ls, gqr)
+                         (_swap(att) @ go).reshape(vb.shape))
+                    add_queries(gq, a, ls, m0,
+                                (gatt @ _flat(kb)).reshape(q.shape))
+                if I * c <= sh.h:
+                    continue
+                for b, a, wb in sh.readers:
+                    q = _flat(queries(phq, a, ls, m0))
+                    go = wb[..., None, None] * gnum[..., a, ls, :]
+                    gr = _flat(go)
+                    gqb = gr @ _swap(states[I][..., b, :, :])
+                    gS[..., b, :, :] += _swap(q) @ gr
+                    if sh.h:
+                        hk, hv = kr[..., b, :sh.h, :], v[..., b, :sh.h, :]
+                        gp = gr @ _swap(hv)
+                        gqb -= gp @ hk
+                        gkr[..., b, :sh.h, :] -= _swap(gp) @ q
+                        gv[..., b, :sh.h, :] -= _swap(q @ _swap(hk)) @ gr
+                    add_queries(gq, a, ls, m0, gqb.reshape(go.shape))
+        del gnum, v
+        # the denominators, one shift at a time
+        gK = _zeros(K_shape)
+        for sh in shifts:
+            lo = max(sh.d, 0)
+            qd = (queries(phq, sh.a, slice(lo, L), lo) if rotated
+                  else phq[..., sh.a, lo:, :])
+            gz = gden[..., sh.a, lo:, :] * qd
+            if rotated:
+                gz = _rope_apply(gz, table.rotation(-sh.d))
+            gz = _mix(_swap(sh.w), gz)
+            _add(gK, sh.b, slice(sh.h, sh.h + L - lo), gz)
+            if sh.h:
+                _add(gK, sh.b, slice(sh.h - 1, sh.h),
+                     -gz.sum(axis=-2, keepdims=True))
         gq += (_rope_apply(gden * Z, rot[:L].conj()) if rotated
                else gden * Z)
         # the running sums' gradient: a reverse cumulative sum, in place
@@ -428,11 +446,13 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         gkd = gK[..., :L, :]
         if rotated:
             gkr += gkd
-        gphk = _rope_apply(gkr, rot[:L].conj())
+        gkr.view(np.complex128)[...] *= rot[:L].conj()   # now of phk
         if not rotated:
-            gphk += gkd
-        del gK, gkd, gkr                       # before the permuted copies
-        return _take(gq, inv), _take(gphk, inv), _take(gv, inv)
+            gkr += gkd
+        del gK, gkd, rev                       # before the permuted copies
+        gq = _take(gq, inv)
+        gkr = _take(gkr, inv)
+        return gq, gkr, _take(gv, inv)
 
     return _take(num, inv), _take(den, inv), vjp
 
@@ -465,13 +485,12 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
             f"rotary table dim {table.dim} does not match input {Du}")
     nb = -(-L // min(chunk, L))
     c = -(-L // nb)
-    phi_q = kernel_phi(q, p)
-    phi_k = kernel_phi(k, p)
+    (phq, nq), (phk, nk) = _phi(q.data, p), _phi(k.data, p)
     order, shifts = _plan(rho, delta, active, L, c)
     record = T._grad_enabled and any(
-        t.requires_grad for t in (phi_q, phi_k, v))   # as T._make decides
-    num, den, vjp = _attend(phi_q.data, phi_k.data, v.data, order, shifts,
-                            table, rotated_denominator, c, record)
+        t.requires_grad for t in (q, k, v))   # as T._make decides
+    num, den, vjp = _attend(phq, phk, v.data, order, shifts, table,
+                            rotated_denominator, c, record)
     # query (a, l) sees a key once l reaches the smallest max(0, delta_ab);
     # tokens with no key in range fall back to their own value
     first = np.where(active, np.maximum(delta, 0), L).min(axis=-1)
@@ -480,16 +499,14 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
     y = np.where(keep, num / dd, v.data)
 
     def bwd(g):
-        gnum = np.where(keep, g, 0.0)
-        gden = np.where(den >= eps,
-                        -np.sum(gnum * num, axis=-1, keepdims=True), 0.0)
-        gnum /= dd
-        gq, gphk, gv = vjp(gnum, gden / dd ** 2)
-        del gnum
+        gden = np.where(den >= eps, -np.sum(
+            np.where(keep, g, 0.0) * num, axis=-1, keepdims=True), 0.0)
+        # handed over unnamed, so that the VJP can free them
+        gq, gk, gv = vjp(np.where(keep, g, 0.0) / dd, gden / dd ** 2)
         np.add(gv, g, out=gv, where=~keep)
-        return gq, gphk, gv
+        return _phi_vjp(gq, q.data, p, *nq), _phi_vjp(gk, k.data, p, *nk), gv
 
-    return T._make(y, (phi_q, phi_k, v), bwd)
+    return T._make(y, (q, k, v), bwd)
 
 
 def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,

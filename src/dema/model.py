@@ -356,7 +356,11 @@ def load_checkpoint(path) -> ModelState:
                     isinstance(value, bool) and kind != "bool"):
                 raise ContractError(f"checkpoint {path}: __config__ field "
                                     f"{name} must be {kind}, got {value!r}")
-        state = ModelState.init(ModelConfig(**cfg))
+        try:
+            config = ModelConfig(**cfg)
+        except ConfigError as e:    # well-typed but out of range
+            raise ConfigError(f"checkpoint {path}: __config__ {e}") from None
+        state = ModelState.init(config)
         for name, p in state.parameters():
             key = f"param/{name}"
             if key not in z:

@@ -30,9 +30,11 @@ keeps no chain of intermediates. What each saves besides its inputs:
 - `ssd.ssd_blocked`: the cumulative log-decays, the intra-chunk matrices
   and the states the chunks after the first read (none at one chunk);
   its VJP rebuilds the masked [..., c, c, Dh] decays from the log-decays.
-- `dala.dala_core`: the rotated keys, numerator, denominator and mixed
-  key sums, the running k^T v states and, per block, the band scores of
-  real pairs only; its VJP rotates the queries again.
+- `dala.dala_core` (one node from q, k and v; it runs `kernel_phi`'s map
+  and VJP inside, so phi(k) is kept nowhere): phi(q) and the row norms
+  of both maps, the rotated keys, numerator, denominator and mixed key
+  sums, the running k^T v states and, per block, the band scores of real
+  pairs only; its VJP rotates each block's queries again.
 
 VJPs read their inputs' `.data` when `backward` runs, not when the op is
 recorded, so nothing may write into an input of a recorded op between
@@ -303,7 +305,8 @@ def _sigmoid(x, name):
     s = np.abs(x, out=np.empty(np.shape(x)))   # 1 / (1 + exp(-|x|)) in s
     np.exp(np.negative(s, out=s), out=s)
     np.divide(1.0, np.add(s, 1.0, out=s), out=s)
-    return np.subtract(1.0, s, out=s, where=x < 0)
+    s -= 0.5         # exact for s in [0.5, 1]; 0.5 - (s - 0.5) is 1 - s
+    return np.add(np.copysign(s, x, out=s), 0.5, out=s)
 
 
 def softplus(a):

@@ -542,9 +542,8 @@ def block_pairs(shifts):
     key) triples in the planner's variate numbering."""
     n, triples = 0, set()
     for sh in shifts:
-        a = np.arange(64)[sh.a]
-        for qa, b, _ in sh.blocks:
-            qs, ks = a[qa], np.arange(64)[b]
+        for a, b, _ in sh.blocks:
+            qs, ks = np.arange(64)[a], np.arange(64)[b]
             n += len(qs) * len(ks)
             triples |= {(sh.d, x, y) for x in qs for y in ks}
     return n, triples
@@ -671,6 +670,23 @@ def test_block_edge_cases_match_oracle(case, rotated):
             1e-8 * scale
 
 
+def assert_fd_gradients(value, datas, w, h=1e-6):
+    """value's gradients in each of its arguments against central
+    differences of sum(value(*datas) * w)."""
+    args = [T.Tensor(d, requires_grad=True) for d in datas]
+    T.backward(T.tsum(T.mul(value(*args), w)))
+    for i, arg in enumerate(args):
+        for j in range(arg.data.size):
+            bumped = []
+            for step in (h, -h):
+                ds = [d.copy() for d in datas]
+                ds[i].ravel()[j] += step
+                bumped.append(float(np.sum(value(*ds).data * w)))
+            fd = (bumped[0] - bumped[1]) / (2 * h)
+            g = arg.grad.ravel()[j]
+            assert abs(g - fd) <= 1e-5 * max(abs(fd), abs(g), 1e-3), (i, j)
+
+
 def test_gradient_finite_difference_several_blocks_per_shift():
     # at shift 1, queries {0, 1} read keys {2, 3} and queries {2, 3} read
     # key {0}: two blocks with overlapping rows; shift -2 has two more, and
@@ -687,24 +703,39 @@ def test_gradient_finite_difference_several_blocks_per_shift():
     assert max(len(sh.blocks) for sh in shifts) >= 2
     rng = np.random.default_rng(9)
     datas = [rng.standard_normal((N, L, Du)) * 0.5 + 1.0 for _ in range(3)]
-    w = rng.standard_normal((N, L, Du))
+    assert_fd_gradients(lambda q, k, v: dala_core(q, k, v, priors, chunk=3),
+                        datas, rng.standard_normal((N, L, Du)))
 
-    def value(q, k, v):
-        return dala_core(q, k, v, priors, chunk=3)
 
-    args = [T.Tensor(d, requires_grad=True) for d in datas]
-    T.backward(T.tsum(T.mul(value(*args), w)))
-    h = 1e-6
-    for i, arg in enumerate(args):
-        for j in range(arg.data.size):
-            bumped = []
-            for step in (h, -h):
-                ds = [d.copy() for d in datas]
-                ds[i].ravel()[j] += step
-                bumped.append(float(np.sum(value(*ds).data * w)))
-            fd = (bumped[0] - bumped[1]) / (2 * h)
-            g = arg.grad.ravel()[j]
-            assert abs(g - fd) <= 1e-5 * max(abs(fd), abs(g), 1e-3), (i, j)
+@pytest.mark.parametrize("p", [1, 3])
+def test_gradient_finite_difference_index_array_blocks(p):
+    # shifts -1, 0 and 1 in a permuted variate order, where blocks and
+    # state readers hold query variates that are no run (index arrays, as
+    # real priors often give); one query row and one key row lie below
+    # zero, so their feature maps are zero, and chunks of 2 over L = 5
+    # bring in the state reads
+    L, N, Du = 5, 4, 4
+    delta = np.array([[0, -1, -1, 0], [1, 0, -1, 0], [-1, 1, 0, -1],
+                      [0, 1, -1, 0]])
+    rho = np.array([[1.0, 0.6, 0.3, 0.5], [0.5, 1.0, 0.4, 0.9],
+                    [0.7, 0.9, 1.0, 0.6], [0.4, 0.5, 0.6, 1.0]])
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
+    rho_w = priors.rho_weights()
+    active = (rho_w > 0) & (np.abs(delta) < L)
+    order, shifts = dala._plan_shifts(rho_w, delta, active, L, 2)
+    assert [sh.d for sh in shifts] == [-1, 0, 1]
+    assert not np.array_equal(order, np.arange(N))
+    assert any(isinstance(a, np.ndarray) for sh in shifts
+               for a, _, _ in sh.blocks)
+    assert any(isinstance(a, np.ndarray) for sh in shifts
+               for _, a, _ in sh.readers)
+    rng = np.random.default_rng(11)
+    datas = [rng.standard_normal((N, L, Du)) * 0.5 + 0.8 for _ in range(3)]
+    datas[0][1, 3] = -np.abs(datas[0][1, 3]) - 0.1      # a query row
+    datas[1][2, 0] = -np.abs(datas[1][2, 0]) - 0.1      # a key row
+    assert_fd_gradients(
+        lambda q, k, v: dala_core(q, k, v, priors, p=p, chunk=2), datas,
+        rng.standard_normal((N, L, Du)))
 
 
 # ----------------------------------------------------------------------

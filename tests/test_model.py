@@ -441,15 +441,21 @@ def test_checkpoint_rejects_non_finite_parameter(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_unknown_config_field(tmp_path):
+def checkpoint_with_config(tmp_path, field, value):
+    """A checkpoint of small_config() whose __config__ has field: value."""
     state = ModelState.init(small_config())
     path = tmp_path / "ckpt.npz"
     save_checkpoint(state, path)
     data = dict(np.load(path))
     cfg = json.loads(bytes(data["__config__"]).decode())
     data["__config__"] = np.frombuffer(
-        json.dumps({**cfg, "n_layers": 3}).encode(), dtype=np.uint8)
+        json.dumps({**cfg, field: value}).encode(), dtype=np.uint8)
     np.savez(path, **data)
+    return path
+
+
+def test_checkpoint_rejects_unknown_config_field(tmp_path):
+    path = checkpoint_with_config(tmp_path, "n_layers", 3)
     with pytest.raises(ContractError,
                        match=f"{re.escape(str(path))}.*n_layers"):
         load_checkpoint(path)
@@ -461,15 +467,18 @@ def test_checkpoint_rejects_unknown_config_field(tmp_path):
 def test_checkpoint_rejects_config_value_of_wrong_type(tmp_path, field, value):
     # a float where an int belongs failed at the first forward, and a
     # string where a bool belongs loaded as true
-    state = ModelState.init(small_config())
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(state, path)
-    data = dict(np.load(path))
-    cfg = json.loads(bytes(data["__config__"]).decode())
-    data["__config__"] = np.frombuffer(
-        json.dumps({**cfg, field: value}).encode(), dtype=np.uint8)
-    np.savez(path, **data)
+    path = checkpoint_with_config(tmp_path, field, value)
     with pytest.raises(ContractError,
+                       match=f"{re.escape(str(path))}.*{field}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_model", 0), ("theta", 1.5), ("task", "regress"), ("patch_len", 1000)])
+def test_checkpoint_rejects_config_value_out_of_range(tmp_path, field, value):
+    # a well-typed value that ModelConfig refuses names the file and field
+    path = checkpoint_with_config(tmp_path, field, value)
+    with pytest.raises(ConfigError,
                        match=f"{re.escape(str(path))}.*{field}"):
         load_checkpoint(path)
 

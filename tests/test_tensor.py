@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dema import tensor as T
-from dema.dala import kernel_phi
+from dema.dala import dala_core, kernel_phi
 from dema.delay import DelayPriors
 from dema.errors import ContractError, DimensionError, NumericError
 from dema.model import ModelConfig, ModelState, model_forward
@@ -106,7 +106,8 @@ def test_sigmoid_matches_branch_select_bit_for_bit(rng):
     # the in-place form gives the bits of where(x >= 0, s, 1 - s)
     x = np.concatenate([rng.standard_normal(200) * 10,
                         [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0,
-                         -800.0]])
+                         -800.0, 745.0, -745.0, 5e-324, -5e-324, 1e-17,
+                         -1e-17]])
     s = 1.0 / (1.0 + np.exp(-np.abs(x)))
     np.testing.assert_array_equal(T._sigmoid(x, "sigmoid"),
                                   np.where(x >= 0, s, 1.0 - s))
@@ -353,6 +354,7 @@ def test_vjps_keep_only_inputs_and_row_statistics(rng):
     c = min(cfg.chunk, L)
     assert not any(a.shape[-3:] == (c, c, Dh) for a in held["ssd_blocked"])
     assert held["dala_core"]
+    assert "kernel_phi" not in held     # dala_core maps q and k itself
     assert not any(a.shape[-3:] == (3, L + 2, Du) for a in held["dala_core"])
 
 
@@ -569,6 +571,13 @@ def test_fused_ops_record_one_node(rng):
     assert T.conv1d(x, kernel)._parents == (x, kernel)
     for p in (1, 2, 3, 4):
         assert kernel_phi(x, p)._parents == (x,)
+    # dala_core runs the kernel map inside its own node
+    q, k, v = (leaf(3, 5, 4) for _ in range(3))
+    delta = np.array([[0, 1, 0], [-1, 0, 2], [0, 1, 0]])
+    priors = DelayPriors(tau=delta * 8, rho=np.full((3, 3), 0.8),
+                         delta_tok=delta, max_lag=16)
+    for p in (1, 3):
+        assert dala_core(q, k, v, priors, p)._parents == (q, k, v)
     log_a, B_bar, C, u = (leaf(2, 7, n) for n in (3, 3, 3, 4))
     d = DiscreteSSM(A_bar=None, B_bar=B_bar, log_A_bar=log_a)
     for chunk in (1, 5, 16):
