@@ -278,9 +278,10 @@ def _band_mask(w, band):
 def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
     """Numerator [..., N, L, Du] and denominator [..., N, L, 1] of DALA.
 
-    Returns them with the VJP that maps their gradients to those of the
-    feature maps phq, phk and the values v (all [..., N, L, Du]), taking
-    the variates in `order` inside (by copies, unless it is the given
+    Returns them with the VJP that maps their gradients [gnum, gden] (a
+    list it empties) to those of the feature maps phq, phk and the values
+    v (all [..., N, L, Du]), taking the variates in `order` inside (phq
+    and phk by copies, v gathered where read, unless it is the given
     order). With `record`, the states and every block's band scores are
     kept for the VJP. The VJP holds only what its current stage reads: it
     takes the blocks, then the state reads per key variate, then the
@@ -289,10 +290,17 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
     L, Du = v.shape[-2:]
     nb = -(-L // c)                            # chunks
     top = L + max(sh.h for sh in shifts)       # query rows m < top
-    inv, v_given = np.argsort(order), v
+    inv = np.argsort(order)
     if np.all(np.diff(order) == 1):
         order = inv = None                     # the given order: no copies
-    phq, phk, v = (_take(x, order) for x in (phq, phk, v))
+    phq, phk = (_take(x, order) for x in (phq, phk))
+
+    def vals(b, rows):
+        # v[..., b, rows, :] for the variates b in plan order, a view where
+        # they are one variate or a run of them in the given order too
+        if order is not None:
+            b = _run(order[b]) if isinstance(b, slice) else order[b]
+        return v[..., b, rows, :]
 
     rot = table.rotation(np.arange(top))
     kr = _rope_apply(phk, rot[:L])             # keys at their own positions
@@ -349,7 +357,7 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
                 q = queries(phq, a, ls, m0)
                 att = _flat(q) @ _swap(_flat(kr[..., b, m0:k1, :]))
                 att *= _band_mask(w, band)
-                out = (att @ _flat(v[..., b, m0:k1, :])).reshape(q.shape)
+                out = (att @ _flat(vals(b, slice(m0, k1)))).reshape(q.shape)
                 if I * c <= sh.h:
                     # no key before chunk I shows (chunk 0 too): read the
                     # zero state, so that every chunk reads one. Unlike the
@@ -369,8 +377,8 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
                     q = queries(phq, a, ls, m0)
                     r = _flat(q) @ S[..., b, :, :]
                     if sh.h:
-                        r -= (_flat(q) @ _swap(kr[..., b, :sh.h, :])) @ v[
-                            ..., b, :sh.h, :]
+                        r -= (_flat(q) @ _swap(kr[..., b, :sh.h, :])) @ vals(
+                            b, slice(0, sh.h))
                     _add(num, a, ls, wb[..., None, None] * r.reshape(q.shape))
             if record:
                 saved[I, j] = atts              # the VJP rotates q again
@@ -379,51 +387,58 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         # every chunk builds its state, the last one too: as every chunk
         # reads one, the state work grows exactly with the chunk count, as
         # criterion 8 (time per doubling of the window) needs
-        S = S + _swap(kr[..., rows, :]) @ v[..., rows, :]
+        S = S + _swap(kr[..., rows, :]) @ vals(slice(None), rows)
 
-    def vjp(gnum, gden):
-        # the caller hands gnum and gden over: a permuted copy replaces them
-        gnum, gden, v = (_take(x, order) for x in (gnum, gden, v_given))
+    def chunk_vjp(I, gnum, gq, gkr, gv, gS):
+        # chunk I's part of the VJP, into gq, gkr, gv and gS
+        rows = slice(I * c, I * c + c)
+        if I + 1 < nb:
+            # S grew by k^T v of chunk I for the chunks after it
+            gkr[..., rows, :] += vals(slice(None), rows) @ _swap(gS)
+            gv[..., rows, :] += kr[..., rows, :] @ gS
+        for j, sh in enumerate(shifts):
+            if I not in sh.chunks:
+                continue
+            m0, k1, band, ls = span(sh, I)
+            keys = slice(m0, k1)
+            for (a, b, w), att in zip(sh.blocks, saved.pop((I, j))):
+                # each gather is made when first read and dropped after
+                # its last read
+                kshape = att.shape[:-2] + (-1, k1 - m0, Du)
+                go = _flat(gnum[..., a, ls, :])
+                gatt = go @ _swap(_flat(vals(b, keys)))
+                _add(gv, b, keys, (_swap(att) @ go).reshape(kshape))
+                del go
+                gatt *= _band_mask(w, band)
+                q = queries(phq, a, ls, m0)
+                _add(gkr, b, keys, (_swap(gatt) @ _flat(q)).reshape(kshape))
+                add_queries(gq, a, ls, m0, (gatt @ _flat(
+                    kr[..., b, keys, :])).reshape(q.shape))
+            if I * c <= sh.h:
+                continue
+            for b, a, wb in sh.readers:
+                q = _flat(queries(phq, a, ls, m0))
+                go = wb[..., None, None] * gnum[..., a, ls, :]
+                gr = _flat(go)
+                gqb = gr @ _swap(states[I][..., b, :, :])
+                gS[..., b, :, :] += _swap(q) @ gr
+                if sh.h:
+                    hk, hv = kr[..., b, :sh.h, :], vals(b, slice(0, sh.h))
+                    gp = gr @ _swap(hv)
+                    gqb -= gp @ hk
+                    gkr[..., b, :sh.h, :] -= _swap(gp) @ q
+                    gv[..., b, :sh.h, :] -= _swap(q @ _swap(hk)) @ gr
+                add_queries(gq, a, ls, m0, gqb.reshape(go.shape))
+
+    def vjp(grads):
+        # a permuted copy replaces each of the caller's gnum and gden
+        gnum, gden = (_take(x, order) for x in grads)
+        grads.clear()
         gq, gkr, gv = map(_zeros, (phq.shape, kr.shape, v.shape))
         gS = np.zeros_like(states[-1])
         for I in reversed(range(nb)):
-            rows = slice(I * c, I * c + c)
-            if I + 1 < nb:
-                # S grew by k^T v of chunk I for the chunks after it
-                gkr[..., rows, :] += v[..., rows, :] @ _swap(gS)
-                gv[..., rows, :] += kr[..., rows, :] @ gS
-            for j, sh in enumerate(shifts):
-                if I not in sh.chunks:
-                    continue
-                m0, k1, band, ls = span(sh, I)
-                for (a, b, w), att in zip(sh.blocks, saved.pop((I, j))):
-                    kb, vb = kr[..., b, m0:k1, :], v[..., b, m0:k1, :]
-                    q = queries(phq, a, ls, m0)
-                    go = _flat(gnum[..., a, ls, :])
-                    gatt = go @ _swap(_flat(vb))
-                    gatt *= _band_mask(w, band)
-                    _add(gkr, b, slice(m0, k1), (_swap(gatt) @ _flat(
-                        q)).reshape(kb.shape))
-                    _add(gv, b, slice(m0, k1),
-                         (_swap(att) @ go).reshape(vb.shape))
-                    add_queries(gq, a, ls, m0,
-                                (gatt @ _flat(kb)).reshape(q.shape))
-                if I * c <= sh.h:
-                    continue
-                for b, a, wb in sh.readers:
-                    q = _flat(queries(phq, a, ls, m0))
-                    go = wb[..., None, None] * gnum[..., a, ls, :]
-                    gr = _flat(go)
-                    gqb = gr @ _swap(states[I][..., b, :, :])
-                    gS[..., b, :, :] += _swap(q) @ gr
-                    if sh.h:
-                        hk, hv = kr[..., b, :sh.h, :], v[..., b, :sh.h, :]
-                        gp = gr @ _swap(hv)
-                        gqb -= gp @ hk
-                        gkr[..., b, :sh.h, :] -= _swap(gp) @ q
-                        gv[..., b, :sh.h, :] -= _swap(q @ _swap(hk)) @ gr
-                    add_queries(gq, a, ls, m0, gqb.reshape(go.shape))
-        del gnum, v
+            chunk_vjp(I, gnum, gq, gkr, gv, gS)
+        del gnum
         # the denominators, one shift at a time
         gK = _zeros(K_shape)
         for sh in shifts:
@@ -498,12 +513,21 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
     dd = np.maximum(den, eps)
     y = np.where(keep, num / dd, v.data)
 
+    F = int(first.max())       # rows l >= F see a key in every variate
+
     def bwd(g):
-        gden = np.where(den >= eps, -np.sum(
-            np.where(keep, g, 0.0) * num, axis=-1, keepdims=True), 0.0)
-        # handed over unnamed, so that the VJP can free them
-        gq, gk, gv = vjp(np.where(keep, g, 0.0) / dd, gden / dd ** 2)
-        np.add(gv, g, out=gv, where=~keep)
+        # T.backward hands g over and the VJP empties `grads`, so that g
+        # and the gradients of num and den are freed once read; of g only
+        # the rows l < F, where tokens may fall back to v, are kept
+        fall = g[..., :F, :].copy()
+        grads = [np.where(keep, g, 0.0)]
+        del g
+        grads.append(np.where(den >= eps, -np.sum(
+            grads[0] * num, axis=-1, keepdims=True), 0.0) / dd ** 2)
+        grads[0] /= dd
+        gq, gk, gv = vjp(grads)
+        tail = gv[..., :F, :]
+        np.add(tail, fall, out=tail, where=~keep[..., :F, :])
         return _phi_vjp(gq, q.data, p, *nq), _phi_vjp(gk, k.data, p, *nk), gv
 
     return T._make(y, (q, k, v), bwd)

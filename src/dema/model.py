@@ -109,9 +109,6 @@ class LayerNormParams:
         return LayerNormParams(T.Tensor(np.ones(D), requires_grad=True),
                                T.bias(D))
 
-    def __call__(self, x):
-        return T.layer_norm(x, self.gamma, self.beta)
-
 
 @dataclass
 class FfnParams:
@@ -165,9 +162,12 @@ def duomnet_block(x_time: T.Tensor, x_var: T.Tensor, priors: DelayPriors,
     """
     y_time = mamba_ssd_forward(x_time, params.ssd)
     y_var = mamba_dala_forward(x_var, priors, params.dala)
-    mixed = T.add(T.mul(params.ln_time(y_time), params.alpha),
-                  T.mul(params.ln_var(y_var), params.beta))
-    z_b = params.ln_out(T.add(mixed, params.ffn(mixed)))
+    # alpha LN(Y_time) + beta LN(Y_var), then LN(U + FFN(U)): one node each,
+    # so no normalized, weighted or summed copy is kept for the backward
+    lt, lv, lo = params.ln_time, params.ln_var, params.ln_out
+    mixed = T.layer_norm_sum([(y_time, lt.gamma, lt.beta, params.alpha),
+                              (y_var, lv.gamma, lv.beta, params.beta)])
+    z_b = T.add_layer_norm(mixed, params.ffn(mixed), lo.gamma, lo.beta)
     return T.sub(x_time, y_time), T.sub(x_var, y_var), z_b
 
 

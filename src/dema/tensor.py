@@ -5,25 +5,31 @@ records a closure that maps the output gradient to parent gradients; the
 graph is only built while gradient tracking is enabled and at least one
 operand requires a gradient, so inference runs at plain-numpy cost.
 
-Gradient lifetime: `backward` frees each interior node's gradient as soon
-as that node's closure has consumed it, so after `backward` only leaves
-(tensors without a closure, such as parameters) hold `.grad`, and they
-keep accumulating across calls until `zero_grad`. The graph itself
-(`_parents`, the closures and the forward values) stays until the loss is
-dropped.
+Gradient lifetime: `backward` hands each interior node's gradient to that
+node's closure and keeps no reference itself, so the closure can free it
+once read, and only leaves (tensors without a closure, such as parameters)
+hold `.grad` after `backward`; they keep accumulating across calls until
+`zero_grad`. The graph itself (`_parents`, the closures and the forward
+values) stays until the loss is dropped.
 
 The model's dense layers and composite ops are one node each, with a VJP
 written by hand from their inputs and a few saved arrays, so the tape
-keeps no chain of intermediates. What each saves besides its inputs:
+keeps no chain of intermediates. Nor does it keep a layer norm or FFN
+output for `add`s and `mul`s by a constant alone, whose VJPs read no
+operand but the constant; the blocks' outputs, which are only summed, are
+the exception. What each saves besides its inputs:
 
 - `linear` (x @ w + b): nothing; its VJP is one 2-D GEMM per operand on
   the flattened rows and one row sum for the bias.
 - `gated_linear` ((y * sigmoid(gate)) @ w + b): nothing; its VJP
   recomputes sigmoid(gate).
 - `ffn` (gelu(x @ w1 + b1) @ w2 + b2): nothing of the hidden width; its
-  VJP recomputes x @ w1 + b1 and the tanh once, in in-place chains.
-- `layer_norm`: the row means and standard deviations ([..., 1]); its VJP
-  recomputes x_hat from x.
+  VJP recomputes x @ w1 + b1 twice and the tanh once, in in-place chains
+  with at most three arrays of the hidden width live.
+- `layer_norm`, the block's fusion `layer_norm_sum` (sum_i w_i
+  layer_norm(x_i), constant w_i) and Add & Norm `add_layer_norm`
+  (layer_norm(x + r)): the row means and standard deviations ([..., 1])
+  of each layer norm; the VJPs recompute x + r and x_hat.
 - the causal `conv1d`: nothing; its VJP pads the input again.
 - `dala.kernel_phi`: the two row norms; its VJP recomputes r = ReLU(x)
   and r^p.
@@ -34,7 +40,8 @@ keeps no chain of intermediates. What each saves besides its inputs:
   and VJP inside, so phi(k) is kept nowhere): phi(q) and the row norms
   of both maps, the rotated keys, numerator, denominator and mixed key
   sums, the running k^T v states and, per block, the band scores of real
-  pairs only; its VJP rotates each block's queries again.
+  pairs only; its VJP rotates each block's queries again and gathers v
+  where it reads it.
 
 VJPs read their inputs' `.data` when `backward` runs, not when the op is
 recorded, so nothing may write into an input of a recorded op between
@@ -338,42 +345,46 @@ def ffn(x, w1, b1, w2, b2):
     """Feed-forward layer gelu(x @ w1 + b1) @ w2 + b2, tanh GELU; one node.
 
     x is [..., n], w1 [n, h], w2 [h, m]. Nothing of width h is kept: the VJP
-    recomputes x @ w1 + b1 and the tanh once, in the forward's order."""
+    recomputes x @ w1 + b1 (twice, so that at most three arrays of width h
+    are live) and the tanh once, in the forward's order."""
     x, w1, b1, w2, b2 = map(_wrap, (x, w1, b1, w2, b2))
     _check_linear("ffn", x, w1, b1)
     _check_linear("ffn", w1, w2, b2)            # w1's columns feed w2
 
-    def hidden(grad):
-        # gelu(u) = 0.5 u (1 + t), 1 + t and, with grad, the derivative's
-        # term d2 = 0.5 u (1 - t^2) c (1 + 3 * 0.044715 u^2); u = x @ w1 + b1
-        u = _gemm(x.data, w1.data, b1.data)
-        t, d2 = _gelu_tanh(u), None
-        if grad:
-            d = t * t
-            np.subtract(1.0, d, out=d)
-            d2 = 0.5 * u
-            d2 *= d
-            np.multiply(u, u, out=d)
-            d *= 3 * 0.044715
-            d += 1.0
-            d *= _GELU_C
-            d2 *= d
-        t += 1.0
-        u *= 0.5
-        u *= t
-        return u, t, d2
+    def pre():
+        return _gemm(x.data, w1.data, b1.data)  # u = x @ w1 + b1
 
     def bwd(g):
-        h, t, d2 = hidden(True)
-        gh, gw2, gb2 = _gemm_grads(g, h, w2, b2, True)
-        del h
-        t *= 0.5
-        t += d2                                 # d gelu / du
-        t *= gh
-        return (*_gemm_grads(t, x.data, w1, b1, x.requires_grad), gw2, gb2)
+        # gelu(u) = 0.5 u (1 + t) with t = tanh(c (u + 0.044715 u^3)), and
+        # d gelu / du = 0.5 (1 + t) + 0.5 u (1 - t^2) c (1 + 3 * 0.044715 u^2)
+        u = pre()
+        t = _gelu_tanh(u)
+        s = t + 1.0
+        t *= t
+        d2 = np.subtract(1.0, t, out=t)         # 1 - t^2
+        u *= 0.5
+        d2 *= u
+        u *= s                                  # gelu(u)
+        _, gw2, gb2 = _gemm_grads(g, u, w2, b2, False)
+        del u
+        d = pre()
+        d *= d
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= _GELU_C
+        d2 *= d
+        del d
+        s *= 0.5
+        s += d2                                 # d gelu / du
+        s *= _gemm(g, w2.data.T, None)          # times the gradient of gelu
+        return (*_gemm_grads(s, x.data, w1, b1, x.requires_grad), gw2, gb2)
 
-    return _make(_gemm(hidden(False)[0], w2.data, b2.data),
-                 (x, w1, b1, w2, b2), bwd)
+    u = pre()
+    t = _gelu_tanh(u)
+    t += 1.0
+    u *= 0.5
+    u *= t
+    return _make(_gemm(u, w2.data, b2.data), (x, w1, b1, w2, b2), bwd)
 
 
 # ----------------------------------------------------------------------
@@ -414,44 +425,74 @@ def swapaxes(a, ax1, ax2):
 # composite ops
 # ----------------------------------------------------------------------
 
-def layer_norm(x, gamma=None, beta=None, eps=1e-5):
-    """Normalize over the last axis; optional affine parameters.
-
-    Saves the row means and standard deviations; the VJP recomputes x_hat
-    from x with them.
-    """
+def _layer_norms(name, terms, eps):
+    """sum_i w_i layer_norm(sum(xs_i), gamma_i, beta_i) over the terms
+    (xs_i, gamma_i, beta_i, w_i), with optional gamma and beta and constant
+    w_i; one node. It saves the row means and standard deviations; the VJP
+    recomputes sum(xs_i) and x_hat, and gives all of xs_i one gradient
+    array."""
     if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
-    x = _wrap(x)
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("layer_norm: non-finite input")
-    gamma, beta = (None if t is None else _wrap(t) for t in (gamma, beta))
-    n = x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
-    y = x.data - mu
-    sd = np.sqrt((y * y).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
-    y /= sd                                     # x_hat
-    if gamma is not None:
-        y *= gamma.data
-    if beta is not None:
-        y += beta.data
+        raise ContractError(f"{name} eps must be positive")
+    terms = [([_wrap(x) for x in xs], *(None if t is None else _wrap(t)
+                                        for t in (gamma, beta)), float(w))
+             for xs, gamma, beta, w in terms]
+    out, stats = None, []
+    for xs, gamma, beta, w in terms:
+        x = sum((t.data for t in xs[1:]), xs[0].data)
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"{name}: non-finite input")
+        n = x.shape[-1]
+        mu = x.sum(axis=-1, keepdims=True) * (1.0 / n)
+        y = x - mu
+        sd = np.sqrt((y * y).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+        y /= sd                                 # x_hat
+        if gamma is not None:
+            y *= gamma.data
+        if beta is not None:
+            y += beta.data
+        if w != 1.0:
+            y *= w
+        out = y if out is None else np.add(out, y, out=out)
+        stats.append((mu, sd))
 
     def bwd(g):
-        xhat = x.data - mu
-        xhat /= sd
-        gh = g if gamma is None else g * gamma.data
-        gx = (1.0 / sd) * (gh - gh.mean(axis=-1, keepdims=True)
-                           - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        grads = [gx]
-        if gamma is not None:
-            grads.append(_unbroadcast(g * xhat, gamma.shape)
-                         if gamma.requires_grad else None)
-        if beta is not None:
-            grads.append(_unbroadcast(g, beta.shape)
-                         if beta.requires_grad else None)
+        grads = []
+        for (xs, gamma, beta, w), (mu, sd) in zip(terms, stats):
+            xhat = sum((t.data for t in xs[1:]), xs[0].data) - mu
+            xhat /= sd
+            gw = g if w == 1.0 else g * w
+            gh = gw if gamma is None else gw * gamma.data
+            gx = (1.0 / sd) * (gh - gh.mean(axis=-1, keepdims=True)
+                               - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+            grads += [gx] * len(xs)
+            if gamma is not None:
+                grads.append(_unbroadcast(np.multiply(gw, xhat, out=xhat),
+                                          gamma.shape)
+                             if gamma.requires_grad else None)
+            if beta is not None:
+                grads.append(_unbroadcast(gw, beta.shape)
+                             if beta.requires_grad else None)
         return tuple(grads)
 
-    return _make(y, [t for t in (x, gamma, beta) if t is not None], bwd)
+    return _make(out, [t for xs, gamma, beta, _ in terms
+                       for t in (*xs, gamma, beta) if t is not None], bwd)
+
+
+def layer_norm(x, gamma=None, beta=None, eps=1e-5):
+    """Normalize over the last axis; optional affine parameters."""
+    return _layer_norms("layer_norm", [([x], gamma, beta, 1.0)], eps)
+
+
+def layer_norm_sum(terms, eps=1e-5):
+    """sum_i w_i layer_norm(x_i, gamma_i, beta_i) over the terms
+    (x_i, gamma_i, beta_i, w_i), each w_i a constant; one node."""
+    return _layer_norms("layer_norm_sum", [([x], gamma, beta, w)
+                                           for x, gamma, beta, w in terms], eps)
+
+
+def add_layer_norm(x, r, gamma=None, beta=None, eps=1e-5):
+    """Add & Norm: layer_norm(x + r, gamma, beta); one node."""
+    return _layer_norms("add_layer_norm", [([x, r], gamma, beta, 1.0)], eps)
 
 
 def conv1d(x, kernel):
@@ -529,11 +570,15 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
-        grads = node._backward(node.grad)
-        node.grad = None
-        for p, g in zip(node._parents, grads):
+        for p, g in zip(node._parents, node._backward(_pop_grad(node))):
             if not p.requires_grad or g is None:
                 continue
             # g may alias another operand's gradient or be a view of the
             # node's, so it is stored as is and only ever added out of place
             p.grad = g if p.grad is None else p.grad + g
+        g = None        # the next closure gets its gradient's only reference
+
+
+def _pop_grad(node):
+    g, node.grad = node.grad, None
+    return g

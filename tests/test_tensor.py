@@ -11,7 +11,8 @@ from dema import tensor as T
 from dema.dala import dala_core, kernel_phi
 from dema.delay import DelayPriors
 from dema.errors import ContractError, DimensionError, NumericError
-from dema.model import ModelConfig, ModelState, model_forward
+from dema.model import (ModelConfig, ModelState, backbone_forward,
+                         model_forward)
 from dema.ssd import DiscreteSSM, ssd_blocked
 
 
@@ -340,7 +341,7 @@ def test_vjps_keep_only_inputs_and_row_statistics(rng):
             name = n._backward.__qualname__.split(".")[0]
             held.setdefault(name, []).extend(
                 a for a in _closure_arrays(n._backward) if id(a) not in tape)
-    for name in ("gated_linear", "conv1d", "layer_norm"):
+    for name in ("gated_linear", "conv1d", "_layer_norms"):
         assert name in held
         assert all(a.shape[-1] == 1 for a in held[name]), (
             name, [a.shape for a in held[name]])
@@ -443,6 +444,16 @@ def ffn_const_x(w1, b1, w2, b2):
     return T.ffn(_CONST_X, w1, b1, w2, b2)
 
 
+def layer_norm_sum_fused(x1, gamma1, beta1, x2, gamma2, beta2):
+    """The block's fusion 0.6 LN(x1) + 0.4 LN(x2), the model's defaults."""
+    return T.layer_norm_sum([(x1, gamma1, beta1, 0.6), (x2, gamma2, beta2, 0.4)])
+
+
+def layer_norm_sum_plain(x1, x2):
+    """layer_norm_sum without affine parameters, one weight 1 and one 0."""
+    return T.layer_norm_sum([(x1, None, None, 1.0), (x2, None, None, 0.0)])
+
+
 def gated_linear_wide(y, gate, w, b):
     """gated_linear with gates pushed out to +-30 along the last axis."""
     return T.gated_linear(y, T.add(gate, _WIDE_GATES), w, b)
@@ -489,6 +500,10 @@ def gated_linear_wide(y, gate, w, b):
     (T.ffn, [(2, 3, 4), (4, 16), (16,), (16, 4), (4,)], {}),  # leading axes
     (T.ffn, [(4,), (4, 5), (5,), (5, 3), (3,)], {}),   # one row: 1-d hidden
     (ffn_const_x, [(4, 6), (6,), (6, 2), (2,)], {}),
+    (layer_norm_sum_fused, [(2, 3, 4), (4,), (4,), (2, 3, 4), (4,), (4,)], {}),
+    (layer_norm_sum_plain, [(3, 4), (3, 4)], {}),
+    (T.add_layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)], {}),
+    (T.add_layer_norm, [(3, 4), (3, 4)], {}),
 ])
 def test_per_op_finite_difference(op, shapes, kwargs, rng):
     _finite_diff_check(op, shapes, rng, **kwargs)
@@ -567,6 +582,10 @@ def test_fused_ops_record_one_node(rng):
     x, gamma, beta = leaf(2, 5, 4), leaf(4), leaf(4)
     assert T.layer_norm(x, gamma, beta)._parents == (x, gamma, beta)
     assert T.layer_norm(x)._parents == (x,)
+    y, gamma2, beta2 = leaf(2, 5, 4), leaf(4), leaf(4)
+    assert T.layer_norm_sum([(x, gamma, beta, 0.6), (y, gamma2, beta2, 0.4)]
+                            )._parents == (x, gamma, beta, y, gamma2, beta2)
+    assert T.add_layer_norm(x, y, gamma, beta)._parents == (x, y, gamma, beta)
     kernel = leaf(3, 4)
     assert T.conv1d(x, kernel)._parents == (x, kernel)
     for p in (1, 2, 3, 4):
@@ -589,6 +608,94 @@ def test_fused_ops_record_one_node(rng):
     assert T.gated_linear(x, gate, w, b)._parents == (x, gate, w, b)
     w2, b2 = leaf(6, 3), leaf(3)
     assert T.ffn(x, w, b, w2, b2)._parents == (x, w, b, w2, b2)
+
+
+def _value_and_grads(out, leaves, cot):
+    """out's value and each leaf's gradient of sum(out * cot)."""
+    for t in leaves:
+        t.zero_grad()
+    T.backward(T.tsum(T.mul(out, cot)))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.0, 0.0)])
+def test_fused_norms_equal_their_op_chains_bit_for_bit(alpha, beta, rng):
+    # the block's fusion alpha LN(y_time) + beta LN(y_var) and its Add &
+    # Norm LN(U + FFN(U)) against the op chains they replace
+    def leaf(*shape):
+        return T.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    x1, x2 = leaf(2, 5, 8), leaf(2, 5, 8)
+    g1, b1, g2, b2, g3, b3 = (leaf(8) for _ in range(6))
+    w1, c1, w2, c2 = leaf(8, 32), leaf(32), leaf(32, 8), leaf(8)
+    cot = rng.standard_normal((2, 5, 8))
+    leaves = [x1, g1, b1, x2, g2, b2, g3, b3, w1, c1, w2, c2]
+
+    def chain():
+        u = T.add(T.mul(T.layer_norm(x1, g1, b1), alpha),
+                  T.mul(T.layer_norm(x2, g2, b2), beta))
+        return T.layer_norm(T.add(u, T.ffn(u, w1, c1, w2, c2)), g3, b3)
+
+    def fused():
+        u = T.layer_norm_sum([(x1, g1, b1, alpha), (x2, g2, b2, beta)])
+        return T.add_layer_norm(u, T.ffn(u, w1, c1, w2, c2), g3, b3)
+
+    want = _value_and_grads(chain(), leaves, cot)
+    got = _value_and_grads(fused(), leaves, cot)
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert np.array_equal(a, b), i
+
+
+def test_no_write_only_layer_norm_or_ffn_values_on_the_tape(rng):
+    # `add` reads neither operand in its VJP and a `mul` by a constant reads
+    # only the constant: a layer norm or FFN output that only such nodes
+    # consume is held by the step for nothing. The blocks' outputs Z_b are
+    # the exception: they are only summed, and traced one by one
+    cfg = ModelConfig(lookback=32, horizon=8, d_model=16, d_state=3,
+                      n_blocks=2)
+    out = backbone_forward(rng.standard_normal((2, 3, cfg.lookback)),
+                           ModelState.init(cfg), trace=True)
+    nodes, stack = {}, [out.Z]
+    while stack:
+        n = stack.pop()
+        if id(n) not in nodes:
+            nodes[id(n)] = n
+            stack.extend(n._parents)
+    consumers = {}
+    for n in nodes.values():
+        for p in n._parents:
+            consumers.setdefault(id(p), []).append(n)
+
+    def op(n):
+        return n._backward.__qualname__.split(".")[0] if n._backward else None
+
+    def reads_nothing(n):
+        return op(n) == "add" or (
+            op(n) == "mul" and not all(p.requires_grad for p in n._parents))
+
+    checked = [n for n in nodes.values() if op(n) in ("_layer_norms", "ffn")
+               and not any(n is z for z in out.per_block)]
+    assert sum(op(n) == "ffn" for n in checked) == cfg.n_blocks
+    for n in checked:
+        assert not all(map(reads_nothing, consumers[id(n)])), op(n)
+
+
+def test_ffn_vjp_holds_at_most_three_hidden_arrays(rng):
+    x, w1, b1, w2, b2 = (T.Tensor(rng.standard_normal(s), requires_grad=True)
+                         for s in ((64, 10, 8), (8, 32), (32,), (32, 8), (8,)))
+    out = T.ffn(x, w1, b1, w2, b2)
+    g = rng.standard_normal(out.shape)
+    hidden = 64 * 10 * 32 * 8                   # bytes of one [64, 10, 32]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grads) == 5
+    # three hidden arrays and the small ones read 3.4; four read 4.0
+    assert peak - start < 3.75 * hidden, (peak - start) / hidden
 
 
 def test_ffn_is_the_tanh_gelu_layer(rng):
