@@ -340,6 +340,7 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
             z, table.rotation(sh.d)) if rotated else z)
     den = np.sum((_rope_apply(phq, rot[:L]) if rotated else phq) * Z,
                  axis=-1, keepdims=True)
+    del K                                      # read by Z alone
 
     num = _zeros(v.shape)
     zero = np.zeros((Du, Du))
@@ -388,6 +389,8 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         # reads one, the state work grows exactly with the chunk count, as
         # criterion 8 (time per doubling of the window) needs
         S = S + _swap(kr[..., rows, :]) @ vals(slice(None), rows)
+    # no chunk reads the last state: free it before the un-permuted copies
+    del S
 
     def chunk_vjp(I, gnum, gq, gkr, gv, gS):
         # chunk I's part of the VJP, into gq, gkr, gv and gS

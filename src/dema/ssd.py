@@ -131,6 +131,9 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     chunk runs no state product at all. One tape node, differentiable in
     log A_bar, B_bar, C and x; its VJP uses la, M and the states the
     chunks after the first read, and builds the decays from la again.
+    The decays [..., nb, c, c, Dh] exist only in row blocks over the
+    flattened [..., nb] axes (`T._row_blocks`), in which C B decay is summed
+    and the VJP's einsums run, each element in its whole-array sum order.
     """
     if chunk <= 0:
         raise ConfigError("chunk size must be positive")
@@ -158,20 +161,29 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
 
     la = np.cumsum(blocks(log_a.data), axis=-2)    # [..., nb, c, Dh]
     Bb, Cb, xb = (blocks(t.data) for t in inputs[1:])
+    rows = T._row_blocks(la[..., 0, 0].size, c * c * la.shape[-1])
 
-    def decays():
-        # decay_jih = exp(la_j - la_i) on the triangle j >= i, in place (a
-        # [..., c, c, Dh] temporary costs fresh pages); the VJP rebuilds it
-        decay = la[..., :, None, :] - la[..., None, :, :]
+    def flat(a):
+        # [..., nb, c, n] -> [rows, c, n]; a copy only for a broadcast input
+        return a.reshape((-1,) + a.shape[-2:])
+
+    def decays(r):
+        # decay_jih = exp(la_j - la_i) on the triangle j >= i for the rows
+        # r, in place; forward and VJP build it one row block at a time
+        la_r = flat(la)[r]
+        decay = la_r[:, :, None, :] - la_r[:, None, :, :]
         decay *= mask
         np.exp(decay, out=decay)
         decay *= mask
         return decay
 
-    CBd = Cb[..., :, None, :] * Bb[..., None, :, :]
-    CBd *= decays()
-    M = np.sum(CBd, axis=-1)                       # [..., nb, c, c]
-    del CBd
+    M = np.empty(lead + (nb, c, c))
+    B2, C2, M2 = flat(Bb), flat(Cb), flat(M)
+    for r in rows:
+        CBd = C2[r, :, None, :] * B2[r, None, :, :]
+        CBd *= decays(r)
+        np.sum(CBd, axis=-1, out=M2[r])            # M_ji = sum_h C B decay
+        del CBd                                    # before the next block's
     y = M @ xb
     H = None     # H[i]: the state chunk i + 1 reads
     if nb > 1:
@@ -198,10 +210,13 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
         # intra-chunk: y = M x with M_ji = sum_h C_jh B_ih decay_jih
         gM = gy @ _swap(xb)
         gx = _swap(M) @ gy
-        decay = decays()
-        gC = np.einsum("...ji,...ih,...jih->...jh", gM, Bb, decay)
-        gB = np.einsum("...ji,...jh,...jih->...ih", gM, Cb, decay)
-        del decay
+        gC, gB = np.empty(Cb.shape), np.empty(Bb.shape)
+        gM2, B2, C2, gC2, gB2 = map(flat, (gM, Bb, Cb, gC, gB))
+        for r in rows:
+            decay = decays(r)
+            np.einsum("rji,rih,rjih->rjh", gM2[r], B2[r], decay, out=gC2[r])
+            np.einsum("rji,rjh,rjih->rih", gM2[r], C2[r], decay, out=gB2[r])
+            del decay
         if nb > 1:
             ea = np.exp(la)
             # the reads y += (C ea) H of chunks 1 to nb - 1

@@ -24,18 +24,18 @@ the exception. What each saves besides its inputs:
 - `gated_linear` ((y * sigmoid(gate)) @ w + b): nothing; its VJP
   recomputes sigmoid(gate).
 - `ffn` (gelu(x @ w1 + b1) @ w2 + b2): nothing of the hidden width; its
-  VJP recomputes x @ w1 + b1 twice and the tanh once, in in-place chains
-  with at most three arrays of the hidden width live.
+  VJP recomputes x @ w1 + b1 once and runs the GELU chain in row blocks
+  (`_row_blocks`), so two arrays of the hidden width are live.
 - `layer_norm`, the block's fusion `layer_norm_sum` (sum_i w_i
   layer_norm(x_i), constant w_i) and Add & Norm `add_layer_norm`
   (layer_norm(x + r)): the row means and standard deviations ([..., 1])
   of each layer norm; the VJPs recompute x + r and x_hat.
-- the causal `conv1d`: nothing; its VJP pads the input again.
+- the causal `conv1d`: nothing, and it pads nothing.
 - `dala.kernel_phi`: the two row norms; its VJP recomputes r = ReLU(x)
   and r^p.
 - `ssd.ssd_blocked`: the cumulative log-decays, the intra-chunk matrices
   and the states the chunks after the first read (none at one chunk);
-  its VJP rebuilds the masked [..., c, c, Dh] decays from the log-decays.
+  its VJP rebuilds the masked [..., c, c, Dh] decays a row block at a time.
 - `dala.dala_core` (one node from q, k and v; it runs `kernel_phi`'s map
   and VJP inside, so phi(k) is kept nowhere): phi(q) and the row norms
   of both maps, the rotated keys, numerator, denominator and mixed key
@@ -138,6 +138,14 @@ def _make(data, parents, backward_fn) -> Tensor:
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out
+
+
+def _row_blocks(n, width, budget=1 << 15):
+    """Slices of n rows of `width` elements for a chain run a block at a
+    time: a block holds at most `budget` elements (256 KB; one row at least)
+    and at most a quarter of the rows, so no temporary is a whole array."""
+    step = max(1, min(budget // max(width, 1), -(-n // 4)))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _unbroadcast(grad, shape):
@@ -341,45 +349,48 @@ def _gelu_tanh(x):
     return np.tanh(t, out=t)
 
 
+def _gelu_and_grad(u, d):
+    """gelu(u) over u and d gelu / du into d, in the forward's order:
+    gelu(u) = 0.5 u (1 + t) with t = tanh(c (u + 0.044715 u^3)), and
+    d gelu / du = 0.5 (1 + t) + 0.5 u (1 - t^2) c (1 + 3 * 0.044715 u^2)."""
+    np.multiply(u, u, out=d)
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= _GELU_C                                # c (1 + 3 * 0.044715 u^2)
+    t = _gelu_tanh(u)
+    s = t + 1.0
+    t *= t
+    np.subtract(1.0, t, out=t)                  # 1 - t^2
+    u *= 0.5
+    t *= u
+    t *= d
+    u *= s                                      # gelu(u)
+    s *= 0.5
+    np.add(s, t, out=d)
+
+
 def ffn(x, w1, b1, w2, b2):
     """Feed-forward layer gelu(x @ w1 + b1) @ w2 + b2, tanh GELU; one node.
 
     x is [..., n], w1 [n, h], w2 [h, m]. Nothing of width h is kept: the VJP
-    recomputes x @ w1 + b1 (twice, so that at most three arrays of width h
-    are live) and the tanh once, in the forward's order."""
+    recomputes x @ w1 + b1 once and runs the GELU chain in row blocks, so
+    two arrays of width h are live."""
     x, w1, b1, w2, b2 = map(_wrap, (x, w1, b1, w2, b2))
     _check_linear("ffn", x, w1, b1)
     _check_linear("ffn", w1, w2, b2)            # w1's columns feed w2
 
-    def pre():
-        return _gemm(x.data, w1.data, b1.data)  # u = x @ w1 + b1
-
     def bwd(g):
-        # gelu(u) = 0.5 u (1 + t) with t = tanh(c (u + 0.044715 u^3)), and
-        # d gelu / du = 0.5 (1 + t) + 0.5 u (1 - t^2) c (1 + 3 * 0.044715 u^2)
-        u = pre()
-        t = _gelu_tanh(u)
-        s = t + 1.0
-        t *= t
-        d2 = np.subtract(1.0, t, out=t)         # 1 - t^2
-        u *= 0.5
-        d2 *= u
-        u *= s                                  # gelu(u)
+        u = _gemm(x.data, w1.data, b1.data)     # u = x @ w1 + b1
+        d = np.empty(u.shape)
+        u2, d2 = (a.reshape(-1, u.shape[-1]) for a in (u, d))
+        for r in _row_blocks(*u2.shape):
+            _gelu_and_grad(u2[r], d2[r])
         _, gw2, gb2 = _gemm_grads(g, u, w2, b2, False)
-        del u
-        d = pre()
-        d *= d
-        d *= 3 * 0.044715
-        d += 1.0
-        d *= _GELU_C
-        d2 *= d
-        del d
-        s *= 0.5
-        s += d2                                 # d gelu / du
-        s *= _gemm(g, w2.data.T, None)          # times the gradient of gelu
-        return (*_gemm_grads(s, x.data, w1, b1, x.requires_grad), gw2, gb2)
+        del u, u2
+        d *= _gemm(g, w2.data.T, None)          # times the gradient of gelu
+        return (*_gemm_grads(d, x.data, w1, b1, x.requires_grad), gw2, gb2)
 
-    u = pre()
+    u = _gemm(x.data, w1.data, b1.data)
     t = _gelu_tanh(u)
     t += 1.0
     u *= 0.5
@@ -499,8 +510,9 @@ def conv1d(x, kernel):
     """Causal depthwise 1-D convolution along the second-to-last axis.
 
     x: [..., L, C]; kernel: [K, C]. Position l sees positions l - K + 1 to
-    l, with zeros before position 0, so it never sees positions > l. The
-    VJP pads x again rather than keeping the padded copy.
+    l, with zeros before position 0, so it never sees positions > l. Tap k
+    adds x shifted down by s = K - 1 - k rows, in the order of k; nothing
+    is padded, in the forward or the VJP.
     """
     x = _wrap(x)
     kernel = _wrap(kernel)
@@ -508,24 +520,23 @@ def conv1d(x, kernel):
         raise NumericError("conv1d: non-finite input")
     K = kernel.shape[0]
     L = x.shape[-2]
-    pad = [(0, 0)] * (x.ndim - 2) + [(K - 1, 0), (0, 0)]
-    xp = np.pad(x.data, pad)
-    out = xp[..., 0:L, :] * kernel.data[0]
-    for k in range(1, K):
-        out += xp[..., k:k + L, :] * kernel.data[k]
+    taps = [(k, K - 1 - k) for k in range(K) if K - 1 - k < L]
+    out = np.zeros(np.broadcast_shapes(x.shape, kernel.shape[1:]))
+    for k, s in taps:
+        out[..., s:, :] += x.data[..., :L - s, :] * kernel.data[k]
 
     def bwd(g):
         gx = gk = None
         if x.requires_grad:
-            gxp = np.zeros(x.shape[:-2] + (L + K - 1, x.shape[-1]))
-            for k in range(K):
-                gxp[..., k:k + L, :] += g * kernel.data[k]
-            gx = gxp[..., K - 1:, :]
+            gx = np.zeros(x.shape)
+            for k, s in taps:
+                gx[..., :L - s, :] += g[..., s:, :] * kernel.data[k]
         if kernel.requires_grad:
-            xp = np.pad(x.data, pad)
             lead = tuple(range(g.ndim - 1))
-            gk = np.stack([np.sum(g * xp[..., k:k + L, :], axis=lead)
-                           for k in range(K)])
+            gk = np.zeros(kernel.shape)
+            for k, s in taps:
+                gk[k] = np.sum(g[..., s:, :] * x.data[..., :L - s, :],
+                               axis=lead)
         return gx, gk
 
     return _make(out, (x, kernel), bwd)

@@ -1,5 +1,7 @@
 """Selective scan: parameterization, recurrence oracle, and blocked form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,66 @@ def test_blocked_is_differentiable(rng):
     T.backward(T.tsum(T.mul(y, y)))
     for p in (A_bar, B_bar, C, x):
         assert p.grad is not None and np.all(np.isfinite(p.grad))
+
+
+def _ssd_value_and_grads(rng, shapes, chunk):
+    """ssd_blocked's value and its VJP's four gradients (log A_bar, B_bar,
+    C, x) on inputs of the given shapes, with decays mostly below one."""
+    log_a, B_bar, C, x = (rng.standard_normal(s) for s in shapes)
+    log_a = -np.abs(log_a)
+    d = DiscreteSSM(A_bar=np.exp(log_a), B_bar=T.Tensor(B_bar),
+                    log_A_bar=T.Tensor(log_a, requires_grad=True))
+    y = ssd_blocked(d, T.Tensor(C), T.Tensor(x, requires_grad=True), chunk)
+    return [y.data, *y._backward(rng.standard_normal(y.shape))]
+
+
+@pytest.mark.parametrize("shapes,chunk,n_rows", [
+    # [11] lead, L = 7 at chunk 4: 22 rows of [c, c, Dh] in blocks of
+    # 6, 6, 6 and 4
+    ([(11, 7, 3), (11, 7, 3), (11, 7, 3), (11, 7, 2)], 4, 22),
+    ([(10, 3), (10, 3), (10, 3), (10, 2)], 3, 4),       # lead (), nb = 4
+    # broadcast lead [2, 3], nb = 3
+    ([(3, 9, 2), (2, 1, 9, 2), (9, 2), (2, 3, 9, 4)], 4, 18),
+    ([(3, 64, 16), (3, 64, 16), (3, 64, 16), (3, 64, 2)], 64, 3),  # a row
+])                                                    # above the budget
+def test_blocked_decays_equal_one_block_bit_for_bit(shapes, chunk, n_rows,
+                                                    monkeypatch):
+    L, Dh = shapes[0][-2:]
+    c = min(chunk, L)
+    blocks = T._row_blocks(n_rows, c * c * Dh)
+    assert len(blocks) >= min(n_rows, 4)
+    if n_rows == 22:                    # three blocks and a remainder
+        assert [len(range(22)[r]) for r in blocks] == [6, 6, 6, 4]
+    got = _ssd_value_and_grads(np.random.default_rng(3), shapes, chunk)
+    monkeypatch.setattr(T, "_row_blocks", lambda n, width: [slice(0, n)])
+    want = _ssd_value_and_grads(np.random.default_rng(3), shapes, chunk)
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert a.shape == b.shape and np.array_equal(a, b), i
+
+
+def test_blocked_vjp_holds_no_whole_decay_array(rng):
+    # [4, 3] lead, two chunks of 32, Dh = 16: the masked decays [..., nb,
+    # c, c, Dh] (3.1 MB) outweigh every other array of the VJP
+    lead, L, chunk, Dh = (4, 3), 64, 32, 16
+    decays = int(np.prod(lead)) * (L // chunk) * chunk * chunk * Dh * 8
+    d = DiscreteSSM(A_bar=None, B_bar=T.Tensor(rng.standard_normal(
+        lead + (L, Dh))), log_A_bar=T.Tensor(
+            -np.abs(rng.standard_normal(lead + (L, Dh))), requires_grad=True))
+    y = ssd_blocked(d, T.Tensor(rng.standard_normal(lead + (L, Dh))),
+                    T.Tensor(rng.standard_normal(lead + (L, 4))), chunk)
+    g = rng.standard_normal(y.shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in grads)
+    # building the whole decay array, as one einsum operand, read 1.08
+    # decay arrays above the outputs here; row blocks read 0.19
+    assert peak - start < outputs + 0.5 * decays, (
+        (peak - start - outputs) / decays)
 
 
 # ----------------------------------------------------------------------

@@ -698,6 +698,135 @@ def test_ffn_vjp_holds_at_most_three_hidden_arrays(rng):
     assert peak - start < 3.75 * hidden, (peak - start) / hidden
 
 
+def _ffn_vjp_whole_arrays(g, x, w1, b1, w2, b2):
+    """The FFN VJP on whole hidden-width arrays, computing x @ w1 + b1 twice
+    (the chain the row-blocked VJP replaces)."""
+    def pre():
+        return T._gemm(x.data, w1.data, b1.data)
+
+    u = pre()
+    t = T._gelu_tanh(u)
+    s = t + 1.0
+    t *= t
+    d2 = np.subtract(1.0, t, out=t)
+    u *= 0.5
+    d2 *= u
+    u *= s
+    _, gw2, gb2 = T._gemm_grads(g, u, w2, b2, False)
+    d = pre()
+    d *= d
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= T._GELU_C
+    d2 *= d
+    s *= 0.5
+    s += d2
+    s *= T._gemm(g, w2.data.T, None)
+    return (*T._gemm_grads(s, x.data, w1, b1, True), gw2, gb2)
+
+
+@pytest.mark.parametrize("x_shape,hidden", [
+    ((30, 140, 16), 64),        # 4,200 rows of 64: blocks of 512 rows
+    ((2, 5, 4), 16),            # 10 rows: blocks of 3
+    ((4,), 5),                  # one row
+])
+def test_ffn_vjp_equals_whole_array_chain_bit_for_bit(x_shape, hidden, rng):
+    n = x_shape[-1]
+    x, w1, b1, w2, b2 = (T.Tensor(rng.standard_normal(s), requires_grad=True)
+                         for s in (x_shape, (n, hidden), (hidden,),
+                                   (hidden, 3), (3,)))
+    out = T.ffn(x, w1, b1, w2, b2)
+    g = rng.standard_normal(out.shape)
+    got = out._backward(g)
+    want = _ffn_vjp_whole_arrays(g, x, w1, b1, w2, b2)
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert a.shape == b.shape and np.array_equal(a, b), i
+
+
+def test_ffn_vjp_holds_two_hidden_arrays_over_many_blocks(rng):
+    x, w1, b1, w2, b2 = (T.Tensor(rng.standard_normal(s), requires_grad=True)
+                         for s in ((30, 140, 16), (16, 64), (64,), (64, 16),
+                                   (16,)))
+    assert len(T._row_blocks(30 * 140, 64)) > 4
+    out = T.ffn(x, w1, b1, w2, b2)
+    g = rng.standard_normal(out.shape)
+    hidden = 30 * 140 * 64 * 8                  # bytes of one [30, 140, 64]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # u and d gelu / du, plus two block temporaries
+    assert peak - start < 2.5 * hidden, (peak - start) / hidden
+
+
+def _conv1d_padded(x, kernel, g):
+    """The causal conv1d and its VJP on an input padded with K - 1 zeros."""
+    K, L = kernel.shape[0], x.shape[-2]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(K - 1, 0), (0, 0)])
+    out = xp[..., 0:L, :] * kernel[0]
+    for k in range(1, K):
+        out += xp[..., k:k + L, :] * kernel[k]
+    gxp = np.zeros(x.shape[:-2] + (L + K - 1, x.shape[-1]))
+    for k in range(K):
+        gxp[..., k:k + L, :] += g * kernel[k]
+    lead = tuple(range(g.ndim - 1))
+    gk = np.stack([np.sum(g * xp[..., k:k + L, :], axis=lead)
+                   for k in range(K)])
+    return out, gxp[..., K - 1:, :], gk
+
+
+@pytest.mark.parametrize("x_shape,K", [
+    ((3, 2, 5), 4),             # L < K
+    ((4, 1, 3), 3),             # L = 1
+    ((2, 6, 3), 1),             # K = 1
+    ((32, 7, 12, 64), 4),       # train-n7's SSD input
+    ((7, 384, 512), 4),         # criterion 8's longest window
+])
+def test_conv1d_equals_padded_formula_bit_for_bit(x_shape, K, rng):
+    x, kernel = rng.standard_normal(x_shape), rng.standard_normal(
+        (K, x_shape[-1]))
+    g = rng.standard_normal(x_shape)
+    out = T.conv1d(T.Tensor(x, requires_grad=True),
+                   T.Tensor(kernel, requires_grad=True))
+    got = [out.data, *out._backward(g)]
+    for i, (a, b) in enumerate(zip(_conv1d_padded(x, kernel, g), got)):
+        assert a.shape == b.shape and np.array_equal(a, b), i
+
+
+def test_conv1d_one_channel_kernel_gradient_within_rounding(rng):
+    # with one channel numpy sums the kernel gradient pairwise along the
+    # rows, so the zero rows the padded formula adds regroup that sum; with
+    # two channels or more it adds row by row and the zeros change nothing
+    x, kernel, g = (rng.standard_normal(s) for s in ((50, 40, 1), (4, 1),
+                                                     (50, 40, 1)))
+    out = T.conv1d(T.Tensor(x, requires_grad=True),
+                   T.Tensor(kernel, requires_grad=True))
+    got = [out.data, *out._backward(g)]
+    want = _conv1d_padded(x, kernel, g)
+    assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-13)
+
+
+def test_conv1d_vjp_holds_no_padded_copy(rng):
+    # 512 KB, so that a ufunc's 64 KB buffer weighs little
+    x = T.Tensor(rng.standard_normal((8, 256, 32)), requires_grad=True)
+    kernel = T.Tensor(rng.standard_normal((4, 32)), requires_grad=True)
+    out = T.conv1d(x, kernel)
+    g = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # gx and one product read 2.1; a padded gx and a padded x read 3.0
+    assert peak - start < 2.5 * x.data.nbytes, (peak - start) / x.data.nbytes
+
+
 def test_ffn_is_the_tanh_gelu_layer(rng):
     x, w1, b1, w2, b2 = (rng.standard_normal(s) for s in (
         (2, 5, 4), (4, 16), (16,), (16, 3), (3,)))
