@@ -16,8 +16,8 @@ from .errors import ConfigError, ContractError, DemaError
 from .model import load_checkpoint, model_forward, save_checkpoint
 from .pipeline import (DatasetSpec, TrainConfig, bench_scaling, choose_priors,
                        detect, evaluate, load_csv_dataset, parse_config_file,
-                       tiled_windows, train, write_bench, write_json,
-                       write_metrics, write_predictions)
+                       read_csv, tiled_windows, train, write_bench,
+                       write_json, write_metrics, write_predictions)
 from .spectral import decompose
 
 
@@ -33,21 +33,9 @@ def _load_configs(args) -> tuple[TrainConfig, DatasetSpec]:
     return cfg, spec
 
 
-def _read_window(path) -> tuple[np.ndarray, list]:
-    """Load a whole CSV as one raw window [N, T] plus column names.
-
-    Reuses the dataset loader for validation, then undoes the z-score.
-    """
-    spec = DatasetSpec(path=path, train_ratio=0.5, val_ratio=0.0)
-    s = load_csv_dataset(spec)
-    raw = np.concatenate([s.train, s.val, s.test], axis=1)
-    raw = raw * s.scaler_std[:, None] + s.scaler_mean[:, None]
-    return raw, s.columns
-
-
 def cmd_decompose(args):
     cfg, spec = _load_configs(args)
-    window, columns = _read_window(spec.path)
+    window, _, columns = read_csv(spec.path)
     split = decompose(window, cfg.model.theta)
     os.makedirs(args.out, exist_ok=True)
     write_predictions(split.cross_time,
@@ -61,7 +49,7 @@ def cmd_decompose(args):
 
 def cmd_priors(args):
     cfg, spec = _load_configs(args)
-    window, _ = _read_window(spec.path)
+    window, _, _ = read_csv(spec.path)
     mc = cfg.model
     max_lag = mc.max_lag if mc.max_lag > 0 else default_max_lag(window.shape[1])
     priors = delay_matrix(window, max_lag, mc.patch_len)

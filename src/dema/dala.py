@@ -27,7 +27,8 @@ Query chunk I of shift d holds the rows m in [I c, I c + c), so:
   variates are ordered so that a block's variates tend to be runs;
 * the keys of the chunks before I come in through one running k^T v
   state per key variate, shared by all shifts; each key variate's state
-  meets the queries that read it in one product, weighted by rho;
+  meets the queries that read it in one product, weighted by rho. As in
+  the SSD, chunk 0 reads no state and none is built after the last chunk;
 * a negative shift never shows its first -d keys: they are cut from
   the band and taken out of the state read by a product with those keys;
 * the denominators of all shifts are one contraction of the queries with
@@ -275,17 +276,19 @@ def _band_mask(w, band):
         w.shape[:-2] + (w.shape[-2] * t, w.shape[-1] * k))
 
 
-def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
+def _attend(q, k, v, p, order, shifts, table, rotated, c, record):
     """Numerator [..., N, L, Du] and denominator [..., N, L, 1] of DALA.
 
-    Returns them with the VJP that maps their gradients [gnum, gden] (a
-    list it empties) to those of the feature maps phq, phk and the values
-    v (all [..., N, L, Du]), taking the variates in `order` inside (phq
-    and phk by copies, v gathered where read, unless it is the given
-    order). With `record`, the states and every block's band scores are
-    kept for the VJP. The VJP holds only what its current stage reads: it
-    takes the blocks, then the state reads per key variate, then the
-    denominators one shift at a time, and un-permutes one output at a time.
+    Runs the kernel maps of q and k itself and drops phi(k) once the
+    rotated keys and their running sums are built. Returns num and den with
+    the VJP that maps their gradients [gnum, gden] (a list it empties) to
+    those of q, k and v (all [..., N, L, Du]), taking the variates in
+    `order` inside (the maps by copies, v gathered where read, unless it is
+    the given order). With `record`, the states and every block's band
+    scores are kept for the VJP. The VJP holds only what its current stage
+    reads: it takes the blocks, then the state reads per key variate, then
+    the denominators one shift at a time, and un-permutes one output at a
+    time.
     """
     L, Du = v.shape[-2:]
     nb = -(-L // c)                            # chunks
@@ -293,7 +296,17 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
     inv = np.argsort(order)
     if np.all(np.diff(order) == 1):
         order = inv = None                     # the given order: no copies
-    phq, phk = (_take(x, order) for x in (phq, phk))
+    rot = table.rotation(np.arange(top))
+    phk, nk = _phi(k, p)
+    phk = _take(phk, order)
+    kr = _rope_apply(phk, rot[:L])             # keys at their own positions
+    # running key sums of the denominators; past L they hold the total
+    K = np.cumsum(np.pad(kr if rotated else phk, [(0, 0)] * (v.ndim - 2) +
+                         [(0, top - L), (0, 0)]), axis=-2)
+    del phk                                    # read by kr and K alone
+    phq, nq = _phi(q, p)
+    phq = _take(phq, order)
+    K_shape = K.shape                          # the VJP keeps no K
 
     def vals(b, rows):
         # v[..., b, rows, :] for the variates b in plan order, a view where
@@ -301,13 +314,6 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         if order is not None:
             b = _run(order[b]) if isinstance(b, slice) else order[b]
         return v[..., b, rows, :]
-
-    rot = table.rotation(np.arange(top))
-    kr = _rope_apply(phk, rot[:L])             # keys at their own positions
-    # running key sums of the denominators; past L they hold the total
-    K = np.cumsum(np.pad(kr if rotated else phk, [(0, 0)] * (v.ndim - 2) +
-                         [(0, top - L), (0, 0)]), axis=-2)
-    K_shape = K.shape                          # the VJP keeps no K
 
     def span(sh, I):
         # chunk I's queries m in [m0, m1) (rows l = m + d in ls) and the
@@ -343,7 +349,6 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
     del K                                      # read by Z alone
 
     num = _zeros(v.shape)
-    zero = np.zeros((Du, Du))
     S = 0.0                                    # k^T v of the chunks before I
     states, saved = [], {}
     for I in range(nb):
@@ -355,42 +360,31 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
             atts = []
             for a, b, w in sh.blocks:
                 # the block's band: the keys of chunk I up to the query's m
-                q = queries(phq, a, ls, m0)
-                att = _flat(q) @ _swap(_flat(kr[..., b, m0:k1, :]))
+                qr = queries(phq, a, ls, m0)
+                att = _flat(qr) @ _swap(_flat(kr[..., b, m0:k1, :]))
                 att *= _band_mask(w, band)
-                out = (att @ _flat(vals(b, slice(m0, k1)))).reshape(q.shape)
-                if I * c <= sh.h:
-                    # no key before chunk I shows (chunk 0 too): read the
-                    # zero state, so that every chunk reads one. Unlike the
-                    # SSD's, these reads stay: at chunk 64 DALA has a single
-                    # chunk at criterion 8's first length (48 tokens), where
-                    # skipping them would leave no state work at all, and
-                    # the first doubling would then add the whole state
-                    # schedule at once
-                    out += q @ zero
-                _add(num, a, ls, out)
+                _add(num, a, ls, (att @ _flat(vals(b, slice(m0, k1))))
+                     .reshape(qr.shape))
                 atts.append(att)
             if I * c > sh.h:
                 # the keys before chunk I that the shift shows: per key
                 # variate, its state (less the keys the shift never shows)
                 # meets the queries that read it in one product
                 for b, a, wb in sh.readers:
-                    q = queries(phq, a, ls, m0)
-                    r = _flat(q) @ S[..., b, :, :]
+                    qr = queries(phq, a, ls, m0)
+                    r = _flat(qr) @ S[..., b, :, :]
                     if sh.h:
-                        r -= (_flat(q) @ _swap(kr[..., b, :sh.h, :])) @ vals(
+                        r -= (_flat(qr) @ _swap(kr[..., b, :sh.h, :])) @ vals(
                             b, slice(0, sh.h))
-                    _add(num, a, ls, wb[..., None, None] * r.reshape(q.shape))
+                    _add(num, a, ls, wb[..., None, None] * r.reshape(qr.shape))
             if record:
                 saved[I, j] = atts              # the VJP rotates q again
         if record:
             states.append(S)
-        # every chunk builds its state, the last one too: as every chunk
-        # reads one, the state work grows exactly with the chunk count, as
-        # criterion 8 (time per doubling of the window) needs
-        S = S + _swap(kr[..., rows, :]) @ vals(slice(None), rows)
-    # no chunk reads the last state: free it before the un-permuted copies
-    del S
+        if I + 1 < nb:
+            # nb chunks build and read nb - 1 states: none at one chunk
+            S = S + _swap(kr[..., rows, :]) @ vals(slice(None), rows)
+    del S                                      # before the un-permuted copies
 
     def chunk_vjp(I, gnum, gq, gkr, gv, gS):
         # chunk I's part of the VJP, into gq, gkr, gv and gS
@@ -413,24 +407,24 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
                 _add(gv, b, keys, (_swap(att) @ go).reshape(kshape))
                 del go
                 gatt *= _band_mask(w, band)
-                q = queries(phq, a, ls, m0)
-                _add(gkr, b, keys, (_swap(gatt) @ _flat(q)).reshape(kshape))
+                qr = queries(phq, a, ls, m0)
+                _add(gkr, b, keys, (_swap(gatt) @ _flat(qr)).reshape(kshape))
                 add_queries(gq, a, ls, m0, (gatt @ _flat(
-                    kr[..., b, keys, :])).reshape(q.shape))
+                    kr[..., b, keys, :])).reshape(qr.shape))
             if I * c <= sh.h:
                 continue
             for b, a, wb in sh.readers:
-                q = _flat(queries(phq, a, ls, m0))
+                qr = _flat(queries(phq, a, ls, m0))
                 go = wb[..., None, None] * gnum[..., a, ls, :]
                 gr = _flat(go)
                 gqb = gr @ _swap(states[I][..., b, :, :])
-                gS[..., b, :, :] += _swap(q) @ gr
+                gS[..., b, :, :] += _swap(qr) @ gr
                 if sh.h:
                     hk, hv = kr[..., b, :sh.h, :], vals(b, slice(0, sh.h))
                     gp = gr @ _swap(hv)
                     gqb -= gp @ hk
-                    gkr[..., b, :sh.h, :] -= _swap(gp) @ q
-                    gv[..., b, :sh.h, :] -= _swap(q @ _swap(hk)) @ gr
+                    gkr[..., b, :sh.h, :] -= _swap(gp) @ qr
+                    gv[..., b, :sh.h, :] -= _swap(qr @ _swap(hk)) @ gr
                 add_queries(gq, a, ls, m0, gqb.reshape(go.shape))
 
     def vjp(grads):
@@ -467,17 +461,18 @@ def _attend(phq, phk, v, order, shifts, table, rotated, c, record):
         gkr.view(np.complex128)[...] *= rot[:L].conj()   # now of phk
         if not rotated:
             gkr += gkd
-        del gK, gkd, rev                       # before the permuted copies
+        del gK, gkd, rev, qd, gz, gden         # before the permuted copies
         gq = _take(gq, inv)
+        gq = _phi_vjp(gq, q, p, *nq)
         gkr = _take(gkr, inv)
-        return gq, gkr, _take(gv, inv)
+        return gq, _phi_vjp(gkr, k, p, *nk), _take(gv, inv)
 
     return _take(num, inv), _take(den, inv), vjp
 
 
 def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
               table: RotaryTable | None = None, eps: float = ATTN_EPS,
-              rotated_denominator: bool = False, chunk: int = 64) -> T.Tensor:
+              rotated_denominator: bool = False, chunk: int = 16) -> T.Tensor:
     """Delay-aware causal linear attention on token streams [..., N, L, Du].
 
     The priors are [N, N], shared by every window, or [..., N, N] with the
@@ -503,11 +498,10 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
             f"rotary table dim {table.dim} does not match input {Du}")
     nb = -(-L // min(chunk, L))
     c = -(-L // nb)
-    (phq, nq), (phk, nk) = _phi(q.data, p), _phi(k.data, p)
     order, shifts = _plan(rho, delta, active, L, c)
     record = T._grad_enabled and any(
         t.requires_grad for t in (q, k, v))   # as T._make decides
-    num, den, vjp = _attend(phq, phk, v.data, order, shifts, table,
+    num, den, vjp = _attend(q.data, k.data, v.data, p, order, shifts, table,
                             rotated_denominator, c, record)
     # query (a, l) sees a key once l reaches the smallest max(0, delta_ab);
     # tokens with no key in range fall back to their own value
@@ -531,14 +525,14 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
         gq, gk, gv = vjp(grads)
         tail = gv[..., :F, :]
         np.add(tail, fall, out=tail, where=~keep[..., :F, :])
-        return _phi_vjp(gq, q.data, p, *nq), _phi_vjp(gk, k.data, p, *nk), gv
+        return gq, gk, gv
 
     return T._make(y, (q, k, v), bwd)
 
 
 def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
                    eps: float = ATTN_EPS, rotated_denominator: bool = False,
-                   chunk: int = 64) -> T.Tensor:
+                   chunk: int = 16) -> T.Tensor:
     """:func:`dala_core` on q, k, v [..., L, N, Du], the oracle's layout."""
     q, k, v = (T.swapaxes(T._wrap(x), -3, -2) for x in (inp.q, inp.k, inp.v))
     y = dala_core(q, k, v, inp.priors, inp.p, table, eps,

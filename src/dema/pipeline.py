@@ -154,18 +154,19 @@ class DatasetSplits:
     columns: list | None = None
 
 
-def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
-    """Load, validate, chronologically split and z-score a variate CSV."""
-    if not spec.path:
+def read_csv(path) -> tuple[np.ndarray, np.ndarray | None, list]:
+    """Parse and validate a variate CSV: its values [N, T] as written, its
+    integer labels [T] (None without a label column) and its variate
+    column names."""
+    if not path:
         raise ConfigError("no dataset: pass --data or set path in the config")
-    with _open(spec.path, "dataset", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    with _open(path, "dataset", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
-        raise FormatError(f"{spec.path}: empty file")
+        raise FormatError(f"{path}: empty file")
     header = rows[0]
     if len(header) < 2:
-        raise FormatError(f"{spec.path}: need a timestamp column plus at "
+        raise FormatError(f"{path}: need a timestamp column plus at "
                           "least one variate column")
     width = len(header)
     has_labels = header[-1].strip().lower() == LABEL_COLUMN
@@ -174,29 +175,36 @@ def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise FormatError(
-                f"{spec.path}: row {r} has {len(row)} cells, expected {width}")
+                f"{path}: row {r} has {len(row)} cells, expected {width}")
         parsed = []
         for c, cell in enumerate(row[1:], start=2):
             try:
                 x = float(cell)
             except ValueError:
                 raise FormatError(
-                    f"{spec.path}: non-numeric value at row {r}, col {c}")
+                    f"{path}: non-numeric value at row {r}, col {c}")
             if not math.isfinite(x):
                 raise FormatError(
-                    f"{spec.path}: non-finite value {cell.strip()!r} at "
+                    f"{path}: non-finite value {cell.strip()!r} at "
                     f"row {r}, col {c}")
             parsed.append(x)
         if has_labels:
             label = parsed.pop()
             if label != int(label):
-                raise FormatError(f"{spec.path}: label {row[-1].strip()!r} "
+                raise FormatError(f"{path}: label {row[-1].strip()!r} "
                                   f"at row {r}, col {width} is not an integer")
             labels.append(int(label))
         values.append(parsed)
     data = np.asarray(values, dtype=np.float64).T  # [N, T]
     if data.shape[0] < 1:
-        raise FormatError(f"{spec.path}: no variate columns")
+        raise FormatError(f"{path}: no variate columns")
+    return (data, np.asarray(labels, dtype=np.int64) if has_labels else None,
+            [h for h in header[1:] if h.strip().lower() != LABEL_COLUMN])
+
+
+def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
+    """Load, validate, chronologically split and z-score a variate CSV."""
+    data, labels, columns = read_csv(spec.path)
     total = data.shape[1]
     n_train = int(total * spec.train_ratio)
     n_val = int(total * spec.val_ratio)
@@ -208,14 +216,13 @@ def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
     parts = {"train": slice(0, n_train),
              "val": slice(n_train, n_train + n_val),
              "test": slice(n_train + n_val, None)}
-    labels = np.asarray(labels, dtype=np.int64)
     return DatasetSplits(
         **{name: z[:, part] for name, part in parts.items()},
         scaler_mean=mean,
         scaler_std=std,
-        labels=({name: labels[part] for name, part in parts.items()}
-                if has_labels else None),
-        columns=[h for h in header[1:] if h.strip().lower() != LABEL_COLUMN],
+        labels=(None if labels is None else
+                {name: labels[part] for name, part in parts.items()}),
+        columns=columns,
     )
 
 

@@ -189,9 +189,10 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     if nb > 1:
         # the state after chunk i is e_i h + w_i^T x_i, with w the decays
         # to the chunk's end times B_bar; chunk i + 1 reads it. The state
-        # work grows with nb - 1; criterion 8 (time per doubling of the
-        # window) is unaffected, as its lengths give the SSD at least 3
-        # chunks (48 to 384 tokens: 2, 5, 11 and 23 states)
+        # work grows with nb - 1, which keeps criterion 8 (time per doubling
+        # of the window) linear because its lengths give the SSD, and DALA
+        # on the same chunk, at least 3 chunks (48 to 384 tokens: 2, 5, 11
+        # and 23 states)
         ea = np.exp(la)
         U = _swap(np.exp(la[..., :-1, -1:, :] - la[..., :-1, :, :])
                   * Bb[..., :-1, :, :]) @ xb[..., :-1, :, :]

@@ -5,6 +5,7 @@ pass/fail lines. The heavier criteria (scaling benchmark, training runs)
 dominate the runtime; the whole gate stays well inside its stated budgets.
 """
 
+import inspect
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from conftest import chirp, coupled_splits
 from dema import tensor as T
 from dema.dala import (DalaInputs, RotaryTable, _rope_apply, dala_attention,
-                       naive_dala_oracle)
+                       dala_core, naive_dala_oracle)
 from dema.delay import DelayPriors, token_shift, xcorr_delay
 from dema.model import ModelConfig, ModelState, model_forward
 from dema.pipeline import (DatasetSpec, TrainConfig, bench_scaling, evaluate,
@@ -281,11 +282,14 @@ def test_criterion_7_gradient_checks():
 # 8. runtime and memory scale linearly with the window length
 # ----------------------------------------------------------------------
 
+CRITERION_8_LENGTHS = [384, 768, 1536, 3072]
+
+
 def test_criterion_8_linear_scaling():
     t0 = time.perf_counter()
     cfg = TrainConfig(n_variates=7,
                       model=ModelConfig(d_model=256, n_blocks=2, seed=0))
-    rows = bench_scaling([384, 768, 1536, 3072], cfg, repeats=5)
+    rows = bench_scaling(CRITERION_8_LENGTHS, cfg, repeats=5)
     elapsed = time.perf_counter() - t0
     time_ratios = [rows[i + 1]["ms"] / rows[i]["ms"] for i in range(3)]
     mem_ratios = [rows[i + 1]["bytes"] / rows[i]["bytes"] for i in range(3)]
@@ -294,6 +298,17 @@ def test_criterion_8_linear_scaling():
     report("criterion 8: per-doubling runtime/memory ratios <= 2.5",
            ok, f"time {['%.2f' % r for r in time_ratios]}, "
                f"mem {['%.2f' % r for r in mem_ratios]}, {elapsed:.0f}s")
+
+
+def test_criterion_8_lengths_run_several_chunks():
+    # the doublings are timed against each other, so the chunked schedules
+    # of the SSD and of DALA already run at the first length: with at least
+    # 3 chunks per length, a doubling adds chunks, not a new kind of work
+    tokens = [ModelConfig(lookback=n).n_tokens for n in CRITERION_8_LENGTHS]
+    assert tokens == [48, 96, 192, 384]
+    dala_chunk = inspect.signature(dala_core).parameters["chunk"].default
+    for chunk in (dala_chunk, ModelConfig().chunk):
+        assert min(-(-n // chunk) for n in tokens) >= 3, chunk
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from conftest import coupled_series
 from dema import cli, model, pipeline
 from dema import tensor as T
 from dema.cli import main
+from dema.delay import default_max_lag, delay_matrix
 from dema.model import (ModelState, load_checkpoint, model_forward,
                         save_checkpoint)
 from dema.pipeline import (DatasetSpec, choose_priors, load_csv_dataset,
@@ -211,6 +212,39 @@ def test_priors_outputs(workspace):
     np.testing.assert_array_equal(np.diag(rho), 1.0)
     # variate 2 lags variate 1 by 4 steps
     assert tau[0, 1] == 4 and tau[1, 0] == -4
+
+
+def test_priors_are_those_of_the_csv_values(tmp_path):
+    # tau.csv and rho.csv are delay_matrix of the values the CSV holds, bit
+    # for bit: no z-score and back in between
+    rng = np.random.default_rng(4)
+    data = np.cumsum(rng.standard_normal((3, 120)), axis=1) * 3.7 + 11.0
+    path = tmp_path / "d.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["ts", "a", "b", "c"])
+        w.writerows([t, *data[:, t].tolist()] for t in range(120))
+    run(["priors", "--data", path, "--out", tmp_path])
+    with open(path, newline="") as fh:
+        window = np.array([[float(x) for x in row[1:]]
+                           for row in list(csv.reader(fh))[1:]]).T
+    priors = delay_matrix(window, default_max_lag(120),
+                          model.ModelConfig().patch_len)
+    for name in ("tau", "rho"):
+        with open(tmp_path / f"{name}.csv", newline="") as fh:
+            got = np.array([[float(x) for x in row] for row in csv.reader(fh)])
+        np.testing.assert_array_equal(got, getattr(priors, name))
+
+
+@pytest.mark.parametrize("command, named", [
+    ("priors", "series too short"), ("decompose", "window length >= 2")])
+def test_csv_too_short_exits_with_one_error_line(tmp_path, capsys, command,
+                                                named):
+    path = tmp_path / "d.csv"
+    path.write_text("ts,a,b\n0,1.5,2.5\n")
+    assert main([command, "--data", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
 def test_bench_writes_table(workspace):

@@ -741,37 +741,55 @@ def test_gradient_finite_difference_index_array_blocks(p):
 
 
 # ----------------------------------------------------------------------
-def test_forward_frees_the_unread_last_state(rng, monkeypatch):
-    # one chunk (L = 4 < chunk 64): no chunk reads the state k^T v [..., N,
-    # Du, Du] built after the last one, so it is gone before the outputs
-    # are un-permuted, the forward's last two _take calls
-    B, N, L, Du = 4, 3, 4, 128
+def test_forward_at_one_chunk_builds_no_state(rng):
+    # one chunk (L = 12 < the default chunk 16): no chunk reads a k^T v
+    # state [..., N, Du, Du], so none is built, and the forward's peak above
+    # what it holds after it returns stays well under one state (0.17; 1.2
+    # when the unread state was built)
+    B, N, L, Du = 4, 3, 12, 128
     delta = np.array([[0, -1, 1], [1, 0, 0], [-1, 0, 0]])
     priors = DelayPriors(tau=delta * 8, rho=np.full((N, N), 0.8),
                          delta_tok=delta, max_lag=16)
     q, k, v = (T.Tensor(rng.standard_normal((B, N, L, Du)), requires_grad=True)
                for _ in range(3))
     dala_core(q, k, v, priors)          # plans are cached: plan outside
-    seen, take = [], dala._take
-
-    def spy(x, idx):
-        seen.append(tracemalloc.get_traced_memory()[0])
-        return take(x, idx)
-
-    monkeypatch.setattr(dala, "_take", spy)
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
         y = dala_core(q, k, v, priors)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     state = B * N * Du * Du * 8
-    assert y.shape == q.shape and len(seen) == 4
-    # with the state kept this read 1.19 states above what the forward
-    # holds after it returns; freed, 0.15
-    assert max(seen[-2:]) - held < 0.5 * state, (
-        (max(seen[-2:]) - held) / state)
+    assert y.shape == q.shape
+    assert peak - held < 0.5 * state, (peak - held) / state
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("L", [17, 40, 90])
+def test_default_chunk_matches_oracle(L, rotated):
+    # 2, 3 and 6 chunks of the default size: the shift -h hides the keys
+    # j < h of chunk 0 and part of chunk 1, so a chunk after the first
+    # reads no state, beside shifts that do read states and shifts >= L
+    # in both directions
+    nb = -(-L // 16)
+    c = -(-L // nb)
+    h = c + c // 2
+    delta = np.array([[0, -h, L], [2, 0, 1 - L], [-L - 1, -3, 0]])
+    rho = np.array([[1.0, 0.7, 0.9], [0.6, 1.0, 0.8], [0.5, 0.4, 1.0]])
+    priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta,
+                         max_lag=8 * L + 8)
+    rho_w = priors.rho_weights()
+    _, shifts = dala._plan_shifts(rho_w, delta, (rho_w > 0) & (
+        np.abs(delta) < L), L, c)
+    reads = [I * c > sh.h for sh in shifts for I in sh.chunks if I]
+    assert any(reads) and not all(reads)
+    rng = np.random.default_rng(L)
+    inp = DalaInputs(*(T.Tensor(rng.standard_normal((L, 3, 4)) + 0.5)
+                       for _ in range(3)), priors=priors)
+    out = dala_attention(inp, rotated_denominator=rotated).data
+    ref = naive_dala_oracle(inp, rotated_denominator=rotated)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(out - ref)) <= 1e-8 * scale
 
 
 # full module
