@@ -16,8 +16,9 @@ from .errors import ConfigError, ContractError, DemaError
 from .model import load_checkpoint, model_forward, save_checkpoint
 from .pipeline import (DatasetSpec, TrainConfig, bench_scaling, choose_priors,
                        detect, evaluate, load_csv_dataset, parse_config_file,
-                       read_csv, tiled_windows, train, write_bench,
-                       write_json, write_metrics, write_predictions)
+                       read_csv, split_windows, tiled_windows, train,
+                       write_bench, write_json, write_metrics,
+                       write_predictions)
 from .spectral import decompose
 
 
@@ -71,14 +72,16 @@ def _report(metrics, out):
 
 def cmd_train(args):
     cfg, spec = _load_configs(args)
+    splits = load_csv_dataset(spec)
+    split_windows("test", splits, cfg.model)    # train checks the others
     os.makedirs(args.out, exist_ok=True)
-    result = train(cfg, spec)
+    result = train(cfg, spec, splits=splits)
     ckpt = os.path.join(args.out, "checkpoint.npz")
     save_checkpoint(result.state, ckpt)
     write_json({"log": result.log, "best_epoch": result.best_epoch,
                 "diverged": result.diverged},
                os.path.join(args.out, "train_log.json"))
-    metrics = evaluate(result.state, spec, config=cfg)
+    metrics = evaluate(result.state, spec, splits=splits, config=cfg)
     print(f"checkpoint: {ckpt}")
     _report(metrics, args.out)
 

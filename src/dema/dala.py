@@ -14,25 +14,26 @@ The production path works per key variate, not per (query, key) pair.
 RoPE's relative property, R(l) q . R(j + d) k = R(l - d) q . R(j) k, lets
 every key variate be rotated once at its own positions; each distinct
 shift d of the active pairs (rho > 0, |delta| < L) rotates the query rows
-at m = l - d instead. The token axis is cut into chunks of c keys, as in
-the state-passing schedule of Mamba-2's SSD (Dao & Gu, arXiv:2405.21060)
-applied to linear attention (Katharopoulos et al., arXiv:2006.16236).
-Query chunk I of shift d holds the rows m in [I c, I c + c), so:
+at m = l - d instead. The denominators of all shifts are one contraction
+of the queries with rho-mixed running key sums. The numerators cut the
+token axis into chunks of c keys, as in the state-passing schedule of
+Mamba-2's SSD (Dao & Gu, arXiv:2405.21060) applied to linear attention
+(Katharopoulos et al., arXiv:2006.16236). Each plan decides once, in
+:func:`_schedule`, what chunk I runs for the shifts whose query rows m
+meet [I c, I c + c):
 
-* its band is key chunk I alone. The shift's query variates with the
-  same key set form a block, a complete biclique: one product of real
+* their bands: the keys of chunk I alone. A shift's query variates with
+  the same key set form a block, a complete biclique: one product of real
   pairs only, masked by the weights rho_ab and the causal band j <= m
   (block-sparse attention as in Child et al., arXiv:1904.10509, with the
   blocks read off the priors). Rows outside [0, L) are cut off, and the
   variates are ordered so that a block's variates tend to be runs;
-* the keys of the chunks before I come in through one running k^T v
-  state per key variate, shared by all shifts; each key variate's state
-  meets the queries that read it in one product, weighted by rho. As in
-  the SSD, chunk 0 reads no state and none is built after the last chunk;
+* their state reads: the keys of the chunks before I come in through one
+  running k^T v state per key variate, which meets all its readers, of
+  every shift, in one product. As in the SSD, chunk 0 reads no state and
+  none is built after the last chunk;
 * a negative shift never shows its first -d keys: they are cut from
-  the band and taken out of the state read by a product with those keys;
-* the denominators of all shifts are one contraction of the queries with
-  rho-mixed running key sums.
+  the band and taken out of the state read by a product with those keys.
 
 Priors are shared ([N, N]) or one set per window ([..., N, N]). A batch
 of windows plans the union of its windows' shifts, and each shift's
@@ -41,8 +42,8 @@ pair at that shift.
 
 The kernel maps and the whole attention are one tape node from q, k and
 v, so phi(k) is never kept: the node keeps phi(q) and the rotated keys.
-Its VJP retraces this schedule backwards block by block, each block's
-query rows gathered and rotated alone, and runs the kernel map's VJP in
+Its VJP walks the same schedule backwards, each block's and reader's
+query rows gathered and rotated again, and runs the kernel map's VJP in
 place. No (N*L) x (N*L) matrix, no per-pair stream and no per-pair state
 is formed. A literal double-sum transcription is kept as the test oracle.
 """
@@ -88,7 +89,10 @@ def _rope_apply(arr, rot):
 
 
 def _phi(x, p):
-    """kernel_phi's map of an array, with the row norms its VJP reads."""
+    """The kernel map f(ReLU(x)), f(r) = (|r|/|r^p|) r^p, of FLatten
+    Transformer (Han et al., arXiv:2308.00442) with exact norms over the
+    last axis, and the norms its VJP reads. A row with |r^p| = 0 maps to
+    zero with a zero gradient, NaN stays NaN, and p = 1 gives ReLU(x)."""
     if p < 1 or p != int(p):
         raise ConfigError(f"kernel power must be an integer >= 1, got {p}")
     r = np.maximum(x, 0.0)               # NaN stays NaN, never a silent 0
@@ -105,7 +109,7 @@ def _phi(x, p):
 
 
 def _phi_vjp(g, x, p, n1, n2):
-    """kernel_phi's VJP at x, written over the output gradient g."""
+    """:func:`_phi`'s VJP at x, written over the output gradient g."""
     r = np.maximum(x, 0.0)
     rp = T._int_power(r, p - 1) * r
     gs = np.sum(g * rp, axis=-1, keepdims=True)       # of the scale n1 / n2
@@ -116,24 +120,6 @@ def _phi_vjp(g, x, p, n1, n2):
     r *= gs / (n1 * n2)
     g += r              # zero where x <= 0: r and r^(p - 1) are 0 there
     return g
-
-
-def kernel_phi(x, p: int = 3):
-    """Nonnegative feature map: f(ReLU(x)) with f(r) = (|r|/|r^p|) r^p.
-
-    The focused function of FLatten Transformer (Han et al.,
-    arXiv:2308.00442) with exact norms over the last axis, so the output
-    norm equals |ReLU(x)|. A row with |r^p| = 0 maps to zero with a zero
-    gradient; a NaN input stays NaN. At p = 1 the map is ReLU(x) itself,
-    and its VJP's factor p r^(p - 1) is the step 1[x > 0]. One tape node
-    for every p; it saves the two norms, and its VJP recomputes r,
-    r^(p - 1) and r^p from x. :func:`dala_core` runs the same map and VJP
-    inside its own node.
-    """
-    x = T._wrap(x)
-    phi, norms = _phi(x.data, p)
-    return T._make(phi, (x,),
-                   lambda g: (_phi_vjp(g.copy(), x.data, p, *norms),))
 
 
 @dataclass
@@ -196,12 +182,8 @@ class _Shift:
     a: np.ndarray     # query variates with a pair at d (in some window)
     b: np.ndarray     # key variates with a pair at d
     w: np.ndarray     # [..., A, B] weights rho_ab [delta_ab = d]
-    blocks: list      # per block: its query variates, its key variates
-                      # and their weights [..., A_g, B_g]
+    blocks: list      # (query variates, key variates, weights [..., A_g, B_g])
     h: int            # keys j < h = max(0, -d) are never shown at d
-    chunks: range     # query chunks I: m = l - d in [I c, I c + c)
-    readers: list     # per key variate: (the variate, the query variates
-                      # that read its state, their weights [..., S])
 
 
 _PLANS = {}        # (priors' values, L, c) -> plan, in order of last use
@@ -221,25 +203,24 @@ def _plan(rho, delta, active, L, c):
 
 
 def _plan_shifts(rho, delta, active, L, c):
-    """A variate order and one :class:`_Shift` per distinct shift of the
+    """A variate order, one :class:`_Shift` per distinct shift of the
     active pairs (of any window, for priors with a batch axis), numbered
-    in that order. Sorting the variates by their mean shift makes a
-    block's variates tend to be runs of consecutive ones; as a permuted
-    order costs copies, it is kept only if it makes more key sets runs."""
+    in that order, and their :func:`_schedule`. Sorting the variates by
+    their mean shift makes a block's variates tend to be runs of
+    consecutive ones; as a permuted order costs copies, it is kept only if
+    it makes more key sets runs."""
     n, s = (x.sum(axis=-1).reshape(-1, x.shape[-1]).sum(axis=0)
             for x in (active, np.where(active, delta, 0)))
-    plans = []
-    for order in (np.arange(len(n)),
-                  np.argsort(s / np.maximum(n, 1), kind="stable")):
-        pri = (x[..., order[:, None], order] for x in (rho, delta, active))
-        plans.append((order, _shifts(*pri, L, c)))
-    return max(plans, key=lambda plan: sum(    # a tie keeps the first
+    orders = np.arange(len(n)), np.argsort(s / np.maximum(n, 1), kind="stable")
+    plans = [(o, _shifts(rho[..., o[:, None], o], delta[..., o[:, None], o],
+                         active[..., o[:, None], o])) for o in orders]
+    order, shifts = max(plans, key=lambda plan: sum(  # a tie keeps the first
         isinstance(b, slice) for sh in plan[1] for _, b, _ in sh.blocks))
+    return order, shifts, _schedule(shifts, L, c)
 
 
-def _shifts(rho, delta, active, L, c):
+def _shifts(rho, delta, active):
     """The :class:`_Shift`s of priors whose variates are in plan order."""
-    nb = -(-L // c)
     shifts = []
     for d in np.unique(delta[active]):
         d = int(d)
@@ -250,48 +231,65 @@ def _shifts(rho, delta, active, L, c):
             groups.setdefault(union[a].tobytes(), []).append(a)
         a = np.concatenate(list(groups.values()))
         b = np.flatnonzero(union.any(axis=0))
-        w = np.where(sel, rho, 0.0)[..., a[:, None], b]
-        blocks, start = [], 0
-        for qs in groups.values():
-            kb = np.flatnonzero(union[qs[0], b])     # as indices into b
-            blocks.append((_run(a[start:start + len(qs)]), _run(b[kb]),
-                           w[..., start:start + len(qs), kb]))
-            start += len(qs)
-        # per key variate, for the state reads of the chunks after the first
-        readers = [(k, _run(a[col]), w[..., col, i]) for i, (
-            k, col) in enumerate(zip(b, union[a][:, b].T))] if nb > 1 else []
-        h = max(0, -d)
-        # the queries l in [0, L) sit at m in [h, L - d); the last chunk
-        # also takes the rows m >= nb c, which see every key
-        chunks = range(h // c, min(nb, -(-(L - d) // c)))
-        shifts.append(_Shift(d, _run(a), _run(b), w, blocks, h, chunks,
-                             readers))
+        w = np.where(sel, rho, 0.0)
+        blocks = []
+        for qs in map(np.array, groups.values()):
+            kb = b[union[qs[0], b]]
+            blocks.append((_run(qs), _run(kb), w[..., qs[:, None], kb]))
+        shifts.append(_Shift(d, _run(a), _run(b), w[..., a[:, None], b],
+                             blocks, max(0, -d)))
     return shifts
 
 
-def _band_mask(w, band):
-    """[..., A t, B k]: w_ab band[t', j] for block weights w [..., A, B]."""
-    t, k = band.shape
-    return (w[..., :, None, :, None] * band[:, None, :]).reshape(
-        w.shape[:-2] + (w.shape[-2] * t, w.shape[-1] * k))
+def _schedule(shifts, L, c):
+    """Per chunk I of c keys, (bands, reads), walked by the forward and,
+    backwards, by the VJP. bands: per shift whose queries m in [m0, m1)
+    meet the keys j in [m0, k1) of chunk I (the last chunk also takes the
+    rows m >= nb c), (shift, m0, k1, rows l, blocks), a block being (query
+    variates, key variates, mask w_ab [j <= m] [..., A t, B k]). reads:
+    per key variate whose state chunk I reads, (variate, readers), a
+    reader being a block's (shift, query variates, rows l, m0, weights
+    [..., A]); a shift reads states where I c > h."""
+    nb = -(-L // c)
+    masks, schedule = {}, []
+    for I in range(nb):
+        bands, reads = [], {}
+        for sh in shifts:
+            m0 = max(I * c, sh.h)         # no l < 0, no hidden key j < h
+            m1 = L - sh.d if I + 1 == nb else min(I * c + c, L - sh.d)
+            if m0 >= m1:
+                continue
+            ls, k = slice(m0 + sh.d, m1 + sh.d), min(I * c + c, L) - m0
+            key = sh.d, m1 - m0, k                  # chunks share bands
+            if key not in masks:
+                masks[key] = [(a, b, np.kron(w, np.tri(*key[1:])))
+                              for a, b, w in sh.blocks]
+            bands.append((sh, m0, m0 + k, ls, masks[key]))
+            for a, b, w in sh.blocks if I * c > sh.h else ():
+                for i, kv in enumerate(np.r_[b]):
+                    reads.setdefault(kv, []).append((sh, a, ls, m0,
+                                                     w[..., :, i]))
+        schedule.append((bands, sorted(reads.items())))
+    return schedule
 
 
-def _attend(q, k, v, p, order, shifts, table, rotated, c, record):
-    """Numerator [..., N, L, Du] and denominator [..., N, L, 1] of DALA.
+def _attend(q, k, v, p, plan, table, rotated, c, record):
+    """Numerator [..., N, L, Du] and denominator [..., N, L, 1] of DALA,
+    chunk by chunk on the plan's :func:`_schedule`.
 
     Runs the kernel maps of q and k itself and drops phi(k) once the
-    rotated keys and their running sums are built. Returns num and den with
-    the VJP that maps their gradients [gnum, gden] (a list it empties) to
-    those of q, k and v (all [..., N, L, Du]), taking the variates in
-    `order` inside (the maps by copies, v gathered where read, unless it is
-    the given order). With `record`, the states and every block's band
-    scores are kept for the VJP. The VJP holds only what its current stage
-    reads: it takes the blocks, then the state reads per key variate, then
-    the denominators one shift at a time, and un-permutes one output at a
-    time.
+    rotated keys and their running sums are built. Returns num and den
+    with the VJP that maps their gradients [gnum, gden] (a list it
+    empties) to those of q, k and v (all [..., N, L, Du]), taking the
+    variates in the plan's order inside (the maps by copies, v gathered
+    where read, unless it is the given order). With `record`, the states
+    and every block's band scores are kept for the VJP, which frees a
+    band's scores after their last read, then does the denominators one
+    shift at a time and un-permutes one output at a time.
     """
+    order, shifts, schedule = plan
     L, Du = v.shape[-2:]
-    nb = -(-L // c)                            # chunks
+    nb = len(schedule)
     top = L + max(sh.h for sh in shifts)       # query rows m < top
     inv = np.argsort(order)
     if np.all(np.diff(order) == 1):
@@ -315,15 +313,6 @@ def _attend(q, k, v, p, order, shifts, table, rotated, c, record):
             b = _run(order[b]) if isinstance(b, slice) else order[b]
         return v[..., b, rows, :]
 
-    def span(sh, I):
-        # chunk I's queries m in [m0, m1) (rows l = m + d in ls) and the
-        # causal band of its keys j in [m0, k1): no query has l < 0, no
-        # key j < h shows
-        m0 = max(I * c, sh.h)
-        m1 = L - sh.d if I + 1 == nb else min(I * c + c, L - sh.d)
-        k1 = min(I * c + c, L)
-        return m0, k1, np.tri(m1 - m0, k1 - m0), slice(m0 + sh.d, m1 + sh.d)
-
     def queries(x, a, ls, m0):
         # the rows ls of the variates a, rotated once at m = l - d
         return _rope_apply(x[..., a, ls, :], rot[m0:m0 + ls.stop - ls.start])
@@ -332,6 +321,14 @@ def _attend(q, k, v, p, order, shifts, table, rotated, c, record):
         # gx[..., a, ls, :] += g, a gradient of queries(x, a, ls, m0)
         g.view(np.complex128)[...] *= rot[m0:m0 + ls.stop - ls.start].conj()
         _add(gx, a, ls, g)
+
+    def stacked(xs):
+        # [..., X_i, t_i, D] arrays as one [..., sum X_i t_i, D] (the xs are
+        # not kept), and a function cutting such an array back into views
+        shapes = [x.shape for x in xs]
+        ends = np.cumsum([s[-3] * s[-2] for s in shapes])[:-1]
+        return np.concatenate([_flat(x) for x in xs], axis=-2), lambda y: [
+            z.reshape(s) for s, z in zip(shapes, np.split(y, ends, -2))]
 
     # den[a, l] = sum_d qd_a(l - d) . z_d[a, l] with the rho-mixed key sums
     # z_d; qd_a(l - d) . z = qd_a(l) . R(d) z, so one contraction serves all.
@@ -351,81 +348,76 @@ def _attend(q, k, v, p, order, shifts, table, rotated, c, record):
     num = _zeros(v.shape)
     S = 0.0                                    # k^T v of the chunks before I
     states, saved = [], {}
-    for I in range(nb):
-        rows = slice(I * c, I * c + c)
-        for j, sh in enumerate(shifts):
-            if I not in sh.chunks:
-                continue
-            m0, k1, band, ls = span(sh, I)
+    for I, (bands, reads) in enumerate(schedule):
+        for j, (sh, m0, k1, ls, blocks) in enumerate(bands):
             atts = []
-            for a, b, w in sh.blocks:
+            for a, b, mask in blocks:
                 # the block's band: the keys of chunk I up to the query's m
                 qr = queries(phq, a, ls, m0)
                 att = _flat(qr) @ _swap(_flat(kr[..., b, m0:k1, :]))
-                att *= _band_mask(w, band)
+                att *= mask
                 _add(num, a, ls, (att @ _flat(vals(b, slice(m0, k1))))
                      .reshape(qr.shape))
                 atts.append(att)
-            if I * c > sh.h:
-                # the keys before chunk I that the shift shows: per key
-                # variate, its state (less the keys the shift never shows)
-                # meets the queries that read it in one product
-                for b, a, wb in sh.readers:
-                    qr = queries(phq, a, ls, m0)
-                    r = _flat(qr) @ S[..., b, :, :]
-                    if sh.h:
-                        r -= (_flat(qr) @ _swap(kr[..., b, :sh.h, :])) @ vals(
-                            b, slice(0, sh.h))
-                    _add(num, a, ls, wb[..., None, None] * r.reshape(qr.shape))
             if record:
                 saved[I, j] = atts              # the VJP rotates q again
+        for b, readers in reads:
+            # the keys before chunk I: b's state meets all its readers in
+            # one product; a negative shift takes out the keys it never shows
+            qs, split = stacked([queries(phq, a, ls, m0)
+                                 for _, a, ls, m0, _ in readers])
+            for (sh, a, ls, _, wb), qr, r in zip(
+                    readers, split(qs), split(qs @ S[..., b, :, :])):
+                if sh.h:
+                    r -= ((_flat(qr) @ _swap(kr[..., b, :sh.h, :])) @ vals(
+                        b, slice(0, sh.h))).reshape(r.shape)
+                _add(num, a, ls, wb[..., None, None] * r)
         if record:
             states.append(S)
         if I + 1 < nb:
             # nb chunks build and read nb - 1 states: none at one chunk
+            rows = slice(I * c, I * c + c)
             S = S + _swap(kr[..., rows, :]) @ vals(slice(None), rows)
     del S                                      # before the un-permuted copies
 
     def chunk_vjp(I, gnum, gq, gkr, gv, gS):
         # chunk I's part of the VJP, into gq, gkr, gv and gS
-        rows = slice(I * c, I * c + c)
+        bands, reads = schedule[I]
         if I + 1 < nb:
             # S grew by k^T v of chunk I for the chunks after it
+            rows = slice(I * c, I * c + c)
             gkr[..., rows, :] += vals(slice(None), rows) @ _swap(gS)
             gv[..., rows, :] += kr[..., rows, :] @ gS
-        for j, sh in enumerate(shifts):
-            if I not in sh.chunks:
-                continue
-            m0, k1, band, ls = span(sh, I)
+        for j, (sh, m0, k1, ls, blocks) in enumerate(bands):
             keys = slice(m0, k1)
-            for (a, b, w), att in zip(sh.blocks, saved.pop((I, j))):
-                # each gather is made when first read and dropped after
-                # its last read
+            for (a, b, mask), att in zip(blocks, saved.pop((I, j))):
+                # each gather lives from its first read to its last
                 kshape = att.shape[:-2] + (-1, k1 - m0, Du)
                 go = _flat(gnum[..., a, ls, :])
                 gatt = go @ _swap(_flat(vals(b, keys)))
                 _add(gv, b, keys, (_swap(att) @ go).reshape(kshape))
                 del go
-                gatt *= _band_mask(w, band)
+                gatt *= mask
                 qr = queries(phq, a, ls, m0)
                 _add(gkr, b, keys, (_swap(gatt) @ _flat(qr)).reshape(kshape))
                 add_queries(gq, a, ls, m0, (gatt @ _flat(
                     kr[..., b, keys, :])).reshape(qr.shape))
-            if I * c <= sh.h:
-                continue
-            for b, a, wb in sh.readers:
-                qr = _flat(queries(phq, a, ls, m0))
-                go = wb[..., None, None] * gnum[..., a, ls, :]
-                gr = _flat(go)
-                gqb = gr @ _swap(states[I][..., b, :, :])
-                gS[..., b, :, :] += _swap(qr) @ gr
+        for b, readers in reads:
+            qs, split = stacked([queries(phq, a, ls, m0)
+                                 for _, a, ls, m0, _ in readers])
+            gs, _ = stacked([wb[..., None, None] * gnum[..., a, ls, :]
+                             for _, a, ls, _, wb in readers])
+            gS[..., b, :, :] += _swap(qs) @ gs
+            for (sh, a, ls, m0, _), qr, go, gqb in zip(readers, split(
+                    qs), split(gs), split(gs @ _swap(states[I][..., b, :, :]))):
                 if sh.h:
+                    qr, gr = _flat(qr), _flat(go)
                     hk, hv = kr[..., b, :sh.h, :], vals(b, slice(0, sh.h))
                     gp = gr @ _swap(hv)
-                    gqb -= gp @ hk
+                    gqb -= (gp @ hk).reshape(gqb.shape)
                     gkr[..., b, :sh.h, :] -= _swap(gp) @ qr
                     gv[..., b, :sh.h, :] -= _swap(qr @ _swap(hk)) @ gr
-                add_queries(gq, a, ls, m0, gqb.reshape(go.shape))
+                add_queries(gq, a, ls, m0, gqb)
 
     def vjp(grads):
         # a permuted copy replaces each of the caller's gnum and gden
@@ -498,10 +490,10 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
             f"rotary table dim {table.dim} does not match input {Du}")
     nb = -(-L // min(chunk, L))
     c = -(-L // nb)
-    order, shifts = _plan(rho, delta, active, L, c)
+    plan = _plan(rho, delta, active, L, c)
     record = T._grad_enabled and any(
         t.requires_grad for t in (q, k, v))   # as T._make decides
-    num, den, vjp = _attend(q.data, k.data, v.data, p, order, shifts, table,
+    num, den, vjp = _attend(q.data, k.data, v.data, p, plan, table,
                             rotated_denominator, c, record)
     # query (a, l) sees a key once l reaches the smallest max(0, delta_ab);
     # tokens with no key in range fall back to their own value

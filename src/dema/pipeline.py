@@ -162,8 +162,9 @@ def read_csv(path) -> tuple[np.ndarray, np.ndarray | None, list]:
         raise ConfigError("no dataset: pass --data or set path in the config")
     with _open(path, "dataset", newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError(f"{path}: empty file")
+    if len(rows) < 2:
+        raise FormatError(f"{path}: " + ("no data rows, only the header"
+                                         if rows else "empty file"))
     header = rows[0]
     if len(header) < 2:
         raise FormatError(f"{path}: need a timestamp column plus at "
@@ -210,9 +211,14 @@ def load_csv_dataset(spec: DatasetSpec) -> DatasetSplits:
     n_val = int(total * spec.val_ratio)
     if n_train < 1 or total - n_train - n_val < 1:
         raise FormatError(f"{spec.path}: too few rows for the split ratios")
-    mean = data[:, :n_train].mean(axis=1)
-    std = np.maximum(data[:, :n_train].std(axis=1), 1e-8)
-    z = (data - mean[:, None]) / std[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data[:, :n_train].mean(axis=1)
+        std = np.maximum(data[:, :n_train].std(axis=1), 1e-8)
+        z = (data - mean[:, None]) / std[:, None]
+    bad = ~(np.isfinite(std) & np.isfinite(z).all(axis=1))
+    if bad.any():          # finite cells whose sums or squares overflow
+        raise FormatError(f"{spec.path}: column {columns[bad.argmax()]!r} "
+                          "is too large in magnitude to z-score")
     parts = {"train": slice(0, n_train),
              "val": slice(n_train, n_train + n_val),
              "test": slice(n_train + n_val, None)}
@@ -231,7 +237,7 @@ def make_windows(split: np.ndarray, lookback: int, horizon: int, task: str,
     """Stride-1 sliding (input, target) pairs for one split.
 
     Empty when the split is shorter than one window; :func:`train` and
-    :func:`evaluate` reject that with :func:`_no_windows`.
+    :func:`evaluate` reject that with :func:`split_windows`.
     """
     split = np.atleast_2d(np.asarray(split, dtype=np.float64))
     total = split.shape[1]
@@ -253,7 +259,7 @@ def make_windows(split: np.ndarray, lookback: int, horizon: int, task: str,
     return out
 
 
-def _split_windows(name: str, splits: DatasetSplits, cfg: ModelConfig):
+def split_windows(name: str, splits: DatasetSplits, cfg: ModelConfig):
     """`make_windows` of one split, rejecting a split shorter than one
     window and, for classification, a label outside [0, n_classes)."""
     labels = (splits.labels or {}).get(name)
@@ -404,8 +410,8 @@ def train(config: TrainConfig, spec: DatasetSpec,
     cfg = config.model
     state = ModelState.init(cfg)
     rng = np.random.default_rng(cfg.seed)
-    train_windows = _split_windows("train", splits, cfg)
-    val_windows = _split_windows("val", splits, cfg)
+    train_windows = split_windows("train", splits, cfg)
+    val_windows = split_windows("val", splits, cfg)
     priors = choose_priors(splits, cfg, config.global_priors, priors_override)
     initial = {name: p.data.copy() for name, p in state.parameters()}
     opt = Adam(state.parameters(), lr=config.lr)
@@ -517,7 +523,7 @@ def evaluate(state: ModelState, spec: DatasetSpec,
     priors = choose_priors(splits, cfg, config.global_priors, priors_override)
     if cfg.task == "anomaly":
         return detect(state, spec, splits, config, priors)[0]
-    test_windows = _split_windows("test", splits, cfg)
+    test_windows = split_windows("test", splits, cfg)
     with T.no_grad():
         err_sq, err_abs, count, correct = 0.0, 0.0, 0, 0
         for start, xs, ys in _batches(test_windows, config.batch_size):
@@ -549,7 +555,7 @@ def detect(state: ModelState, spec: DatasetSpec, splits: DatasetSplits,
     train-split scores; flags, and F1 where there are labels, are on the
     test split.
     """
-    _split_windows("test", splits, state.config)   # long enough for one
+    split_windows("test", splits, state.config)   # long enough for one
     windows = tiled_windows(splits.test, state.config.lookback)
     with T.no_grad():
         threshold = select_threshold(_reconstruction_scores(

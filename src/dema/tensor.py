@@ -31,17 +31,15 @@ the exception. What each saves besides its inputs:
   (layer_norm(x + r)): the row means and standard deviations ([..., 1])
   of each layer norm; the VJPs recompute x + r and x_hat.
 - the causal `conv1d`: nothing, and it pads nothing.
-- `dala.kernel_phi`: the two row norms; its VJP recomputes r = ReLU(x)
-  and r^p.
 - `ssd.ssd_blocked`: the cumulative log-decays, the intra-chunk matrices
   and the states the chunks after the first read (none at one chunk);
   its VJP rebuilds the masked [..., c, c, Dh] decays a row block at a time.
-- `dala.dala_core` (one node from q, k and v; it runs `kernel_phi`'s map
-  and VJP inside, so phi(k) is kept nowhere): phi(q) and the row norms
+- `dala.dala_core` (one node from q, k and v; it runs the kernel map and
+  its VJP inside, so phi(k) is kept nowhere): phi(q) and the row norms
   of both maps, the rotated keys, numerator, denominator and mixed key
   sums, the running k^T v states and, per block, the band scores of real
-  pairs only; its VJP rotates each block's queries again and gathers v
-  where it reads it.
+  pairs only; its VJP rotates the queries of each block and state reader
+  again and gathers v where it reads it.
 
 VJPs read their inputs' `.data` when `backward` runs, not when the op is
 recorded, so nothing may write into an input of a recorded op between

@@ -327,6 +327,33 @@ def test_empty_val_split_exits_cleanly(tmp_path, capsys):
     assert not (tmp_path / "train_log.json").exists()
 
 
+def test_short_test_split_exits_before_training(tmp_path, capsys):
+    # 130 rows at the ratios 0.6 / 0.35 leave a 7-row test split: no
+    # epoch runs and nothing is written
+    conf = tmp_path / "short.conf"
+    conf.write_text("epochs = 1\nd_model = 8\nlookback = 32\nhorizon = 8\n"
+                    "train_ratio = 0.6\nval_ratio = 0.35\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(conf),
+                 "--data", str(small_csv(tmp_path / "d.csv", 130)),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: test split yields no windows: it has 7 rows and "
+                   "a window needs lookback + horizon = 40"]
+    assert not (out / "checkpoint.npz").exists()
+    assert not (out / "train_log.json").exists()
+
+
+def test_train_reads_the_csv_once(workspace, monkeypatch):
+    calls = []
+    read = pipeline.read_csv
+    monkeypatch.setattr(pipeline, "read_csv",
+                        lambda path: calls.append(path) or read(path))
+    run(["train", "--config", workspace / "forecast.conf",
+         "--data", workspace / "plain.csv", "--out", workspace / "run_once"])
+    assert calls == [str(workspace / "plain.csv")]
+
+
 @pytest.mark.parametrize("args, named", [
     (["train", "--config", "ok.conf"], "--data"),
     (["train", "--config", "missing.conf", "--data", "d.csv"], "missing.conf"),

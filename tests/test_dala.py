@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dema import tensor as T
 from dema import dala
-from dema.dala import (DalaInputs, DalaParams, RotaryTable, _phi_np,
-                       _rope_apply, dala_attention, dala_core, kernel_phi,
+from dema.dala import (DalaInputs, DalaParams, RotaryTable, _phi, _phi_np,
+                       _rope_apply, dala_attention, dala_core,
                        mamba_dala_forward, naive_dala_oracle)
 from dema.delay import DelayPriors
 from dema.errors import ConfigError, ContractError
@@ -95,33 +95,33 @@ def test_rope_backward_is_inverse_rotation(rng):
 
 def test_phi_all_negative_gives_zero(rng):
     x = -np.abs(rng.standard_normal((4, 6))) - 0.1
-    out = kernel_phi(T.Tensor(x))
-    np.testing.assert_array_equal(out.data, 0.0)
+    out, _ = _phi(x, 3)
+    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_phi_preserves_relu_norm(rng):
     x = rng.standard_normal((10, 6))
-    out = kernel_phi(T.Tensor(x), p=3)
+    out, _ = _phi(x, 3)
     ref = np.linalg.norm(np.maximum(x, 0.0), axis=-1)
-    np.testing.assert_allclose(np.linalg.norm(out.data, axis=-1), ref,
+    np.testing.assert_allclose(np.linalg.norm(out, axis=-1), ref,
                                atol=1e-10)
 
 
 def test_phi_p_one_is_relu(rng):
     x = rng.standard_normal((5, 4))
-    out = kernel_phi(T.Tensor(x), p=1)
-    np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
+    out, _ = _phi(x, 1)
+    np.testing.assert_array_equal(out, np.maximum(x, 0.0))
 
 
 def test_phi_rejects_bad_power():
     with pytest.raises(ConfigError):
-        kernel_phi(T.Tensor(np.ones(4)), p=0)
+        _phi(np.ones(4), 0)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_phi_propagates_nan(p):
     # a NaN input is not zeroed into a plausible feature
-    out = kernel_phi(T.Tensor([[np.nan, 1.0], [2.0, 1.0]]), p).data
+    out, _ = _phi(np.array([[np.nan, 1.0], [2.0, 1.0]]), p)
     assert np.all(np.isnan(out[0])) and np.all(np.isfinite(out[1]))
 
 
@@ -131,7 +131,7 @@ def test_phi_exact_on_small_rows(p, rng):
     # every scale, also where |r^p|^2 is far below 1e-30
     x = rng.standard_normal((8, 6))
     for scale in (1.0, 1e-3, 1e-6, 1e-8):
-        out = kernel_phi(T.Tensor(x * scale), p).data
+        out, _ = _phi(x * scale, p)
         np.testing.assert_allclose(out, _phi_np(x * scale, p), rtol=1e-12,
                                    atol=0)
         np.testing.assert_allclose(
@@ -141,8 +141,8 @@ def test_phi_exact_on_small_rows(p, rng):
 
 
 def test_phi_nonnegative(rng):
-    out = kernel_phi(T.Tensor(rng.standard_normal((20, 8))), p=3)
-    assert np.all(out.data >= 0)
+    out, _ = _phi(rng.standard_normal((20, 8)), 3)
+    assert np.all(out >= 0)
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +329,7 @@ def test_batched_path_matches_oracle_property(case):
     assert oracle_rel_err(case) <= 1e-8
 
 
-# Draws of dala_cases that missed the 1e-8 bound while kernel_phi added
+# Draws of dala_cases that missed the 1e-8 bound while the kernel map added
 # 1e-30 under its norms: a key with |r^3|^2 near 1e-23 met a query whose
 # denominator against it is exactly 0, so the output showed that error
 # divided by eps.
@@ -515,28 +515,25 @@ def test_per_window_priors_gradients_match_single_windows(rotated):
             assert np.max(np.abs(a[i] - b)) <= 1e-12 * scale
 
 
-def test_shared_priors_keep_unbatched_weights(rng, monkeypatch):
+def test_shared_priors_keep_unbatched_weights(rng):
     # priors [N, N] shared by a batch plan 2-D weights and masks: nothing
     # is broadcast over the batch
-    masks = []
-    band_mask = dala._band_mask
-
-    def recorded(w, band):
-        masks.append(band_mask(w, band))
-        return masks[-1]
-
-    monkeypatch.setattr(dala, "_band_mask", recorded)
     priors = make_priors(rng, 3)
     q, k, v = (T.Tensor(rng.standard_normal((4, 3, 6, 4)),
                         requires_grad=True) for _ in range(3))
     T.backward(T.tsum(dala_core(q, k, v, priors, chunk=2)))
-    assert masks and all(m.ndim == 2 for m in masks)
     rho = priors.rho_weights()
     active = (rho > 0) & (np.abs(priors.delta_tok) < 6)
-    _, shifts = dala._plan_shifts(rho, priors.delta_tok, active, 6, 2)
+    _, shifts, schedule = dala._plan_shifts(rho, priors.delta_tok, active,
+                                            6, 2)
+    masks = [m for bands, _ in schedule for *_, blocks in bands
+             for _, _, m in blocks]
+    assert masks and all(m.ndim == 2 for m in masks)
+    weights = [wb for _, reads in schedule for _, rs in reads
+               for *_, wb in rs]
+    assert weights and all(wb.ndim == 1 for wb in weights)
     for sh in shifts:
         assert sh.w.ndim == 2 and all(w.ndim == 2 for _, _, w in sh.blocks)
-        assert all(wb.ndim == 1 for _, _, wb in sh.readers)
 
 
 def block_pairs(shifts):
@@ -558,7 +555,7 @@ def test_blocks_hold_exactly_the_active_pairs(rng):
     delta = rng.integers(-7, 8, (N, N))
     rho = np.where(rng.random((N, N)) < 0.2, 0.0, rng.uniform(0.1, 1, (N, N)))
     active = (rho > 0) & (np.abs(delta) < L)
-    order, shifts = dala._plan_shifts(rho, delta, active, L, 4)
+    order, shifts, _ = dala._plan_shifts(rho, delta, active, L, 4)
     n, triples = block_pairs(shifts)
     d, r = delta[np.ix_(order, order)], rho[np.ix_(order, order)]
     assert n == active.sum() == len(triples)
@@ -574,12 +571,51 @@ def test_blocks_hold_the_union_of_windows_pairs():
     priors = window_priors()
     rho, delta = priors.rho_weights(), priors.delta_tok
     active = (rho > 0) & (np.abs(delta) < 7)
-    order, shifts = dala._plan_shifts(rho, delta, active, 7, 3)
+    order, shifts, _ = dala._plan_shifts(rho, delta, active, 7, 3)
     n, triples = block_pairs(shifts)
     sel = active[:, order[:, None], order]
     union = {(int(delta[g, order[a], order[b]]), a, b)
              for g, a, b in zip(*np.nonzero(sel))}
     assert n == len(union) == len(triples) and triples == union
+
+
+@pytest.mark.parametrize("L, c, lead", [
+    (17, 9, ()), (40, 14, ()), (90, 15, (2,)), (13, 3, (3,))],
+    ids=["17 tokens", "40 tokens", "90 tokens, 2 windows",
+         "13 tokens, 3 windows"])
+def test_schedule_runs_each_shift_in_its_chunks(L, c, lead):
+    # each shift runs a band in the chunks its query rows m = l - d meet,
+    # and reads the states there exactly when chunk I starts past its
+    # hidden keys (I c > h), with every pair it has; a chunk reads each
+    # key variate's state once
+    rng = np.random.default_rng(L)
+    N = 5
+    delta = rng.integers(-L, L + 1, lead + (N, N)) // rng.integers(
+        1, 4, lead + (N, N))
+    rho = np.where(rng.random(lead + (N, N)) < 0.3, 0.0,
+                   rng.uniform(0.1, 1, lead + (N, N)))
+    active = (rho > 0) & (np.abs(delta) < L)
+    _, shifts, schedule = dala._plan_shifts(rho, delta, active, L, c)
+    nb = -(-L // c)
+    assert len(schedule) == nb
+    for sh in shifts:
+        runs = [I for I, (bands, _) in enumerate(schedule)
+                if any(band[0] is sh for band in bands)]
+        assert runs == list(range(sh.h // c, min(nb, -(-(L - sh.d) // c))))
+    reading = 0
+    for I, (bands, reads) in enumerate(schedule):
+        keys = [b for b, _ in reads]
+        assert len(set(keys)) == len(keys)
+        readers = [(sh, a, b) for b, rs in reads for sh, a, *_ in rs]
+        assert {id(sh) for sh, _, _ in readers} == {
+            id(sh) for sh, *_ in bands if I * c > sh.h}
+        got = {(sh.d, x, b) for sh, a, b in readers
+               for x in np.arange(64)[a]}
+        n, want = block_pairs([sh for sh, *_ in bands if I * c > sh.h])
+        assert got == want and sum(
+            len(np.arange(64)[a]) for _, a, _ in readers) == n
+        reading += bool(reads)
+    assert 0 < reading < nb
 
 
 @pytest.mark.parametrize("sort, delta, rho", [
@@ -601,7 +637,7 @@ def test_plan_sorts_variates_only_when_it_makes_more_runs(sort, delta, rho):
     by_shift = np.argsort(np.where(active, delta, 0).sum(axis=1)
                           / active.sum(axis=1), kind="stable")
     assert not np.array_equal(by_shift, np.arange(N))
-    order, _ = dala._plan_shifts(rho, delta, active, L, 3)
+    order, _, _ = dala._plan_shifts(rho, delta, active, L, 3)
     np.testing.assert_array_equal(order, by_shift if sort else np.arange(N))
     priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
     rng = np.random.default_rng(5)
@@ -701,7 +737,7 @@ def test_gradient_finite_difference_several_blocks_per_shift():
     priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
     rho_w = priors.rho_weights()
     active = (rho_w > 0) & (np.abs(delta) < L)
-    _, shifts = dala._plan_shifts(rho_w, delta, active, L, 3)
+    _, shifts, _ = dala._plan_shifts(rho_w, delta, active, L, 3)
     assert max(len(sh.blocks) for sh in shifts) >= 2
     rng = np.random.default_rng(9)
     datas = [rng.standard_normal((N, L, Du)) * 0.5 + 1.0 for _ in range(3)]
@@ -724,13 +760,13 @@ def test_gradient_finite_difference_index_array_blocks(p):
     priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta, max_lag=64)
     rho_w = priors.rho_weights()
     active = (rho_w > 0) & (np.abs(delta) < L)
-    order, shifts = dala._plan_shifts(rho_w, delta, active, L, 2)
+    order, shifts, schedule = dala._plan_shifts(rho_w, delta, active, L, 2)
     assert [sh.d for sh in shifts] == [-1, 0, 1]
     assert not np.array_equal(order, np.arange(N))
     assert any(isinstance(a, np.ndarray) for sh in shifts
                for a, _, _ in sh.blocks)
-    assert any(isinstance(a, np.ndarray) for sh in shifts
-               for _, a, _ in sh.readers)
+    assert any(isinstance(a, np.ndarray) for _, reads in schedule
+               for _, rs in reads for _, a, *_ in rs)
     rng = np.random.default_rng(11)
     datas = [rng.standard_normal((N, L, Du)) * 0.5 + 0.8 for _ in range(3)]
     datas[0][1, 3] = -np.abs(datas[0][1, 3]) - 0.1      # a query row
@@ -779,9 +815,11 @@ def test_default_chunk_matches_oracle(L, rotated):
     priors = DelayPriors(tau=delta * 8, rho=rho, delta_tok=delta,
                          max_lag=8 * L + 8)
     rho_w = priors.rho_weights()
-    _, shifts = dala._plan_shifts(rho_w, delta, (rho_w > 0) & (
+    _, _, schedule = dala._plan_shifts(rho_w, delta, (rho_w > 0) & (
         np.abs(delta) < L), L, c)
-    reads = [I * c > sh.h for sh in shifts for I in sh.chunks if I]
+    # per shift in each chunk after the first: does it read a state?
+    reads = [any(r[0] is sh for _, rs in reads for r in rs)
+             for bands, reads in schedule[1:] for sh, *_ in bands]
     assert any(reads) and not all(reads)
     rng = np.random.default_rng(L)
     inp = DalaInputs(*(T.Tensor(rng.standard_normal((L, 3, 4)) + 0.5)

@@ -214,6 +214,30 @@ def test_load_rejects_ragged_and_nonnumeric(tmp_path):
         load_csv_dataset(DatasetSpec(path=str(p)))
 
 
+def test_load_header_only_says_no_data_rows(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("ts,a,b\n")
+    with pytest.raises(FormatError, match=r"d\.csv: no data rows"):
+        pipeline.read_csv(str(p))
+
+
+@pytest.mark.parametrize("value", [
+    lambda t: 1e306 * (1 + t % 3),          # the train sums overflow
+    lambda t: 1e200 * (-1) ** t,            # the squares overflow
+], ids=["sums", "squares"])
+def test_load_rejects_values_too_large_to_zscore(tmp_path, value):
+    # finite cells whose z-score overflows: a FormatError naming the file
+    # and the column, and no numpy warning on the way
+    p = tmp_path / "d.csv"
+    write_csv(p, [["ts", "a", "b"]] + [[t, 1.0 + t, value(t)]
+                                       for t in range(200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError,
+                           match=r"d\.csv: column 'b' is too large"):
+            load_csv_dataset(DatasetSpec(path=str(p)))
+
+
 def test_load_label_column(tmp_path):
     p = tmp_path / "d.csv"
     rows = [["ts", "a", "label"]]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dema import tensor as T
-from dema.dala import dala_core, kernel_phi
+from dema.dala import _phi, _phi_vjp, dala_core
 from dema.delay import DelayPriors
 from dema.errors import ContractError, DimensionError, NumericError
 from dema.model import (ModelConfig, ModelState, backbone_forward,
@@ -355,7 +355,11 @@ def test_vjps_keep_only_inputs_and_row_statistics(rng):
     c = min(cfg.chunk, L)
     assert not any(a.shape[-3:] == (c, c, Dh) for a in held["ssd_blocked"])
     assert held["dala_core"]
-    assert "kernel_phi" not in held     # dala_core maps q and k itself
+    # dala_core maps q and k itself: its parents are the projections
+    assert all(p._backward.__qualname__.split(".")[0] == "linear"
+               for n in nodes.values() if n._backward is not None and
+               n._backward.__qualname__.startswith("dala_core.")
+               for p in n._parents)
     assert not any(a.shape[-3:] == (3, L + 2, Du) for a in held["dala_core"])
 
 
@@ -414,8 +418,12 @@ def _finite_diff_check(op, shapes, rng, rel_tol=1e-4, h=1e-6, **kwargs):
 
 
 def phi_with_dead_row(x, p):
-    """kernel_phi with row 1 pushed below zero (zero output and gradient)."""
-    return kernel_phi(T.add(x, np.array([0.0, -10.0, 0.0, 0.0])[:, None]), p)
+    """DALA's kernel map `_phi` as a node with `_phi_vjp` as its VJP, with
+    row 1 pushed below zero (zero output and gradient)."""
+    x = T.add(x, np.array([0.0, -10.0, 0.0, 0.0])[:, None])
+    phi, norms = _phi(x.data, p)
+    return T._make(phi, (x,),
+                   lambda g: (_phi_vjp(g.copy(), x.data, p, *norms),))
 
 
 def ssd_from_log_decays(log_a, B_bar, C, x, chunk):
@@ -511,7 +519,7 @@ def test_per_op_finite_difference(op, shapes, kwargs, rng):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_power_integer_matches_float_pow(p, rng):
-    # the repeated products kernel_phi takes its powers with
+    # the repeated products the kernel map `_phi` takes its powers with
     x = rng.standard_normal((3, 4))
     np.testing.assert_allclose(T._int_power(x, p), x ** float(p), rtol=1e-14,
                                atol=0)
@@ -543,13 +551,14 @@ def test_div_sqrt_log_positive_domain(rng):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_kernel_phi_dead_row_has_zero_gradient(p, rng):
-    x = T.Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    x.data[1] = -np.abs(x.data[1])
-    x.data[1, 2] = 0.0
-    out = kernel_phi(x, p)
-    assert np.all(out.data[1] == 0.0)
-    T.backward(T.tsum(T.mul(out, rng.standard_normal(out.shape))))
-    assert np.all(x.grad[1] == 0.0) and np.all(np.isfinite(x.grad))
+    # DALA's kernel map `_phi` and its VJP `_phi_vjp`
+    x = rng.standard_normal((3, 6))
+    x[1] = -np.abs(x[1])
+    x[1, 2] = 0.0
+    out, norms = _phi(x, p)
+    assert np.all(out[1] == 0.0)
+    grad = _phi_vjp(rng.standard_normal(out.shape), x, p, *norms)
+    assert np.all(grad[1] == 0.0) and np.all(np.isfinite(grad))
 
 
 def test_ssd_gradients_finite_when_decays_underflow(rng):
@@ -588,14 +597,12 @@ def test_fused_ops_record_one_node(rng):
     assert T.add_layer_norm(x, y, gamma, beta)._parents == (x, y, gamma, beta)
     kernel = leaf(3, 4)
     assert T.conv1d(x, kernel)._parents == (x, kernel)
-    for p in (1, 2, 3, 4):
-        assert kernel_phi(x, p)._parents == (x,)
-    # dala_core runs the kernel map inside its own node
+    # dala_core runs the kernel map inside its own node, for every power
     q, k, v = (leaf(3, 5, 4) for _ in range(3))
     delta = np.array([[0, 1, 0], [-1, 0, 2], [0, 1, 0]])
     priors = DelayPriors(tau=delta * 8, rho=np.full((3, 3), 0.8),
                          delta_tok=delta, max_lag=16)
-    for p in (1, 3):
+    for p in (1, 2, 3, 4):
         assert dala_core(q, k, v, priors, p)._parents == (q, k, v)
     log_a, B_bar, C, u = (leaf(2, 7, n) for n in (3, 3, 3, 4))
     d = DiscreteSSM(A_bar=None, B_bar=B_bar, log_A_bar=log_a)
