@@ -73,15 +73,17 @@ def _report(metrics, out):
 def cmd_train(args):
     cfg, spec = _load_configs(args)
     splits = load_csv_dataset(spec)
-    split_windows("test", splits, cfg.model)    # train checks the others
+    for name in ("train", "val", "test"):     # before the priors and epochs
+        split_windows(name, splits, cfg.model)
     os.makedirs(args.out, exist_ok=True)
-    result = train(cfg, spec, splits=splits)
+    priors = choose_priors(splits, cfg.model, cfg.global_priors)
+    result = train(cfg, spec, splits, priors)
     ckpt = os.path.join(args.out, "checkpoint.npz")
     save_checkpoint(result.state, ckpt)
     write_json({"log": result.log, "best_epoch": result.best_epoch,
                 "diverged": result.diverged},
                os.path.join(args.out, "train_log.json"))
-    metrics = evaluate(result.state, spec, splits=splits, config=cfg)
+    metrics = evaluate(result.state, spec, splits, cfg, priors)
     print(f"checkpoint: {ckpt}")
     _report(metrics, args.out)
 

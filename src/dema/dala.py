@@ -16,11 +16,11 @@ every key variate be rotated once at its own positions; each distinct
 shift d of the active pairs (rho > 0, |delta| < L) rotates the query rows
 at m = l - d instead. The denominators of all shifts are one contraction
 of the queries with rho-mixed running key sums. The numerators cut the
-token axis into chunks of c keys, as in the state-passing schedule of
-Mamba-2's SSD (Dao & Gu, arXiv:2405.21060) applied to linear attention
-(Katharopoulos et al., arXiv:2006.16236). Each plan decides once, in
-:func:`_schedule`, what chunk I runs for the shifts whose query rows m
-meet [I c, I c + c):
+token axis into the SSD's chunks of c keys (`T._chunks`, of the config's
+`chunk`), as in the state-passing schedule of Mamba-2's SSD (Dao & Gu,
+arXiv:2405.21060) applied to linear attention (Katharopoulos et al.,
+arXiv:2006.16236). Each plan decides once, in :func:`_schedule`, what
+chunk I runs for the shifts whose query rows m meet [I c, I c + c):
 
 * their bands: the keys of chunk I alone. A shift's query variates with
   the same key set form a block, a complete biclique: one product of real
@@ -464,7 +464,8 @@ def _attend(q, k, v, p, plan, table, rotated, c, record):
 
 def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
               table: RotaryTable | None = None, eps: float = ATTN_EPS,
-              rotated_denominator: bool = False, chunk: int = 16) -> T.Tensor:
+              rotated_denominator: bool = False,
+              chunk: int = T.CHUNK) -> T.Tensor:
     """Delay-aware causal linear attention on token streams [..., N, L, Du].
 
     The priors are [N, N], shared by every window, or [..., N, N] with the
@@ -488,8 +489,7 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
     if table.dim != Du:
         raise ConfigError(
             f"rotary table dim {table.dim} does not match input {Du}")
-    nb = -(-L // min(chunk, L))
-    c = -(-L // nb)
+    _, c = T._chunks(L, chunk)
     plan = _plan(rho, delta, active, L, c)
     record = T._grad_enabled and any(
         t.requires_grad for t in (q, k, v))   # as T._make decides
@@ -524,7 +524,7 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
 
 def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
                    eps: float = ATTN_EPS, rotated_denominator: bool = False,
-                   chunk: int = 16) -> T.Tensor:
+                   chunk: int = T.CHUNK) -> T.Tensor:
     """:func:`dala_core` on q, k, v [..., L, N, Du], the oracle's layout."""
     q, k, v = (T.swapaxes(T._wrap(x), -3, -2) for x in (inp.q, inp.k, inp.v))
     y = dala_core(q, k, v, inp.priors, inp.p, table, eps,
@@ -616,13 +616,13 @@ class DalaParams:
             rotated_denominator=rotated_denominator)
 
 
-def mamba_dala_forward(x: T.Tensor, priors: DelayPriors,
-                       params: DalaParams) -> T.Tensor:
-    """Full variate-path module on tokens [..., N, L, D]."""
+def mamba_dala_forward(x: T.Tensor, priors: DelayPriors, params: DalaParams,
+                       chunk: int) -> T.Tensor:
+    """Full variate-path module on tokens [..., N, L, D], chunked as the SSD."""
     content = T.linear(x, params.w_content, params.b_content)
     gate = T.linear(x, params.w_gate, params.b_gate)
     y = dala_core(T.linear(content, params.w_q), T.linear(content, params.w_k),
                   T.linear(content, params.w_v), priors,
                   p=params.kernel_power,
-                  rotated_denominator=params.rotated_denominator)
+                  rotated_denominator=params.rotated_denominator, chunk=chunk)
     return T.gated_linear(y, gate, params.w_out, params.b_out)

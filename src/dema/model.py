@@ -47,7 +47,7 @@ class ModelConfig:
     theta: float = 0.4
     alpha: float = 0.6
     beta: float = 0.4
-    chunk: int = 16
+    chunk: int = T.CHUNK
     conv_size: int = 4
     kernel_power: int = 3
     rotated_denominator: bool = False
@@ -161,7 +161,7 @@ def duomnet_block(x_time: T.Tensor, x_var: T.Tensor, priors: DelayPriors,
     Returns (next cross-time tokens, next cross-variate tokens, Z_b).
     """
     y_time = mamba_ssd_forward(x_time, params.ssd)
-    y_var = mamba_dala_forward(x_var, priors, params.dala)
+    y_var = mamba_dala_forward(x_var, priors, params.dala, params.ssd.chunk)
     # alpha LN(Y_time) + beta LN(Y_var), then LN(U + FFN(U)): one node each,
     # so no normalized, weighted or summed copy is kept for the backward
     lt, lv, lo = params.ln_time, params.ln_var, params.ln_out

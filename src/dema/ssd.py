@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 
 
 @dataclass
@@ -53,11 +53,11 @@ class SsdParams:
     A_log: T.Tensor      # [Dh]
     w_out: T.Tensor      # [Du, D]
     b_out: T.Tensor      # [D]
-    chunk: int = 16
+    chunk: int           # of the SSD's and DALA's schedules (`T._chunks`)
 
     @staticmethod
     def init(D: int, Du: int, Dh: int, rng: np.random.Generator,
-             conv_size: int = 4, chunk: int = 16) -> "SsdParams":
+             conv_size: int = 4, chunk: int = T.CHUNK) -> "SsdParams":
         # decay rates spread over [1, 16] keeps A_bar well inside (0, 1)
         a_log = np.log(np.linspace(1.0, 16.0, Dh))
         return SsdParams(
@@ -121,7 +121,8 @@ def _swap(a):
 def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     """Chunked semiseparable evaluation of the selective scan.
 
-    Numerically equal to :func:`ssm_scan_reference` for any chunk size.
+    Numerically equal to :func:`ssm_scan_reference` for any chunk size,
+    split as DALA's (`T._chunks`: 24 tokens at chunk 16 run as 2 x 12).
     The segsum form of Mamba-2 (Dao & Gu, arXiv:2405.21060): per chunk,
     la = cumsum(log A_bar), the masked decays exp(la_j - la_i) (j >= i)
     give M = C B^T * decay and the intra-chunk output M x; the chunks
@@ -135,15 +136,12 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     flattened [..., nb] axes (`T._row_blocks`), in which C B decay is summed
     and the VJP's einsums run, each element in its whole-array sum order.
     """
-    if chunk <= 0:
-        raise ConfigError("chunk size must be positive")
     # log-space decays: an underflowed A_bar would give log 0 = -inf and
     # -inf - -inf = NaN in the decays
     log_a = T.tlog(d.A_bar) if d.log_A_bar is None else T._wrap(d.log_A_bar)
     inputs = (log_a, T._wrap(d.B_bar), T._wrap(C), T._wrap(x))
     L = inputs[3].shape[-2]
-    c = min(chunk, L)
-    nb = -(-L // c)
+    nb, c = T._chunks(L, chunk)
     lead = np.broadcast_shapes(*(t.shape[:-2] for t in inputs))
     mask = np.tril(np.ones((c, c)))[..., None]    # j >= i
 
@@ -190,9 +188,9 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
         # the state after chunk i is e_i h + w_i^T x_i, with w the decays
         # to the chunk's end times B_bar; chunk i + 1 reads it. The state
         # work grows with nb - 1, which keeps criterion 8 (time per doubling
-        # of the window) linear because its lengths give the SSD, and DALA
-        # on the same chunk, at least 3 chunks (48 to 384 tokens: 2, 5, 11
-        # and 23 states)
+        # of the window) linear because its lengths, multiples of the
+        # default chunk, give the SSD and DALA, which split alike, at least
+        # 3 chunks (48 to 384 tokens: 2, 5, 11 and 23 states)
         ea = np.exp(la)
         U = _swap(np.exp(la[..., :-1, -1:, :] - la[..., :-1, :, :])
                   * Bb[..., :-1, :, :]) @ xb[..., :-1, :, :]

@@ -59,9 +59,10 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _grad_enabled = True
+CHUNK = 16      # tokens per chunk of the SSD's and DALA's schedules
 
 
 @contextlib.contextmanager
@@ -144,6 +145,15 @@ def _row_blocks(n, width, budget=1 << 15):
     and at most a quarter of the rows, so no temporary is a whole array."""
     step = max(1, min(budget // max(width, 1), -(-n // 4)))
     return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _chunks(L, chunk):
+    """(nb, c): the SSD's and DALA's split of L tokens into nb = ceil(L /
+    min(chunk, L)) chunks of c = ceil(L / nb), padding fewer than nb rows."""
+    if chunk < 1:
+        raise ConfigError(f"chunk size must be >= 1, got {chunk}")
+    nb = -(-L // min(chunk, L))
+    return nb, -(-L // nb)
 
 
 def _unbroadcast(grad, shape):

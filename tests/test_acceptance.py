@@ -5,7 +5,6 @@ pass/fail lines. The heavier criteria (scaling benchmark, training runs)
 dominate the runtime; the whole gate stays well inside its stated budgets.
 """
 
-import inspect
 import time
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from conftest import chirp, coupled_splits
 from dema import tensor as T
 from dema.dala import (DalaInputs, RotaryTable, _rope_apply, dala_attention,
-                       dala_core, naive_dala_oracle)
+                       naive_dala_oracle)
 from dema.delay import DelayPriors, token_shift, xcorr_delay
 from dema.model import ModelConfig, ModelState, model_forward
 from dema.pipeline import (DatasetSpec, TrainConfig, bench_scaling, evaluate,
@@ -302,13 +301,12 @@ def test_criterion_8_linear_scaling():
 
 def test_criterion_8_lengths_run_several_chunks():
     # the doublings are timed against each other, so the chunked schedules
-    # of the SSD and of DALA already run at the first length: with at least
-    # 3 chunks per length, a doubling adds chunks, not a new kind of work
+    # of the SSD and of DALA, both split by the config's one chunk, already
+    # run at the first length: with at least 3 chunks per length, a
+    # doubling adds chunks, not a new kind of work
     tokens = [ModelConfig(lookback=n).n_tokens for n in CRITERION_8_LENGTHS]
     assert tokens == [48, 96, 192, 384]
-    dala_chunk = inspect.signature(dala_core).parameters["chunk"].default
-    for chunk in (dala_chunk, ModelConfig().chunk):
-        assert min(-(-n // chunk) for n in tokens) >= 3, chunk
+    assert min(T._chunks(n, ModelConfig().chunk)[0] for n in tokens) >= 3
 
 
 # ----------------------------------------------------------------------

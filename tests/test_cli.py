@@ -354,6 +354,17 @@ def test_train_reads_the_csv_once(workspace, monkeypatch):
     assert calls == [str(workspace / "plain.csv")]
 
 
+def test_train_estimates_the_shared_priors_once(workspace, monkeypatch):
+    # train and evaluate read one estimate of the train split's priors
+    calls = []
+    estimate = pipeline.delay_matrix
+    monkeypatch.setattr(pipeline, "delay_matrix",
+                        lambda *args: calls.append(args) or estimate(*args))
+    run(["train", "--config", workspace / "forecast.conf",
+         "--data", workspace / "plain.csv", "--out", workspace / "run_priors"])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("args, named", [
     (["train", "--config", "ok.conf"], "--data"),
     (["train", "--config", "missing.conf", "--data", "d.csv"], "missing.conf"),

@@ -851,7 +851,7 @@ def test_forward_gate_kill(rng):
     params.b_gate.data = np.full(16, -60.0)
     params.w_gate.data = np.zeros((8, 16))
     tokens = T.Tensor(rng.standard_normal((2, 5, 8)))
-    out = mamba_dala_forward(tokens, DelayPriors.identity(2), params)
+    out = mamba_dala_forward(tokens, DelayPriors.identity(2), params, T.CHUNK)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
@@ -859,11 +859,11 @@ def test_forward_single_variate_self_contained(rng):
     params = DalaParams.init(8, 16, np.random.default_rng(3))
     tokens = rng.standard_normal((1, 6, 8))
     full = mamba_dala_forward(T.Tensor(tokens), DelayPriors.identity(1),
-                              params).data
+                              params, T.CHUNK).data
     trunc = tokens.copy()
     trunc[:, 4:] = 0.0
     out = mamba_dala_forward(T.Tensor(trunc), DelayPriors.identity(1),
-                             params).data
+                             params, T.CHUNK).data
     assert np.max(np.abs(out[:, :4] - full[:, :4])) <= 1e-9
 
 
@@ -871,9 +871,11 @@ def test_forward_batched_matches_unbatched(rng):
     params = DalaParams.init(8, 16, np.random.default_rng(4))
     priors = DelayPriors.identity(2)
     tokens = rng.standard_normal((3, 2, 5, 8))
-    batched = mamba_dala_forward(T.Tensor(tokens), priors, params).data
+    batched = mamba_dala_forward(T.Tensor(tokens), priors, params,
+                                 T.CHUNK).data
     for g in range(3):
-        single = mamba_dala_forward(T.Tensor(tokens[g]), priors, params).data
+        single = mamba_dala_forward(T.Tensor(tokens[g]), priors, params,
+                                    T.CHUNK).data
         np.testing.assert_allclose(batched[g], single, atol=1e-12)
 
 
@@ -906,6 +908,14 @@ def test_shift_plan_is_cached_on_the_priors_values(rng, monkeypatch):
     monkeypatch.setattr(dala, "_PLANS", {})
     for x, y in zip(changed, run()):
         np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_rejects_chunk_below_one(rng, chunk):
+    # the split the SSD shares rejects them
+    x = rng.standard_normal((3, 5, 4))
+    with pytest.raises(ConfigError, match="chunk"):
+        dala_core(x, x, x, make_priors(rng, 3), chunk=chunk)
 
 
 def test_shift_plan_cache_is_bounded(rng, monkeypatch):

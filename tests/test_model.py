@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dema import model
+from dema import dala, model
 from dema import tensor as T
 from dema.delay import DelayPriors
 from dema.embedding import InstanceStats
@@ -34,6 +34,18 @@ def make_tokens(rng, cfg):
 # ----------------------------------------------------------------------
 # config validation
 # ----------------------------------------------------------------------
+
+def test_config_chunk_sets_dala_chunk(rng, monkeypatch):
+    # the config's chunk reaches DALA as it reaches the SSD: the 12 tokens
+    # of a 96-step lookback run as 3 chunks of 4 in each block
+    state = ModelState.init(small_config(lookback=96))
+    plans, plan = [], dala._plan
+    monkeypatch.setattr(dala, "_plan",
+                        lambda *args: plans.append(args[-2:]) or plan(*args))
+    model_forward(rng.standard_normal((2, 3, 96)), state,
+                  DelayPriors.identity(3))
+    assert plans == [(12, 4)] * 2
+
 
 def test_config_rejects_unknown_task():
     with pytest.raises(ConfigError):

@@ -142,6 +142,15 @@ def test_blocked_random_instances(rng):
             assert np.max(np.abs(out - ref)) <= 1e-8
 
 
+@pytest.mark.parametrize("L", [17, 24, 25, 90])
+def test_blocked_balanced_chunks_equal_reference(rng, L):
+    # chunk 16 runs 17, 24, 25 and 90 tokens as 2 x 9, 2 x 12, 2 x 13 and
+    # 6 x 15: 17 and 25 pad one row, 24 and 90 none
+    d, C, x = random_instance(rng, N=2, L=L)
+    ref = ssm_scan_reference(d, C, x)
+    assert np.max(np.abs(ssd_blocked(d, C, x, chunk=16).data - ref)) <= 1e-10
+
+
 def test_blocked_handles_ragged_padding(rng):
     d, C, x = random_instance(rng, N=1, L=19)
     ref = ssm_scan_reference(d, C, x)
@@ -215,8 +224,9 @@ def test_blocked_matches_reference_property(case):
 
 def test_blocked_rejects_bad_chunk(rng):
     d, C, x = random_instance(rng)
-    with pytest.raises(ConfigError):
-        ssd_blocked(d, C, x, chunk=0)
+    for chunk in (0, -1):
+        with pytest.raises(ConfigError):
+            ssd_blocked(d, C, x, chunk=chunk)
 
 
 def test_blocked_is_differentiable(rng):
@@ -254,7 +264,7 @@ def _ssd_value_and_grads(rng, shapes, chunk):
 def test_blocked_decays_equal_one_block_bit_for_bit(shapes, chunk, n_rows,
                                                     monkeypatch):
     L, Dh = shapes[0][-2:]
-    c = min(chunk, L)
+    _, c = T._chunks(L, chunk)
     blocks = T._row_blocks(n_rows, c * c * Dh)
     assert len(blocks) >= min(n_rows, 4)
     if n_rows == 22:                    # three blocks and a remainder

@@ -352,7 +352,7 @@ def test_vjps_keep_only_inputs_and_row_statistics(rng):
     assert not any(n.data.shape[-2:] == hidden for n in nodes.values())
     assert not any(a.shape[-2:] == hidden for a in held["ffn"])
     assert not any(a.shape[-2:] == (Dh, Du) for a in held["ssd_blocked"])
-    c = min(cfg.chunk, L)
+    _, c = T._chunks(L, cfg.chunk)
     assert not any(a.shape[-3:] == (c, c, Dh) for a in held["ssd_blocked"])
     assert held["dala_core"]
     # dala_core maps q and k itself: its parents are the projections
@@ -512,9 +512,23 @@ def gated_linear_wide(y, gate, w, b):
     (layer_norm_sum_plain, [(3, 4), (3, 4)], {}),
     (T.add_layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)], {}),
     (T.add_layer_norm, [(3, 4), (3, 4)], {}),
+    # the balanced split of 17, 24, 25 and 90 tokens at chunk 16: 2 x 9,
+    # 2 x 12, 2 x 13 and 6 x 15, so 17 and 25 pad one row of the last chunk
+    *[(ssd_from_log_decays, [(L, 2), (L, 2), (L, 2), (L, 3)],
+       {"chunk": 16, "h": 1e-4}) for L in (17, 24, 25, 90)],
 ])
 def test_per_op_finite_difference(op, shapes, kwargs, rng):
     _finite_diff_check(op, shapes, rng, **kwargs)
+
+
+@pytest.mark.parametrize("L, chunk, split", [
+    (12, 16, (1, 12)), (24, 16, (2, 12)), (25, 16, (2, 13)),
+    (90, 16, (6, 15)), (48, 16, (3, 16)), (5, 1, (5, 1)),
+])
+def test_chunks_balance_the_split(L, chunk, split):
+    # nb = ceil(L / min(chunk, L)) chunks of c = ceil(L / nb) tokens, the
+    # split of the SSD and of DALA
+    assert T._chunks(L, chunk) == split
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
