@@ -10,15 +10,14 @@ import sys
 
 import numpy as np
 
-from . import tensor as T
 from .delay import default_max_lag, delay_matrix
 from .errors import ConfigError, ContractError, DemaError
-from .model import load_checkpoint, model_forward, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .pipeline import (DatasetSpec, TrainConfig, bench_scaling, choose_priors,
                        detect, evaluate, load_csv_dataset, parse_config_file,
-                       read_csv, split_windows, tiled_windows, train,
-                       write_bench, write_json, write_metrics,
-                       write_predictions)
+                       predict_windows, read_csv, split_windows,
+                       tiled_windows, train, write_bench, write_json,
+                       write_metrics, write_predictions)
 from .spectral import decompose
 
 
@@ -117,10 +116,8 @@ def _predict_task(args, task):
         # evaluate rejects a test split shorter than one window
         metrics = evaluate(state, spec, splits=splits, config=cfg,
                            priors_override=priors)
-        # every non-overlapping test window in one batched forward
-        windows = tiled_windows(splits.test, state.config.lookback)
-        with T.no_grad():
-            pred = model_forward(windows, state, priors).data
+        pred = predict_windows(state, tiled_windows(
+            splits.test, state.config.lookback), priors, cfg.batch_size)
     os.makedirs(args.out, exist_ok=True)
     write_predictions(np.concatenate(list(pred), axis=1),
                       os.path.join(args.out, "predictions.csv"), splits.columns)

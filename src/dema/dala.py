@@ -58,22 +58,21 @@ from . import tensor as T
 from .delay import DelayPriors
 from .errors import ConfigError, ContractError
 
-ATTN_EPS = 1e-6
+ATTN_EPS = 1e-6     # floor of the attention denominators
 
 
 @dataclass
 class RotaryTable:
-    """Per-dimension-pair angular frequencies (geometric schedule)."""
+    """Per-dimension-pair angular frequencies 10000^(-2i / dim)."""
 
     dim: int
-    base: float = 10000.0
     theta: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.dim % 2:
             raise ConfigError("rotary dimension must be even")
         half = self.dim // 2
-        self.theta = self.base ** (-np.arange(half) * 2.0 / self.dim)
+        self.theta = 10000.0 ** (-np.arange(half) * 2.0 / self.dim)
 
     def rotation(self, pos):
         """exp(i pos theta): one unit complex number per dimension pair."""
@@ -463,7 +462,7 @@ def _attend(q, k, v, p, plan, table, rotated, c, record):
 
 
 def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
-              table: RotaryTable | None = None, eps: float = ATTN_EPS,
+              table: RotaryTable | None = None,
               rotated_denominator: bool = False,
               chunk: int = T.CHUNK) -> T.Tensor:
     """Delay-aware causal linear attention on token streams [..., N, L, Du].
@@ -499,7 +498,7 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
     # tokens with no key in range fall back to their own value
     first = np.where(active, np.maximum(delta, 0), L).min(axis=-1)
     keep = (np.arange(L) >= first[..., None])[..., None]
-    dd = np.maximum(den, eps)
+    dd = np.maximum(den, ATTN_EPS)
     y = np.where(keep, num / dd, v.data)
 
     F = int(first.max())       # rows l >= F see a key in every variate
@@ -511,7 +510,7 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
         fall = g[..., :F, :].copy()
         grads = [np.where(keep, g, 0.0)]
         del g
-        grads.append(np.where(den >= eps, -np.sum(
+        grads.append(np.where(den >= ATTN_EPS, -np.sum(
             grads[0] * num, axis=-1, keepdims=True), 0.0) / dd ** 2)
         grads[0] /= dd
         gq, gk, gv = vjp(grads)
@@ -523,12 +522,12 @@ def dala_core(q, k, v, priors: DelayPriors, p: int = 3,
 
 
 def dala_attention(inp: DalaInputs, table: RotaryTable | None = None,
-                   eps: float = ATTN_EPS, rotated_denominator: bool = False,
+                   rotated_denominator: bool = False,
                    chunk: int = T.CHUNK) -> T.Tensor:
     """:func:`dala_core` on q, k, v [..., L, N, Du], the oracle's layout."""
     q, k, v = (T.swapaxes(T._wrap(x), -3, -2) for x in (inp.q, inp.k, inp.v))
-    y = dala_core(q, k, v, inp.priors, inp.p, table, eps,
-                  rotated_denominator, chunk)
+    y = dala_core(q, k, v, inp.priors, inp.p, table, rotated_denominator,
+                  chunk)
     return T.swapaxes(y, -3, -2)
 
 
@@ -544,7 +543,6 @@ def _phi_np(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def naive_dala_oracle(inp: DalaInputs, table: RotaryTable | None = None,
-                      eps: float = ATTN_EPS,
                       rotated_denominator: bool = False) -> np.ndarray:
     """Literal double-sum evaluation of the attention equation.
 
@@ -584,7 +582,7 @@ def naive_dala_oracle(inp: DalaInputs, table: RotaryTable | None = None,
             if n_keys == 0:
                 y[l, a] = v[l, a]
             else:
-                y[l, a] = num / max(den, eps)
+                y[l, a] = num / max(den, ATTN_EPS)
     return y
 
 

@@ -32,7 +32,6 @@ MIN_OVERLAP = 4  # correlations over fewer points are treated as zero
 class LagEstimate(NamedTuple):
     tau: int
     rho: float
-    degenerate: bool
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -83,9 +82,7 @@ def xcorr_delay(a: np.ndarray, b: np.ndarray, max_lag: int) -> LagEstimate:
         if not any_valid or abs(rho) > abs(best_rho):
             best_tau, best_rho = t, rho
         any_valid = True
-    if not any_valid:
-        return LagEstimate(0, 0.0, True)
-    return LagEstimate(best_tau, best_rho, False)
+    return LagEstimate(best_tau, best_rho)
 
 
 def token_shift(tau: int, P: int) -> int:
@@ -114,13 +111,13 @@ class DelayPriors:
         return np.clip(self.rho, 0.0, 1.0)
 
     @staticmethod
-    def identity(n: int, max_lag: int = 0) -> "DelayPriors":
+    def identity(n: int) -> "DelayPriors":
         """No cross-variate coupling: rho is the identity, all lags zero."""
         return DelayPriors(
             tau=np.zeros((n, n), dtype=np.int64),
             rho=np.eye(n),
             delta_tok=np.zeros((n, n), dtype=np.int64),
-            max_lag=max_lag,
+            max_lag=0,
         )
 
 
@@ -219,6 +216,18 @@ def _screen(x, lags):
     return valid, r, w
 
 
+def check_finite(x: np.ndarray, name: str) -> None:
+    """A NumericError from `name` naming the window, variate and time step
+    of the first non-finite value of windows x [..., N, T]."""
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        *w, a, t = bad[0]
+        g = int(np.ravel_multi_index(w, x.shape[:-2])) if w else 0
+        raise NumericError(
+            f"{name}: non-finite value {x[tuple(bad[0])]} in window {g}, "
+            f"variate {a}, time step {t}")
+
+
 def delay_matrix(window: np.ndarray, max_lag: int, patch_len: int) -> DelayPriors:
     """Delay priors of all ordered variate pairs of a window [N, T].
 
@@ -240,13 +249,7 @@ def delay_matrix(window: np.ndarray, max_lag: int, patch_len: int) -> DelayPrior
     _check_lag(T_len, max_lag)
     if patch_len < 1:
         raise ContractError("patch length must be >= 1")
-    bad = np.argwhere(~np.isfinite(x))
-    if len(bad):
-        *w, a, t = bad[0]
-        g = int(np.ravel_multi_index(w, x.shape[:-2])) if w else 0
-        raise NumericError(
-            f"delay_matrix: non-finite value {x[tuple(bad[0])]} in window "
-            f"{g}, variate {a}, time step {t}")
+    check_finite(x, "delay_matrix")
     shape = x.shape[:-1] + (n,)
     x = x.reshape((-1, n, T_len))
     tau = np.zeros(x.shape[:-1] + (n,), dtype=np.int64)

@@ -20,17 +20,16 @@ REVIN_EPS = 1e-5
 @dataclass
 class InstanceStats:
     mean: np.ndarray  # [..., N]
-    std: np.ndarray   # [..., N], >= eps
-    eps: float = REVIN_EPS
+    std: np.ndarray   # [..., N], >= REVIN_EPS
 
 
-def revin_normalize(window: np.ndarray, eps: float = REVIN_EPS):
+def revin_normalize(window: np.ndarray):
     """Per-variate zero-mean/unit-std normalization over the window."""
     window = np.asarray(window, dtype=np.float64)
     mean = window.mean(axis=-1)
-    std = np.maximum(window.std(axis=-1), eps)
+    std = np.maximum(window.std(axis=-1), REVIN_EPS)
     normalized = (window - mean[..., None]) / std[..., None]
-    return normalized, InstanceStats(mean=mean, std=std, eps=eps)
+    return normalized, InstanceStats(mean=mean, std=std)
 
 
 def revin_denormalize(y, stats: InstanceStats):

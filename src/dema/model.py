@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .dala import DalaParams, mamba_dala_forward
-from .delay import DelayPriors, default_max_lag, delay_matrix
+from .delay import DelayPriors, check_finite, default_max_lag, delay_matrix
 from .embedding import (InstanceStats, PatchEncoder, embed_patches,
                         patch_count, patchify, revin_denormalize,
                         revin_normalize)
@@ -245,6 +245,7 @@ def backbone_forward(window: np.ndarray, state: ModelState,
     if window.shape[-1] != cfg.lookback:
         raise ContractError(
             f"window length {window.shape[-1]} != lookback {cfg.lookback}")
+    check_finite(window, "backbone_forward")   # before RevIN spreads a NaN
     if priors is None:
         priors = delay_matrix(window, cfg.lag_bound(), cfg.patch_len)
     x_time, x_var, stats = _tokenize(window, state)

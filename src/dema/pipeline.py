@@ -306,17 +306,16 @@ def apply_mask(window: np.ndarray, ratio: float, seed: int):
 # ----------------------------------------------------------------------
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)  # [(name, Tensor)]
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for name, p in self.params:
             g = p.grad
             if g is None:
@@ -325,7 +324,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1 ** self.t)
             v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
     def zero_grad(self):
         for _, p in self.params:
@@ -362,8 +361,7 @@ def _mask_batch(xs, ratio, seed):
     return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
 
 
-def _batch_loss(state: ModelState, xs, ys, priors, mask_seed=None,
-                mask_ratio=0.0):
+def _batch_loss(state: ModelState, xs, ys, priors, mask_seed, mask_ratio):
     task = state.config.task
     if task in ("forecast", "anomaly"):
         pred = model_forward(np.stack(xs), state, priors)
@@ -386,6 +384,9 @@ def _batch_loss(state: ModelState, xs, ys, priors, mask_seed=None,
 
 def shared_priors(splits: DatasetSplits, cfg: ModelConfig):
     """Delay priors estimated once from the train split (global cache)."""
+    if splits.train.shape[1] < MIN_OVERLAP:
+        raise ContractError(f"train split has {splits.train.shape[1]} rows; "
+                            f"the shared delay priors need {MIN_OVERLAP}")
     window = splits.train[:, -cfg.lookback * 4:]
     max_lag = min(cfg.lag_bound(), window.shape[1] - MIN_OVERLAP)
     return delay_matrix(window, max_lag, cfg.patch_len)
@@ -555,13 +556,12 @@ def detect(state: ModelState, spec: DatasetSpec, splits: DatasetSplits,
     train-split scores; flags, and F1 where there are labels, are on the
     test split.
     """
-    split_windows("test", splits, state.config)   # long enough for one
+    for name in ("train", "test"):           # long enough for one window
+        split_windows(name, splits, state.config)
     windows = tiled_windows(splits.test, state.config.lookback)
-    with T.no_grad():
-        threshold = select_threshold(_reconstruction_scores(
-            state, splits.train, priors, config.batch_size),
-            spec.anomaly_ratio)
-        recon = _reconstruct(state, windows, priors, config.batch_size)
+    threshold = select_threshold(_reconstruction_scores(
+        state, splits.train, priors, config.batch_size), spec.anomaly_ratio)
+    recon = predict_windows(state, windows, priors, config.batch_size)
     flags = anomaly_score(windows, recon).ravel() > threshold
     out = {"threshold": threshold, "flagged_fraction": float(flags.mean())}
     truth = (splits.labels or {}).get("test")
@@ -573,19 +573,20 @@ def detect(state: ModelState, spec: DatasetSpec, splits: DatasetSplits,
     return out, recon
 
 
-def _reconstruct(state, windows, priors, batch_size):
-    """Reconstructions of windows [G, N, lookback], one batched forward
-    per `batch_size` windows."""
-    return np.concatenate([
-        model_forward(windows[i:i + batch_size], state, priors).data
-        for i in range(0, len(windows), batch_size)])
+def predict_windows(state, windows, priors, batch_size):
+    """The model's outputs for windows [G, N, lookback], one forward with
+    no graph per `batch_size` windows."""
+    with T.no_grad():
+        return np.concatenate([
+            model_forward(windows[i:i + batch_size], state, priors).data
+            for i in range(0, len(windows), batch_size)])
 
 
 def _reconstruction_scores(state, split, priors, batch_size):
     """Anomaly scores over a split via non-overlapping lookback windows."""
     windows = tiled_windows(split, state.config.lookback)
-    return anomaly_score(windows, _reconstruct(state, windows, priors,
-                                               batch_size)).ravel()
+    return anomaly_score(windows, predict_windows(state, windows, priors,
+                                                  batch_size)).ravel()
 
 
 def _point_adjust(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -84,13 +84,13 @@ def decompose(window: np.ndarray, theta: float) -> SpectralSplit:
     )
 
 
-def support_overlap(u: np.ndarray, v: np.ndarray, basis: np.ndarray,
-                    tol: float = 1e-12) -> bool:
+def support_overlap(u: np.ndarray, v: np.ndarray, basis: np.ndarray) -> bool:
     """Whether u and v have intersecting coefficient supports on `basis`.
 
     `basis` holds one basis vector per row; rows must be pairwise
     orthogonal and nonzero.
     """
+    tol = 1e-12              # relative to its scale, a value below is 0
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     basis = np.asarray(basis, dtype=np.float64)

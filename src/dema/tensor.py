@@ -1,6 +1,6 @@
 """Dense-tensor substrate: numpy storage and reverse-mode autodiff.
 
-Values live in numpy arrays (float64 by default). Every differentiable op
+Values live in float64 numpy arrays. Every differentiable op
 records a closure that maps the output gradient to parent gradients; the
 graph is only built while gradient tracking is enabled and at least one
 operand requires a gradient, so inference runs at plain-numpy cost.
@@ -63,6 +63,7 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _grad_enabled = True
 CHUNK = 16      # tokens per chunk of the SSD's and DALA's schedules
+LN_EPS = 1e-5   # added to each layer norm's row variance
 
 
 @contextlib.contextmanager
@@ -80,8 +81,8 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -139,11 +140,11 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _row_blocks(n, width, budget=1 << 15):
+def _row_blocks(n, width):
     """Slices of n rows of `width` elements for a chain run a block at a
-    time: a block holds at most `budget` elements (256 KB; one row at least)
+    time: a block holds at most 2^15 elements (256 KB; one row at least)
     and at most a quarter of the rows, so no temporary is a whole array."""
-    step = max(1, min(budget // max(width, 1), -(-n // 4)))
+    step = max(1, min((1 << 15) // max(width, 1), -(-n // 4)))
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
@@ -444,14 +445,12 @@ def swapaxes(a, ax1, ax2):
 # composite ops
 # ----------------------------------------------------------------------
 
-def _layer_norms(name, terms, eps):
+def _layer_norms(name, terms):
     """sum_i w_i layer_norm(sum(xs_i), gamma_i, beta_i) over the terms
     (xs_i, gamma_i, beta_i, w_i), with optional gamma and beta and constant
     w_i; one node. It saves the row means and standard deviations; the VJP
     recomputes sum(xs_i) and x_hat, and gives all of xs_i one gradient
     array."""
-    if eps <= 0:
-        raise ContractError(f"{name} eps must be positive")
     terms = [([_wrap(x) for x in xs], *(None if t is None else _wrap(t)
                                         for t in (gamma, beta)), float(w))
              for xs, gamma, beta, w in terms]
@@ -463,7 +462,7 @@ def _layer_norms(name, terms, eps):
         n = x.shape[-1]
         mu = x.sum(axis=-1, keepdims=True) * (1.0 / n)
         y = x - mu
-        sd = np.sqrt((y * y).sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
+        sd = np.sqrt((y * y).sum(axis=-1, keepdims=True) * (1.0 / n) + LN_EPS)
         y /= sd                                 # x_hat
         if gamma is not None:
             y *= gamma.data
@@ -497,21 +496,21 @@ def _layer_norms(name, terms, eps):
                        for t in (*xs, gamma, beta) if t is not None], bwd)
 
 
-def layer_norm(x, gamma=None, beta=None, eps=1e-5):
+def layer_norm(x, gamma=None, beta=None):
     """Normalize over the last axis; optional affine parameters."""
-    return _layer_norms("layer_norm", [([x], gamma, beta, 1.0)], eps)
+    return _layer_norms("layer_norm", [([x], gamma, beta, 1.0)])
 
 
-def layer_norm_sum(terms, eps=1e-5):
+def layer_norm_sum(terms):
     """sum_i w_i layer_norm(x_i, gamma_i, beta_i) over the terms
     (x_i, gamma_i, beta_i, w_i), each w_i a constant; one node."""
     return _layer_norms("layer_norm_sum", [([x], gamma, beta, w)
-                                           for x, gamma, beta, w in terms], eps)
+                                           for x, gamma, beta, w in terms])
 
 
-def add_layer_norm(x, r, gamma=None, beta=None, eps=1e-5):
+def add_layer_norm(x, r, gamma=None, beta=None):
     """Add & Norm: layer_norm(x + r, gamma, beta); one node."""
-    return _layer_norms("add_layer_norm", [([x, r], gamma, beta, 1.0)], eps)
+    return _layer_norms("add_layer_norm", [([x, r], gamma, beta, 1.0)])
 
 
 def conv1d(x, kernel):

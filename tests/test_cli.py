@@ -82,20 +82,27 @@ def test_forecast_writes_predictions(workspace):
     assert len(rows) > 1 and len(rows[1].split(",")) == 2
 
 
-@pytest.mark.parametrize("global_priors", ["true", "false"])
-def test_forecast_predictions_match_window_by_window(workspace, monkeypatch,
-                                                     global_priors):
-    # one batched forward gives what one forward per test window gives
-    conf = workspace / f"forecast_{global_priors}.conf"
-    conf.write_text((workspace / "forecast.conf").read_text()
-                    + f"global_priors = {global_priors}\n")
-    ckpt = workspace / "run_forecast" / "checkpoint.npz"
-    written = []
+def predict_in_batches_of_two(workspace, monkeypatch, task, global_priors):
+    """What `dema <task>` writes at batch_size 2, below the test split's
+    3 tiled windows; its window-by-window reference; and the windows each
+    backbone forward of the command saw."""
+    conf = workspace / f"{task}_{global_priors}.conf"
+    conf.write_text((workspace / f"{task}.conf").read_text().replace(
+        "batch_size = 32", "batch_size = 2")
+        + f"global_priors = {global_priors}\n")
+    cfg, _ = parse_config_file(conf)
+    ckpt = workspace / f"{task}_init.npz"
+    save_checkpoint(ModelState.init(cfg.model), ckpt)
+    written, seen = [], []
     monkeypatch.setattr(cli, "write_predictions",
                         lambda pred, *_: written.append(pred))
-    run(["forecast", "--config", conf, "--data", workspace / "plain.csv",
-         "--out", workspace / "run_forecast", "--checkpoint", ckpt])
-    cfg, _ = parse_config_file(conf)
+    forward = model.backbone_forward
+    monkeypatch.setattr(model, "backbone_forward", lambda x, *args, **kw: (
+        seen.append(len(x) if np.ndim(x) == 3 else 1) or forward(x, *args,
+                                                                  **kw)))
+    run([task, "--config", conf, "--data", workspace / "plain.csv",
+         "--out", workspace / f"run_{task}_batched", "--checkpoint", ckpt])
+    monkeypatch.undo()                  # the reference's forwards are not seen
     state = load_checkpoint(ckpt)
     splits = load_csv_dataset(DatasetSpec(path=str(workspace / "plain.csv")))
     priors = choose_priors(splits, state.config, cfg.global_priors)
@@ -104,8 +111,28 @@ def test_forecast_predictions_match_window_by_window(workspace, monkeypatch,
         ref = np.concatenate(
             [model_forward(splits.test[:, s:s + L], state, priors).data
              for s in range(0, splits.test.shape[1] - L + 1, L)], axis=1)
-    assert len(written) == 1 and written[0].shape == ref.shape
-    np.testing.assert_allclose(written[0], ref, rtol=0, atol=1e-12)
+    assert len(written) == 1
+    return written[0], ref, seen
+
+
+@pytest.mark.parametrize("global_priors", ["true", "false"])
+def test_forecast_predictions_match_window_by_window(workspace, monkeypatch,
+                                                     global_priors):
+    # forwards of batch_size windows give what one forward per test window
+    # gives, and no forward sees more than batch_size windows
+    got, ref, seen = predict_in_batches_of_two(workspace, monkeypatch,
+                                               "forecast", global_priors)
+    assert got.shape == ref.shape and max(seen) == 2
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("global_priors", ["true", "false"])
+def test_impute_predictions_match_window_by_window(workspace, monkeypatch,
+                                                   global_priors):
+    got, ref, seen = predict_in_batches_of_two(workspace, monkeypatch,
+                                               "impute", global_priors)
+    assert got.shape == ref.shape and max(seen) == 2
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("command, conf, data", [
@@ -114,9 +141,9 @@ def test_forecast_predictions_match_window_by_window(workspace, monkeypatch,
 ])
 def test_prediction_command_estimates_priors_once_and_forwards_once(
         workspace, monkeypatch, command, conf, data):
-    # the shared priors are estimated once per command, and detect writes
-    # the reconstructions its metrics scored instead of forwarding the test
-    # windows again
+    # the shared priors are estimated once per command, every forward goes
+    # through the pipeline in batches, and detect writes the reconstructions
+    # its metrics scored instead of forwarding the test windows again
     cfg, spec = parse_config_file(workspace / conf)
     ckpt = workspace / f"{command}_counted.npz"
     save_checkpoint(ModelState.init(cfg.model), ckpt)
@@ -133,8 +160,7 @@ def test_prediction_command_estimates_priors_once_and_forwards_once(
 
     for module in (pipeline, model):
         count(module, "delay_matrix")
-    for module in (pipeline, cli):
-        count(module, "model_forward")
+    count(pipeline, "model_forward")
     written = []
     monkeypatch.setattr(cli, "write_predictions",
                         lambda pred, *_: written.append(pred))
@@ -145,9 +171,9 @@ def test_prediction_command_estimates_priors_once_and_forwards_once(
     L, H, batch = cfg.model.lookback, cfg.model.horizon, cfg.batch_size
     tiles = splits.test.shape[1] // L
     if command == "forecast":
-        # the test windows in batches, then the tiled ones in one forward
+        # the test windows, then the tiled ones, in batches
         n = len(make_windows(splits.test, L, H, "forecast"))
-        forwards, width = -(-n // batch) + 1, tiles * H
+        forwards, width = -(-n // batch) - (-tiles // batch), tiles * H
     else:
         # the tiled train windows, then the tiled test windows, in batches
         forwards = sum(-(-n // batch)
@@ -344,6 +370,33 @@ def test_short_test_split_exits_before_training(tmp_path, capsys):
     assert not (out / "train_log.json").exists()
 
 
+@pytest.mark.parametrize("command, conf, data, ratio, error", [
+    # 2 train rows: too few to estimate the shared priors from
+    ("forecast", "forecast.conf", "plain.csv", 0.005,
+     "train split has 2 rows; the shared delay priors need 4"),
+    ("evaluate", "forecast.conf", "plain.csv", 0.005,
+     "train split has 2 rows; the shared delay priors need 4"),
+    # 10 train rows: enough for the priors, too few for the threshold's
+    # tiled lookback windows
+    ("detect", "anomaly.conf", "labeled.csv", 0.025,
+     "train split yields no windows: it has 10 rows and a window needs "
+     "lookback = 24"),
+    ("evaluate", "anomaly.conf", "labeled.csv", 0.025,
+     "train split yields no windows: it has 10 rows and a window needs "
+     "lookback = 24"),
+])
+def test_short_train_split_is_named_by_prediction_commands(
+        workspace, tmp_path, capsys, command, conf, data, ratio, error):
+    short = tmp_path / "short.conf"
+    short.write_text((workspace / conf).read_text()
+                     + f"train_ratio = {ratio}\n")
+    ckpt = tmp_path / "init.npz"
+    save_checkpoint(ModelState.init(parse_config_file(short)[0].model), ckpt)
+    assert main([command, "--config", str(short), "--checkpoint", str(ckpt),
+                 "--data", str(workspace / data), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+
 def test_train_reads_the_csv_once(workspace, monkeypatch):
     calls = []
     read = pipeline.read_csv
@@ -372,11 +425,12 @@ def test_train_estimates_the_shared_priors_once(workspace, monkeypatch):
     (["evaluate", "--checkpoint", "d.csv"], "d.csv"),
     (["evaluate", "--checkpoint", "other.npz"], "other.npz"),
     (["bench", "--lengths", "384,abc"], "--lengths"),
+    (["bench", "--lengths", "64,32"], "ascending"),
     (["train", "--config", "ok.conf", "--data", "d.csv", "--seed", "-1"],
      "seed"),
 ], ids=["no --data", "missing --config", "missing checkpoint",
         "non-npz checkpoint", "npz without __version__", "bad --lengths",
-        "negative --seed"])
+        "descending --lengths", "negative --seed"])
 def test_bad_file_or_flag_exits_with_one_error_line(tmp_path, capsys,
                                                     monkeypatch, args, named):
     monkeypatch.chdir(tmp_path)

@@ -72,6 +72,13 @@ def test_rope_rejects_odd_dim():
         RotaryTable(dim=7)
 
 
+def test_core_rejects_a_table_of_another_dim(rng):
+    x = T.Tensor(rng.standard_normal((3, 5, 8)))
+    with pytest.raises(ConfigError, match="rotary table dim 4 does not "
+                                          "match input 8"):
+        dala_core(x, x, x, make_priors(rng, 3), table=RotaryTable(dim=4))
+
+
 def test_rope_backward_is_inverse_rotation(rng):
     # the gradient of sum(rotate(x) * w) in x, column by column (the map
     # is linear), is w rotated backwards: the VJP of dala_core relies on it

@@ -61,7 +61,7 @@ def test_agrees_with_brute_force(rng):
 
 def test_degenerate_constant_series():
     est = xcorr_delay(np.full(32, 2.0), np.arange(32.0), 4)
-    assert est == (0, 0.0, True)
+    assert est == (0, 0.0)
 
 
 def test_constant_series_with_rounded_mean_gets_no_pair(rng):
@@ -76,7 +76,7 @@ def test_constant_series_with_rounded_mean_gets_no_pair(rng):
         for b in range(3):
             if a != b:
                 est = xcorr_delay(window[a], window[b], 24)
-                assert est == (0, 0.0, True)
+                assert est == (0, 0.0)
                 assert (priors.tau[a, b], priors.rho[a, b]) == est[:2]
 
 
@@ -111,6 +111,8 @@ def test_token_shift_matches_round_half_away(rng):
         q = tau / P
         ref = int(np.sign(q) * np.floor(abs(q) + 0.5))
         assert token_shift(tau, P) == ref
+    with pytest.raises(ContractError, match="patch length"):
+        token_shift(3, 0)
 
 
 def test_delay_matrix_single_variate(rng):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -521,7 +522,8 @@ def test_overflowing_a_log_is_named_in_discretize(rng):
 def test_non_finite_window_is_named_where_priors_are_estimated(rng):
     # without priors, each window's priors come from its raw values: a NaN
     # there is named by window, variate and time step, not two stages later
-    # by the temporal path's conv1d
+    # by the temporal path's conv1d; with shared priors the backbone names
+    # it before RevIN, with no numpy warning on the way
     state = ModelState.init(small_config())
     batch = rng.standard_normal((3, 2, 32))
     batch[1, 0, 5] = np.nan
@@ -531,3 +533,8 @@ def test_non_finite_window_is_named_where_priors_are_estimated(rng):
     with pytest.raises(NumericError,
                        match="window 1, variate 0, time step 5"):
         model_forward(batch, state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="window 1, variate 0, time "
+                                               "step 5"):
+            model_forward(batch, state, DelayPriors.identity(2))

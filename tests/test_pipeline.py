@@ -12,12 +12,12 @@ from conftest import coupled_splits
 from dema import pipeline
 from dema import tensor as T
 from dema.delay import DelayPriors
-from dema.errors import ConfigError, ContractError, FormatError
+from dema.errors import ConfigError, ContractError, FormatError, NumericError
 from dema.model import ModelConfig, ModelState, anomaly_score, model_forward
 from dema.pipeline import (Adam, DatasetSpec, TrainConfig, _point_adjust,
-                           _prf, apply_mask, evaluate, load_csv_dataset,
-                           make_windows, parse_config_file, shared_priors,
-                           train, write_bench, write_metrics,
+                           _prf, apply_mask, detect, evaluate,
+                           load_csv_dataset, make_windows, parse_config_file,
+                           shared_priors, train, write_bench, write_metrics,
                            write_predictions)
 
 
@@ -199,6 +199,10 @@ def test_parse_config_bad_number_names_line_and_key(tmp_path):
     with pytest.raises(ConfigError, match=r"run.conf:1: lr: expected a "
                                           r"number"):
         parse_config_file(p)
+    p.write_text("global_priors = maybe\n")
+    with pytest.raises(ConfigError, match=r"run.conf:1: global_priors: "
+                                          r"expected a boolean, got 'maybe'"):
+        parse_config_file(p)
 
 
 def test_load_rejects_ragged_and_nonnumeric(tmp_path):
@@ -212,6 +216,12 @@ def test_load_rejects_ragged_and_nonnumeric(tmp_path):
     p.write_text("")
     with pytest.raises(FormatError, match="empty"):
         load_csv_dataset(DatasetSpec(path=str(p)))
+    for rows, named in (([["ts"], [0]], "need a timestamp column"),
+                        ([["t", "label"], [0, 1]], "no variate columns"),
+                        ([["ts", "a"], [0, 1.0]], "too few rows for the split")):
+        write_csv(p, rows)
+        with pytest.raises(FormatError, match=named):
+            load_csv_dataset(DatasetSpec(path=str(p)))
 
 
 def test_load_header_only_says_no_data_rows(tmp_path):
@@ -305,6 +315,8 @@ def test_windows_classify_labels(rng):
     assert [y for _, y in pairs] == [31, 32, 33, 34, 35, 36, 37, 38, 39]
     with pytest.raises(ContractError):
         make_windows(rng.standard_normal((1, 40)), 32, 0, "classify")
+    with pytest.raises(ConfigError, match="unknown task 'segment'"):
+        make_windows(rng.standard_normal((1, 40)), 32, 0, "segment")
 
 
 def test_mask_count_and_determinism(rng):
@@ -340,13 +352,16 @@ def test_adam_zero_lr_freezes_params(rng):
 
 
 def test_adam_descends_quadratic():
+    # a parameter outside the loss gets no gradient and is left alone
     p = T.Tensor(np.array([5.0, -3.0]), requires_grad=True)
-    opt = Adam([("p", p)], lr=0.1)
+    unused = T.Tensor(np.array([1.0]), requires_grad=True)
+    opt = Adam([("p", p), ("unused", unused)], lr=0.1)
     for _ in range(200):
         opt.zero_grad()
         T.backward(T.tsum(T.mul(p, p)))
         opt.step()
     assert np.max(np.abs(p.data)) < 0.1
+    assert unused.grad is None and unused.data.tolist() == [1.0]
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +441,29 @@ def test_training_logs_a_forward_that_overflows(batch_size, where):
     for (name, p), (_, p0) in zip(result.state.parameters(),
                                   initial.parameters()):
         np.testing.assert_array_equal(p.data, p0.data, err_msg=name)
+
+
+def test_training_raises_a_forward_error_before_the_first_step(monkeypatch):
+    # before Adam has stepped, a NumericError is the data's or the
+    # config's: it propagates instead of ending the run with a log entry
+    cfg, spec, splits = tiny_setup()
+
+    def failing(*args, **kw):
+        raise NumericError("conv1d: non-finite input")
+
+    monkeypatch.setattr(pipeline, "_batch_loss", failing)
+    with pytest.raises(NumericError, match="conv1d"):
+        train(cfg, spec, splits=splits)
+
+
+def test_train_loads_the_csv_without_splits(tmp_path):
+    # without splits, train loads and splits spec.path itself: the same run
+    spec = DatasetSpec(path=str(numeric_csv(tmp_path / "d.csv", 200, 2)))
+    cfg = TrainConfig(epochs=1, model=ModelConfig(
+        lookback=16, horizon=4, d_model=8, d_state=4, n_blocks=1, seed=0))
+    own = train(cfg, spec).log
+    given = train(cfg, spec, splits=load_csv_dataset(spec)).log
+    assert [e["train_loss"] for e in own] == [e["train_loss"] for e in given]
 
 
 def test_training_logs_non_finite_parameters(monkeypatch):
@@ -540,6 +578,24 @@ def test_evaluate_priors_override_changes_nothing_structural():
     m_est = evaluate(result.state, spec, splits=splits, config=cfg,
                      priors_override=shared_priors(splits, mc))
     assert set(m_id) == set(m_est) == {"mse", "mae"}
+
+
+def test_detect_point_adjust_credits_whole_segments():
+    # the whole test split is one true segment: with point_adjust one hit
+    # detects all of it, without it recall is the flagged fraction
+    cfg = TrainConfig(model=ModelConfig(task="anomaly", lookback=32,
+                                        d_model=8, d_state=4, n_blocks=1))
+    state = ModelState.init(cfg.model)
+    splits = coupled_splits(n_steps=400, n_train=250, n_val=50)
+    splits.labels = {"test": np.ones(splits.test.shape[1], dtype=int)}
+    spec = DatasetSpec(anomaly_ratio=0.5)
+    priors = shared_priors(splits, cfg.model)
+    plain, recon = detect(state, spec, splits, cfg, priors)
+    cfg.point_adjust = True
+    adjusted, again = detect(state, spec, splits, cfg, priors)
+    np.testing.assert_array_equal(recon, again)
+    assert 0 < plain["recall"] == plain["flagged_fraction"] < 1
+    assert adjusted["recall"] == adjusted["precision"] == 1.0
 
 
 def test_prf_perfect_detector():
