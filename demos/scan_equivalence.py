@@ -15,7 +15,8 @@ from dema.ssd import DiscreteSSM, ssd_blocked, ssm_scan_reference
 rng = np.random.default_rng(0)
 N, L, Dh, Du = 4, 256, 16, 8
 
-d = DiscreteSSM(A_bar=T.Tensor(rng.uniform(0.05, 0.95, (N, L, Dh))),
+A_bar = rng.uniform(0.05, 0.95, (N, L, Dh))
+d = DiscreteSSM(log_A_bar=T.Tensor(np.log(A_bar)),
                 B_bar=T.Tensor(rng.standard_normal((N, L, Dh))))
 C = T.Tensor(rng.standard_normal((N, L, Dh)))
 x = T.Tensor(rng.standard_normal((N, L, Du)))

@@ -185,20 +185,19 @@ class _Shift:
     h: int            # keys j < h = max(0, -d) are never shown at d
 
 
-_PLANS = {}        # (priors' values, L, c) -> plan, in order of last use
-_PLANS_KEPT = 8
+_PLANS = {}     # token split (L, c) -> (priors' values, plan) of its last call
 
 
 def _plan(rho, delta, active, L, c):
-    """:func:`_plan_shifts`, cached on the priors' values: training passes
-    the same shared priors at every call, and a plan is only read."""
+    """:func:`_plan_shifts`, cached on the priors' values in one slot per
+    token split (L, c): shared priors are planned once per run, and the
+    blocks of one forward share the plan of their per-window priors."""
     key = (rho.shape, rho.tobytes(), delta.shape, delta.dtype.str,
-           delta.tobytes(), L, c)
-    plan = _PLANS.pop(key, None) or _plan_shifts(rho, delta, active, L, c)
-    _PLANS[key] = plan
-    if len(_PLANS) > _PLANS_KEPT:
-        del _PLANS[next(iter(_PLANS))]
-    return plan
+           delta.tobytes())
+    slot = _PLANS.get((L, c))
+    if slot is None or slot[0] != key:
+        slot = _PLANS[L, c] = key, _plan_shifts(rho, delta, active, L, c)
+    return slot[1]
 
 
 def _plan_shifts(rho, delta, active, L, c):

@@ -310,4 +310,9 @@ def delay_matrix(window: np.ndarray, max_lag: int, patch_len: int) -> DelayPrior
 
 def default_max_lag(T_len: int) -> int:
     """Default lag search bound: a quarter of the window."""
-    return max(1, min(T_len // 4, T_len - MIN_OVERLAP))
+    return max(1, T_len // 4)
+
+
+def clamp_lag(max_lag: int, T_len: int) -> int:
+    """`max_lag` cut to the longest lag with MIN_OVERLAP points in T_len."""
+    return min(max_lag, T_len - MIN_OVERLAP)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .delay import MIN_OVERLAP, delay_matrix
+from .delay import MIN_OVERLAP, clamp_lag, delay_matrix
 from .errors import ConfigError, ContractError, FormatError, NumericError
 from .model import (ModelConfig, ModelState, anomaly_score, backbone_forward,
                     model_forward, select_threshold)
@@ -261,9 +261,12 @@ def make_windows(split: np.ndarray, lookback: int, horizon: int, task: str,
 
 def split_windows(name: str, splits: DatasetSplits, cfg: ModelConfig):
     """`make_windows` of one split, rejecting a split shorter than one
-    window and, for classification, a label outside [0, n_classes)."""
+    window and, for classification, missing or out-of-range labels."""
     labels = (splits.labels or {}).get(name)
-    if cfg.task == "classify" and labels is not None:
+    if cfg.task == "classify":
+        if labels is None:
+            raise ContractError(f"{name} split has no labels: classification "
+                                f"needs a final '{LABEL_COLUMN}' column")
         bad = labels[(labels < 0) | (labels >= cfg.n_classes)]
         if bad.size:
             raise ContractError(f"{name} split has class label {bad[0]}, "
@@ -388,8 +391,8 @@ def shared_priors(splits: DatasetSplits, cfg: ModelConfig):
         raise ContractError(f"train split has {splits.train.shape[1]} rows; "
                             f"the shared delay priors need {MIN_OVERLAP}")
     window = splits.train[:, -cfg.lookback * 4:]
-    max_lag = min(cfg.lag_bound(), window.shape[1] - MIN_OVERLAP)
-    return delay_matrix(window, max_lag, cfg.patch_len)
+    return delay_matrix(window, clamp_lag(cfg.lag_bound(), window.shape[1]),
+                        cfg.patch_len)
 
 
 def choose_priors(splits: DatasetSplits, cfg: ModelConfig,
@@ -630,7 +633,7 @@ def bench_scaling(lengths, config: TrainConfig, repeats: int = 5):
                       horizon=config.model.patch_len, task="forecast")
         window = rng.standard_normal((config.n_variates, T_len))
         max_lag = cfg.max_lag if cfg.max_lag > 0 else cfg.patch_len * 12
-        priors = delay_matrix(window, min(max_lag, T_len - MIN_OVERLAP),
+        priors = delay_matrix(window, clamp_lag(max_lag, T_len),
                               cfg.patch_len)
         runs.append((T_len, ModelState.init(cfg), window, priors))
     times = [[] for _ in runs]

@@ -28,11 +28,8 @@ class SelectiveParams:
 
 @dataclass
 class DiscreteSSM:
-    A_bar: T.Tensor  # [..., L, Dh] in [0, 1)
-    B_bar: T.Tensor  # [..., L, Dh]
-    # log(A_bar) = delta * A, finite where A_bar underflows to 0; taken
-    # as log(A_bar) when not given
-    log_A_bar: T.Tensor | None = None
+    log_A_bar: T.Tensor  # [..., L, Dh], delta * A; finite if A_bar underflows
+    B_bar: T.Tensor      # [..., L, Dh]
 
 
 @dataclass
@@ -90,18 +87,18 @@ def discretize(params: SelectiveParams) -> DiscreteSSM:
         raise NumericError(f"discretize: exp(A_log) is not finite (A_log "
                            f"max {np.max(params.A_log.data):.4g})")
     log_A_bar = T.mul(params.delta, A)
-    A_bar = T.texp(log_A_bar)
-    B_bar = T.mul(T.sub(1.0, A_bar), params.B)
-    return DiscreteSSM(A_bar=A_bar, B_bar=B_bar, log_A_bar=log_A_bar)
+    B_bar = T.mul(T.sub(1.0, T.texp(log_A_bar)), params.B)
+    return DiscreteSSM(log_A_bar=log_A_bar, B_bar=B_bar)
 
 
 def ssm_scan_reference(d: DiscreteSSM, C, x) -> np.ndarray:
     """Step-by-step recurrence oracle (plain numpy, not differentiable).
 
-    h_t = A_bar_t * h_{t-1} + outer(B_bar_t, x_t); y_t = C_t^T h_t.
-    The hidden state starts at zero for every sequence.
+    h_t = A_bar_t * h_{t-1} + outer(B_bar_t, x_t); y_t = C_t^T h_t, with
+    A_bar = exp(log A_bar) and a zero initial state for every sequence.
     """
-    A_bar, B_bar, C, x = (T._wrap(t).data for t in (d.A_bar, d.B_bar, C, x))
+    A_bar = np.exp(T._wrap(d.log_A_bar).data)
+    B_bar, C, x = (T._wrap(t).data for t in (d.B_bar, C, x))
     L = x.shape[-2]
     Dh = A_bar.shape[-1]
     Du = x.shape[-1]
@@ -124,7 +121,8 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     Numerically equal to :func:`ssm_scan_reference` for any chunk size,
     split as DALA's (`T._chunks`: 24 tokens at chunk 16 run as 2 x 12).
     The segsum form of Mamba-2 (Dao & Gu, arXiv:2405.21060): per chunk,
-    la = cumsum(log A_bar), the masked decays exp(la_j - la_i) (j >= i)
+    la = cumsum(d.log_A_bar), finite where A_bar underflows to 0 (log 0
+    would give NaN segsums), the masked decays exp(la_j - la_i) (j >= i)
     give M = C B^T * decay and the intra-chunk output M x; the chunks
     before come in through one carried [Dh, Du] state. Chunk 0 starts from
     the zero initial state, so it reads none, and no state is built after
@@ -136,10 +134,7 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
     flattened [..., nb] axes (`T._row_blocks`), in which C B decay is summed
     and the VJP's einsums run, each element in its whole-array sum order.
     """
-    # log-space decays: an underflowed A_bar would give log 0 = -inf and
-    # -inf - -inf = NaN in the decays
-    log_a = T.tlog(d.A_bar) if d.log_A_bar is None else T._wrap(d.log_A_bar)
-    inputs = (log_a, T._wrap(d.B_bar), T._wrap(C), T._wrap(x))
+    inputs = tuple(map(T._wrap, (d.log_A_bar, d.B_bar, C, x)))
     L = inputs[3].shape[-2]
     nb, c = T._chunks(L, chunk)
     lead = np.broadcast_shapes(*(t.shape[:-2] for t in inputs))
@@ -157,7 +152,7 @@ def ssd_blocked(d: DiscreteSSM, C, x, chunk: int) -> T.Tensor:
         g = g.reshape(lead + (nb * c, g.shape[-1]))[..., :L, :]
         return T._unbroadcast(g, t.shape)
 
-    la = np.cumsum(blocks(log_a.data), axis=-2)    # [..., nb, c, Dh]
+    la = np.cumsum(blocks(inputs[0].data), axis=-2)    # [..., nb, c, Dh]
     Bb, Cb, xb = (blocks(t.data) for t in inputs[1:])
     rows = T._row_blocks(la[..., 0, 0].size, c * c * la.shape[-1])
 

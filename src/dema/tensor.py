@@ -317,11 +317,6 @@ def texp(a):
     return _make(data, (a,), lambda g: (g * data,))
 
 
-def tlog(a):
-    a = _wrap(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def _sigmoid(x, name):
     """Logistic of an array without overflow; non-finite input is an error."""
     if not np.all(np.isfinite(x)):

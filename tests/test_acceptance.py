@@ -43,8 +43,9 @@ def test_criterion_1_ssd_equivalence():
         Dh = int(rng.integers(1, 9))
         Du = int(rng.integers(1, 5))
         chunk = int(rng.choice([1, 8, 16]))
-        d = DiscreteSSM(A_bar=T.Tensor(rng.uniform(0.02, 0.98, (N, L, Dh))),
-                        B_bar=T.Tensor(rng.standard_normal((N, L, Dh))))
+        d = DiscreteSSM(
+            log_A_bar=T.Tensor(np.log(rng.uniform(0.02, 0.98, (N, L, Dh)))),
+            B_bar=T.Tensor(rng.standard_normal((N, L, Dh))))
         C = T.Tensor(rng.standard_normal((N, L, Dh)))
         x = T.Tensor(rng.standard_normal((N, L, Du)))
         ref = ssm_scan_reference(d, C, x)

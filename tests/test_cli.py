@@ -52,10 +52,17 @@ def run(args):
     assert main([str(a) for a in args]) == 0
 
 
-def test_train_and_evaluate_forecast(workspace):
+@pytest.fixture(scope="module")
+def forecast_run(workspace):
+    """The directory of one `dema train` run of the forecast config."""
     out = workspace / "run_forecast"
     run(["train", "--config", workspace / "forecast.conf",
          "--data", workspace / "plain.csv", "--seed", "0", "--out", out])
+    return out
+
+
+def test_train_and_evaluate_forecast(workspace, forecast_run):
+    out = forecast_run
     assert (out / "checkpoint.npz").exists()
     metrics = json.loads((out / "metrics.json").read_text())
     assert set(metrics) == {"mse", "mae"}
@@ -72,8 +79,8 @@ def test_train_and_evaluate_forecast(workspace):
     assert again == pytest.approx(metrics)
 
 
-def test_forecast_writes_predictions(workspace):
-    out = workspace / "run_forecast"
+def test_forecast_writes_predictions(workspace, forecast_run):
+    out = forecast_run
     run(["forecast", "--config", workspace / "forecast.conf",
          "--data", workspace / "plain.csv", "--out", out,
          "--checkpoint", out / "checkpoint.npz"])
@@ -213,6 +220,28 @@ def test_classify_reports_accuracy(workspace):
          "--data", workspace / "labeled.csv", "--out", out])
     metrics = json.loads((out / "metrics.json").read_text())
     assert 0.0 <= metrics["accuracy"] <= 1.0
+
+
+def test_classify_without_label_column_is_named(workspace, tmp_path, capsys):
+    assert main(["train", "--config", str(workspace / "classify.conf"),
+                 "--data", str(workspace / "plain.csv"),
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: train split has no labels: classification needs a final "
+        "'label' column"]
+
+
+@pytest.mark.parametrize("global_priors", ["true", "false"])
+def test_lag_bound_past_the_window_trains_in_both_priors_modes(
+        workspace, tmp_path, global_priors):
+    # max_lag 30 > lookback 24: both the shared priors and each window's
+    # own search lags up to the window length less MIN_OVERLAP
+    conf = tmp_path / "lag.conf"
+    conf.write_text((workspace / "forecast.conf").read_text()
+                    + f"max_lag = 30\nglobal_priors = {global_priors}\n")
+    run(["train", "--config", conf, "--data", workspace / "plain.csv",
+         "--out", tmp_path])
+    assert (tmp_path / "checkpoint.npz").exists()
 
 
 def test_decompose_outputs_are_lossless(workspace):
@@ -443,11 +472,9 @@ def test_bad_file_or_flag_exits_with_one_error_line(tmp_path, capsys,
     assert named in err[0]
 
 
-def test_task_command_rejects_other_task_checkpoint(workspace, capsys):
-    ckpt = workspace / "run_forecast" / "checkpoint.npz"
-    if not ckpt.exists():
-        run(["train", "--config", workspace / "forecast.conf",
-             "--data", workspace / "plain.csv", "--out", ckpt.parent])
+def test_task_command_rejects_other_task_checkpoint(workspace, forecast_run,
+                                                   capsys):
+    ckpt = forecast_run / "checkpoint.npz"
     assert main(["impute", "--data", str(workspace / "plain.csv"),
                  "--checkpoint", str(ckpt),
                  "--out", str(workspace / "run_mismatch")]) == 1

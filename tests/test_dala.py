@@ -926,8 +926,22 @@ def test_rejects_chunk_below_one(rng, chunk):
 
 
 def test_shift_plan_cache_is_bounded(rng, monkeypatch):
+    # one slot per token split (L, c): new priors replace the plan of their
+    # split only, and the plan in a slot is read again without planning
+    calls = []
+    plan = dala._plan_shifts
+    monkeypatch.setattr(dala, "_plan_shifts",
+                        lambda *args: calls.append(1) or plan(*args))
     monkeypatch.setattr(dala, "_PLANS", {})
-    x = rng.standard_normal((3, 4, 2))
-    for _ in range(3 * dala._PLANS_KEPT):
-        dala_core(x, x, x, make_priors(rng, 3), chunk=2)
-    assert len(dala._PLANS) == dala._PLANS_KEPT
+    x4, x5 = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 5, 2))
+    priors = [make_priors(rng, 3) for _ in range(6)]
+    for p in priors:
+        dala_core(x4, x4, x4, p, chunk=2)
+    dala_core(x5, x5, x5, priors[0], chunk=2)
+    assert sorted(dala._PLANS) == [(4, 2), (5, 2)]     # 2 x 2 and 3 x 2
+    assert len(calls) == 7
+    dala_core(x4, x4, x4, priors[-1], chunk=2)
+    dala_core(x5, x5, x5, priors[0], chunk=2)
+    assert len(calls) == 7
+    dala_core(x4, x4, x4, priors[0], chunk=2)
+    assert len(calls) == 8 and len(dala._PLANS) == 2

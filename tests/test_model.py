@@ -9,7 +9,7 @@ import pytest
 
 from dema import dala, model
 from dema import tensor as T
-from dema.delay import DelayPriors
+from dema.delay import DelayPriors, delay_matrix
 from dema.embedding import InstanceStats
 from dema.errors import ConfigError, ContractError, NumericError
 from dema.model import (BackboneOutput, DuoMNetBlockParams, ModelConfig,
@@ -243,6 +243,31 @@ def test_backbone_estimates_priors_when_absent(rng):
     out = backbone_forward(rng.standard_normal((2, 32)), state)
     assert out.priors is not None
     assert out.priors.n_variates == 2
+
+
+def test_per_window_forwards_keep_one_plan(rng, monkeypatch):
+    # per-window priors change from batch to batch, so a batch's DALA plan
+    # is read by its own blocks only: ten forwards keep one plan
+    monkeypatch.setattr(dala, "_PLANS", {})
+    state = ModelState.init(small_config())
+    with T.no_grad():
+        for _ in range(10):
+            windows = rng.standard_normal((2, 2, 32))
+            # a noisy lagged copy: an active pair, its rho new each batch
+            windows[:, 1] += 3 * np.roll(windows[:, 0], 3, axis=-1)
+            model_forward(windows, state)
+    assert len(dala._PLANS) == 1
+
+
+def test_per_window_lag_bound_is_cut_to_the_window(rng):
+    # max_lag 40 > lookback 32: each window searches the lags that leave
+    # MIN_OVERLAP = 4 points, as at max_lag 28
+    window = rng.standard_normal((2, 32))
+    got = backbone_forward(window, ModelState.init(small_config(max_lag=40)))
+    want = delay_matrix(window, 28, 8)
+    assert got.priors.max_lag == 28
+    np.testing.assert_array_equal(got.priors.tau, want.tau)
+    np.testing.assert_array_equal(got.priors.rho, want.rho)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ def random_instance(rng, N=2, L=16, Dh=4, Du=3):
     B_bar = rng.standard_normal((N, L, Dh))
     C = rng.standard_normal((N, L, Dh))
     x = rng.standard_normal((N, L, Du))
-    d = DiscreteSSM(A_bar=T.Tensor(A_bar), B_bar=T.Tensor(B_bar))
+    d = DiscreteSSM(log_A_bar=T.Tensor(np.log(A_bar)), B_bar=T.Tensor(B_bar))
     return d, T.Tensor(C), T.Tensor(x)
 
 
@@ -58,7 +58,7 @@ def test_discretize_small_delta_limit():
                           C=T.Tensor(np.ones((1, 4, 2))),
                           A_log=T.Tensor(np.zeros(2)))
     d = discretize(sel)
-    np.testing.assert_allclose(d.A_bar.data, 1.0, atol=1e-10)
+    np.testing.assert_allclose(np.exp(d.log_A_bar.data), 1.0, atol=1e-10)
     np.testing.assert_allclose(d.B_bar.data, 0.0, atol=1e-10)
 
 
@@ -69,7 +69,7 @@ def test_discretize_analytic_point():
                           C=T.Tensor(np.ones((1, 1, 1))),
                           A_log=T.Tensor(np.zeros(1)))
     d = discretize(sel)
-    np.testing.assert_allclose(d.A_bar.data, 0.5, atol=1e-12)
+    np.testing.assert_allclose(np.exp(d.log_A_bar.data), 0.5, atol=1e-12)
     np.testing.assert_allclose(d.B_bar.data, 0.5, atol=1e-12)
 
 
@@ -77,7 +77,8 @@ def test_discretize_a_bar_in_unit_interval(rng):
     params = SsdParams.init(4, 8, 4, np.random.default_rng(3))
     u = rng.standard_normal((3, 20, 8)) * 2.0
     d = discretize(selective_params(T.Tensor(u), params))
-    assert np.all(d.A_bar.data > 0) and np.all(d.A_bar.data < 1)
+    A_bar = np.exp(d.log_A_bar.data)
+    assert np.all(A_bar > 0) and np.all(A_bar < 1)
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +94,8 @@ def test_reference_single_step(rng):
 
 def test_reference_memoryless_when_a_bar_zero(rng):
     d, C, x = random_instance(rng, N=2, L=8)
-    d = DiscreteSSM(A_bar=T.Tensor(np.zeros(d.A_bar.shape)), B_bar=d.B_bar)
+    d = DiscreteSSM(log_A_bar=T.Tensor(np.full(d.log_A_bar.shape, -np.inf)),
+                    B_bar=d.B_bar)
     y = ssm_scan_reference(d, C, x)
     for n in range(2):
         for t in range(8):
@@ -105,7 +107,7 @@ def test_reference_variate_permutation_equivariance(rng):
     d, C, x = random_instance(rng, N=3, L=10)
     y = ssm_scan_reference(d, C, x)
     perm = [2, 0, 1]
-    d_p = DiscreteSSM(A_bar=T.Tensor(d.A_bar.data[perm]),
+    d_p = DiscreteSSM(log_A_bar=T.Tensor(d.log_A_bar.data[perm]),
                       B_bar=T.Tensor(d.B_bar.data[perm]))
     y_p = ssm_scan_reference(d_p, T.Tensor(C.data[perm]), T.Tensor(x.data[perm]))
     np.testing.assert_array_equal(y_p, y[perm])
@@ -170,7 +172,7 @@ def test_blocked_survives_underflowing_decay(rng):
                           C=T.Tensor(rng.standard_normal((N, L, Dh))),
                           A_log=T.Tensor(np.zeros(Dh), requires_grad=True))
     d = discretize(sel)
-    assert np.any(d.A_bar.data == 0.0)
+    assert np.any(np.exp(d.log_A_bar.data) == 0.0)
     x = T.Tensor(rng.standard_normal((N, L, Du)))
     ref = ssm_scan_reference(d, sel.C, x)
     assert np.all(np.isfinite(ref))
@@ -213,7 +215,7 @@ def test_blocked_matches_reference_property(case):
                           C=T.Tensor(rng.standard_normal(lead + (L, Dh))),
                           A_log=T.Tensor(rng.uniform(-1.0, 1.0, Dh)))
     d = discretize(sel)
-    assert np.any(d.A_bar.data == 0.0) == (n_under > 0)
+    assert np.any(np.exp(d.log_A_bar.data) == 0.0) == (n_under > 0)
     x = T.Tensor(rng.standard_normal(lead + (L, Du)))
     ref = ssm_scan_reference(d, sel.C, x)
     out = ssd_blocked(d, sel.C, x, chunk=chunk).data
@@ -230,14 +232,15 @@ def test_blocked_rejects_bad_chunk(rng):
 
 
 def test_blocked_is_differentiable(rng):
-    A_bar = T.Tensor(np.random.default_rng(5).uniform(0.1, 0.9, (1, 6, 2)),
-                     requires_grad=True)
+    log_A_bar = T.Tensor(np.log(np.random.default_rng(5).uniform(
+        0.1, 0.9, (1, 6, 2))), requires_grad=True)
     B_bar = T.Tensor(rng.standard_normal((1, 6, 2)), requires_grad=True)
     C = T.Tensor(rng.standard_normal((1, 6, 2)), requires_grad=True)
     x = T.Tensor(rng.standard_normal((1, 6, 3)), requires_grad=True)
-    y = ssd_blocked(DiscreteSSM(A_bar=A_bar, B_bar=B_bar), C, x, chunk=4)
+    y = ssd_blocked(DiscreteSSM(log_A_bar=log_A_bar, B_bar=B_bar), C, x,
+                    chunk=4)
     T.backward(T.tsum(T.mul(y, y)))
-    for p in (A_bar, B_bar, C, x):
+    for p in (log_A_bar, B_bar, C, x):
         assert p.grad is not None and np.all(np.isfinite(p.grad))
 
 
@@ -246,8 +249,8 @@ def _ssd_value_and_grads(rng, shapes, chunk):
     C, x) on inputs of the given shapes, with decays mostly below one."""
     log_a, B_bar, C, x = (rng.standard_normal(s) for s in shapes)
     log_a = -np.abs(log_a)
-    d = DiscreteSSM(A_bar=np.exp(log_a), B_bar=T.Tensor(B_bar),
-                    log_A_bar=T.Tensor(log_a, requires_grad=True))
+    d = DiscreteSSM(log_A_bar=T.Tensor(log_a, requires_grad=True),
+                    B_bar=T.Tensor(B_bar))
     y = ssd_blocked(d, T.Tensor(C), T.Tensor(x, requires_grad=True), chunk)
     return [y.data, *y._backward(rng.standard_normal(y.shape))]
 
@@ -281,9 +284,9 @@ def test_blocked_vjp_holds_no_whole_decay_array(rng):
     # c, c, Dh] (3.1 MB) outweigh every other array of the VJP
     lead, L, chunk, Dh = (4, 3), 64, 32, 16
     decays = int(np.prod(lead)) * (L // chunk) * chunk * chunk * Dh * 8
-    d = DiscreteSSM(A_bar=None, B_bar=T.Tensor(rng.standard_normal(
-        lead + (L, Dh))), log_A_bar=T.Tensor(
-            -np.abs(rng.standard_normal(lead + (L, Dh))), requires_grad=True))
+    B_bar = T.Tensor(rng.standard_normal(lead + (L, Dh)))
+    d = DiscreteSSM(log_A_bar=T.Tensor(-np.abs(rng.standard_normal(
+        lead + (L, Dh))), requires_grad=True), B_bar=B_bar)
     y = ssd_blocked(d, T.Tensor(rng.standard_normal(lead + (L, Dh))),
                     T.Tensor(rng.standard_normal(lead + (L, 4))), chunk)
     g = rng.standard_normal(y.shape)
